@@ -45,10 +45,11 @@ from .prefs import (
     collective_priorities,
     compute_expert_weights,
     consistent_relation,
-    distance,
+    distances,
     inner_deviation,
     inner_weights,
     outer_weights,
+    stacked,
     trust_weights,
     validate_relation,
 )

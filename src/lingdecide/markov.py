@@ -15,7 +15,7 @@ to an externally supplied probability before iterating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .diagnostics import Diagnostics, record
 from .errors import ConfigError, ShapeError
 from .scale import LinguisticScale
 from .solver import SimplexWLSProblem, solve
-from .terms import PeakIntervalTerm, score
+from .terms import PeakIntervalTerm, unit_arrays
 
 _STOCHASTIC_TOL = 1e-9
 
@@ -32,10 +32,18 @@ _FLOOR_SCORE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LinguisticMarkovAssessment:
-    """One expert's q x q matrix of transition judgements."""
+    """One expert's q x q matrix of transition judgements.
+
+    Construction derives the read-only (q, q) unit arrays ``lower``,
+    ``upper``, ``p`` and ``scores``, as for a preference relation.
+    """
 
     scale: LinguisticScale
     entries: tuple[tuple[PeakIntervalTerm, ...], ...]
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = len(self.entries)
@@ -44,9 +52,9 @@ class LinguisticMarkovAssessment:
         for i, row in enumerate(self.entries):
             if len(row) != q:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {q}")
-            for term in row:
-                if term.scale != self.scale:
-                    raise ShapeError("all entries must use the assessment's scale")
+        arrays = unit_arrays(self.scale, self.entries)
+        for name, value in zip(("lower", "upper", "p", "scores"), arrays):
+            object.__setattr__(self, name, value)
 
     @property
     def q(self) -> int:
@@ -81,14 +89,6 @@ def require_stochastic(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> np.ndarra
     return M
 
 
-def _is_floor_point(term: PeakIntervalTerm, p: float) -> bool:
-    return (
-        term.unit_lower <= _FLOOR_SCORE_TOL
-        and term.unit_upper <= _FLOOR_SCORE_TOL
-        and abs(p - 1.0) <= _FLOOR_SCORE_TOL
-    )
-
-
 def estimate_transition(
     assessments: list[LinguisticMarkovAssessment],
     certainties: list[np.ndarray] | None = None,
@@ -108,45 +108,44 @@ def estimate_transition(
         if a.q != q:
             raise ShapeError("assessments must share one attribute count")
     if certainties is None:
-        P = [
-            np.array([[a.entry(i, j).p for j in range(q)] for i in range(q)])
-            for a in assessments
-        ]
+        P = np.stack([a.p for a in assessments])
     else:
         if len(certainties) != len(assessments):
             raise ShapeError("one certainty matrix per assessment required")
-        P = [np.asarray(c, dtype=float) for c in certainties]
-        for c in P:
+        given = [np.asarray(c, dtype=float) for c in certainties]
+        for c in given:
             if c.shape != (q, q):
                 raise ShapeError(f"certainty matrix shape {c.shape}, expected {(q, q)}")
-    E = [
-        np.array([[score(a.entry(i, j)) for j in range(q)] for i in range(q)])
-        for a in assessments
-    ]
+        P = np.stack(given)
+    E = np.stack([a.scores for a in assessments])
+    # a column is pinned when every expert rates it the floor point at p = 1
+    pinned_cells = (
+        (np.stack([a.lower for a in assessments]) <= _FLOOR_SCORE_TOL)
+        & (np.stack([a.upper for a in assessments]) <= _FLOOR_SCORE_TOL)
+        & (np.abs(P - 1.0) <= _FLOOR_SCORE_TOL)
+    ).all(axis=0)
 
+    n = len(assessments)
     M = np.zeros((q, q))
     for i in range(q):
-        pinned = [
-            j
-            for j in range(q)
-            if all(_is_floor_point(a.entry(i, j), pk[i, j]) for a, pk in zip(assessments, P))
-        ]
-        free = [j for j in range(q) if j not in pinned]
-        if not free:
+        pinned = np.flatnonzero(pinned_cells[i]).tolist()
+        free = np.flatnonzero(~pinned_cells[i])
+        if not free.size:
             raise ConfigError(f"row {i} pins every column to zero; no transition mass left")
         if pinned:
             record(diag, "zero_pinned", f"row {i}: columns {pinned} fixed at exactly 0")
-        terms = []
-        for k in range(len(assessments)):
-            for jj, j in enumerate(free):
-                row = [0.0] * len(free)
-                row[jj] = 1.0
-                terms.append((tuple(row), float(E[k][i, j]), float(P[k][i, j])))
-        sol = solve(SimplexWLSProblem(m=len(free), terms=tuple(terms), strict=True))
+        # one identity design row per expert and free column, expert by expert
+        problem = SimplexWLSProblem(
+            m=free.size,
+            rows=np.tile(np.eye(free.size), (n, 1)),
+            targets=E[:, i, free].ravel(),
+            weights=P[:, i, free].ravel(),
+            strict=True,
+        )
+        sol = solve(problem)
         if sol.status == "degenerate":
             record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
-        for jj, j in enumerate(free):
-            M[i, j] = sol.vector[jj]
+        M[i, free] = sol.vector
     return M
 
 

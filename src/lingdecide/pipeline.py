@@ -24,13 +24,12 @@ from .markov import estimate_transition, export_dot, period_weights, period_weig
 from .prefs import (
     ExpertWeightReport,
     compute_expert_weights,
-    scored_model1_problem,
-    certainty_matrix,
-    score_matrix,
+    consensus_problem,
+    model1_problem,
 )
 from .scale import TermCoord, from_unit, to_unit
 from .solver import solve
-from .terms import ProbabilisticTermSet, plts_score, score
+from .terms import ProbabilisticTermSet, plts_score
 
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")
 
@@ -316,9 +315,7 @@ def _model_weights(scenario, attr: str, report: DecisionReport, diag: Diagnostic
 
 
 def _solve_priorities(relations, weights: np.ndarray) -> np.ndarray:
-    scores = [score_matrix(r) for r in relations]
-    certainties = [certainty_matrix(r) for r in relations]
-    return solve(scored_model1_problem(scores, certainties, weights)).vector
+    return solve(model1_problem(relations, weights)).vector
 
 
 @dataclass(frozen=True)
@@ -373,7 +370,7 @@ def _plts_reduced_score(relation, i: int, j: int) -> float:
     """
     entry = relation.entry(i, j)
     scale = relation.scale
-    mid = from_unit(scale, score(entry))
+    mid = from_unit(scale, float(relation.scores[i, j]))
     reduced = ProbabilisticTermSet(
         scale, ((mid, entry.p), (TermCoord(0, 0), 1.0 - entry.p))
     )
@@ -414,16 +411,13 @@ def compare_with_plts(
 
     interval = _solve_priorities(list(relations), w)
 
-    ones = np.ones((m, m))
-    reduced_scores = []
-    for relation in relations:
-        E = np.full((m, m), 0.5)
+    reduced = np.full((len(relations), m, m), 0.5)
+    for k, relation in enumerate(relations):
         for i in range(m):
             for j in range(m):
                 if i != j:
-                    E[i, j] = _plts_reduced_score(relation, i, j)
-        reduced_scores.append(E)
-    plts = solve(scored_model1_problem(reduced_scores, [ones] * len(relations), w)).vector
+                    reduced[k, i, j] = _plts_reduced_score(relation, i, j)
+    plts = solve(consensus_problem(reduced, np.ones_like(reduced), w)).vector
 
     return PltsComparison(
         attribute=attribute,

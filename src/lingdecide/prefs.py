@@ -20,12 +20,16 @@ Collective priorities solve the certainty-weighted least-squares model
     min sum_k omega_k sum_{i<j} p^k_ij ((w_i - w_j)/2 - E^k_ij + 1/2)^2
 
 over the open simplex (positivity floor 1e-9).
+
+Relations derive their unit arrays once, when built. The weighting chain
+and the model builder run on one attribute's relations stacked into
+(n, m, m) score and certainty arrays (``stacked``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EmptyTrustError, ShapeError
 from .scale import LinguisticScale
 from .solver import SimplexWLSProblem, solve
-from .terms import PeakIntervalTerm, score
+from .terms import PeakIntervalTerm, unit_arrays
 
 _RECIP_TOL = 1e-9
 
@@ -42,10 +46,19 @@ ENTROPY_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PreferenceRelation:
-    """m x m matrix of peak intervals over one scale."""
+    """m x m matrix of peak intervals over one scale.
+
+    Construction derives the read-only (m, m) unit arrays the numerics run
+    on: endpoints ``lower`` and ``upper``, certainties ``p`` and midpoint
+    scores ``scores``. The cells stay for decoding, messages and reports.
+    """
 
     scale: LinguisticScale
     entries: tuple[tuple[PeakIntervalTerm, ...], ...]
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.entries)
@@ -54,6 +67,9 @@ class PreferenceRelation:
         for i, row in enumerate(self.entries):
             if len(row) != m:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {m}")
+        arrays = unit_arrays(self.scale, self.entries)
+        for name, value in zip(("lower", "upper", "p", "scores"), arrays):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -75,85 +91,89 @@ class Violation:
 
 
 def validate_relation(relation: PreferenceRelation) -> list[Violation]:
-    """Collect every reciprocity violation; empty list means valid."""
+    """Collect every reciprocity violation; empty list means valid.
+
+    Diagonal violations come first, then each pair i < j in row-major
+    order with its endpoint violation before its probability one.
+    """
     out: list[Violation] = []
-    m = relation.m
-    for i in range(m):
-        e = relation.entry(i, i)
-        if (
-            abs(e.unit_lower - 0.5) > _RECIP_TOL
-            or abs(e.unit_upper - 0.5) > _RECIP_TOL
-            or abs(e.p - 1.0) > _RECIP_TOL
-        ):
+    lo, hi, p = relation.lower, relation.upper, relation.p
+    tol = _RECIP_TOL
+    bad_diagonal = (
+        (np.abs(lo.diagonal() - 0.5) > tol)
+        | (np.abs(hi.diagonal() - 0.5) > tol)
+        | (np.abs(p.diagonal() - 1.0) > tol)
+    )
+    for i in np.flatnonzero(bad_diagonal).tolist():
+        out.append(
+            Violation(
+                i, i, "diagonal",
+                f"expected the indifferent point (unit 0.5, p=1), got "
+                f"[{lo[i, i]:.6g}, {hi[i, i]:.6g}] p={p[i, i]:.6g}",
+            )
+        )
+    # lo_sum[i, j] = unit(lower_ij) + unit(upper_ji), hi_sum the other way
+    lo_sum = lo + hi.T
+    hi_sum = hi + lo.T
+    bad_endpoints = (np.abs(lo_sum - 1.0) > tol) | (np.abs(hi_sum - 1.0) > tol)
+    bad_p = np.abs(p - p.T) > tol
+    for i, j in np.argwhere(np.triu(bad_endpoints | bad_p, 1)).tolist():
+        if bad_endpoints[i, j]:
             out.append(
                 Violation(
-                    i, i, "diagonal",
-                    f"expected the indifferent point (unit 0.5, p=1), got "
-                    f"[{e.unit_lower:.6g}, {e.unit_upper:.6g}] p={e.p:.6g}",
+                    i, j, "endpoint-reciprocity",
+                    f"unit sums ({lo_sum[i, j]:.6g}, {hi_sum[i, j]:.6g}) differ from 1",
                 )
             )
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, bb = relation.entry(i, j), relation.entry(j, i)
-            lo = a.unit_lower + bb.unit_upper
-            hi = a.unit_upper + bb.unit_lower
-            if abs(lo - 1.0) > _RECIP_TOL or abs(hi - 1.0) > _RECIP_TOL:
-                out.append(
-                    Violation(
-                        i, j, "endpoint-reciprocity",
-                        f"unit sums ({lo:.6g}, {hi:.6g}) differ from 1",
-                    )
+        if bad_p[i, j]:
+            out.append(
+                Violation(
+                    i, j, "probability-reciprocity", f"p={p[i, j]:.6g} vs p={p[j, i]:.6g}"
                 )
-            if abs(a.p - bb.p) > _RECIP_TOL:
-                out.append(
-                    Violation(i, j, "probability-reciprocity", f"p={a.p:.6g} vs p={bb.p:.6g}")
-                )
+            )
     return out
 
 
 def score_matrix(relation: PreferenceRelation) -> np.ndarray:
-    """Midpoint scores of every entry."""
-    m = relation.m
-    E = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            E[i, j] = score(relation.entry(i, j))
-    return E
+    """Midpoint scores of every entry (read-only, derived at construction)."""
+    return relation.scores
 
 
-def certainty_matrix(relation: PreferenceRelation) -> np.ndarray:
-    m = relation.m
-    P = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            P[i, j] = relation.entry(i, j).p
-    return P
+def stacked(relations: list[PreferenceRelation]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m, m) scores and certainties of relations over one alternative set."""
+    if not relations:
+        raise ShapeError("need at least one relation")
+    m = relations[0].m
+    for relation in relations:
+        if relation.m != m:
+            raise ShapeError(f"relation sizes differ: {m} vs {relation.m}")
+    return np.stack([score_matrix(r) for r in relations]), np.stack([r.p for r in relations])
 
 
-def distance(p: PreferenceRelation, q: PreferenceRelation) -> float:
-    """Root-mean difference of certainty-weighted scores over i < j."""
-    if p.m != q.m:
-        raise ShapeError(f"relation sizes differ: {p.m} vs {q.m}")
-    m = p.m
-    Ep, Eq = score_matrix(p), score_matrix(q)
-    Pp, Pq = certainty_matrix(p), certainty_matrix(q)
-    total = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            total += (Ep[i, j] * Pp[i, j] - Eq[i, j] * Pq[i, j]) ** 2
-    return math.sqrt(2.0 * total / (m * (m - 1)))
+def distances(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
+    """(n, n) root-mean differences of certainty-weighted scores over i < j.
+
+    The pair axis leads, so the reduction adds pairs one by one in
+    row-major order, and ``float_power`` squares through the C library's
+    ``pow``: the result keeps the last bit of a scalar loop over pairs.
+    """
+    m = scores.shape[1]
+    i, j = np.triu_indices(m, 1)
+    weighted = (scores * certainties)[:, i, j].T
+    diff = weighted[:, :, None] - weighted[:, None, :]
+    total = np.float_power(diff, 2).sum(axis=0)
+    return np.sqrt(2.0 * total / (m * (m - 1)))
 
 
-def outer_weights(relations: list[PreferenceRelation]) -> np.ndarray:
-    """Distance-mass weights across experts; uniform when all coincide."""
-    n = len(relations)
+def outer_weights(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
+    """Distance-mass weights across experts; uniform when all coincide.
+
+    Takes one attribute's stacked (n, m, m) scores and certainties.
+    """
+    n = scores.shape[0]
     if n < 2:
         raise ShapeError("outer weights need at least two experts")
-    d = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d[a, b] = d[b, a] = distance(relations[a], relations[b])
-    sums = d.sum(axis=0)
+    sums = distances(scores, certainties).sum(axis=0)
     total = sums.sum()
     if total <= 1e-12:
         return np.full(n, 1.0 / n)
@@ -170,33 +190,33 @@ def indirect_score(E: np.ndarray, i: int, j: int, v: int) -> float:
     return E[i, v] - E[j, v] + 0.5
 
 
-def inner_deviation_from_scores(
-    E: np.ndarray,
+def inner_deviation(
+    scores: np.ndarray,
     paper_literal: bool = False,
     diag: Diagnostics | None = None,
 ) -> float:
-    """Total direct-vs-indirect score deviation of one expert.
+    """Total direct-vs-indirect score deviation of one expert's scores.
 
     Default form: sum over all (v, i<j, both != v) of |E_ij - E_ij^(-v)|.
     ``paper_literal`` keeps each |.| + 0.5 term and subtracts the printed
     constant m(m-1)/2 * ... = m(m-1)*0.5, which matches the triple count
     only at m = 4; elsewhere it shifts the total (kept for reproduction).
     """
+    E = np.asarray(scores, dtype=float)
     m = E.shape[0]
     if m < 3:
         record(diag, "no_indirect_path", f"m={m} has no third alternative to route through")
         return 0.0
-    total = 0.0
-    count = 0
-    for v in range(m):
-        for i in range(m):
-            if i == v:
-                continue
-            for j in range(i + 1, m):
-                if j == v:
-                    continue
-                total += abs(E[i, j] - indirect_score(E, i, j, v))
-                count += 1
+    # deviation[v, p] = |E_ij - (E_iv - E_jv + 1/2)| for the pair p = (i, j),
+    # see indirect_score; pairs i < j in row-major order
+    i, j = np.triu_indices(m, 1)
+    deviation = np.abs(E[i, j] - (E.T[:, i] - E.T[:, j] + 0.5))
+    v = np.arange(m)[:, None]
+    triples = deviation[(v != i) & (v != j)]
+    # a running sum adds the triples in (v, i, j) order, as the scalar
+    # definition does, so the total keeps its last bit
+    total = float(np.cumsum(triples)[-1])
+    count = triples.size
     if paper_literal:
         record(
             diag, "paper_literal",
@@ -205,14 +225,6 @@ def inner_deviation_from_scores(
         )
         return total + 0.5 * count - 0.5 * m * (m - 1)
     return total
-
-
-def inner_deviation(
-    relation: PreferenceRelation,
-    paper_literal: bool = False,
-    diag: Diagnostics | None = None,
-) -> float:
-    return inner_deviation_from_scores(score_matrix(relation), paper_literal, diag)
 
 
 def inner_weights(
@@ -320,41 +332,51 @@ def compute_expert_weights(
     diag: Diagnostics | None = None,
 ) -> ExpertWeightReport:
     """Full weighting chain for one attribute's relations."""
-    m = relations[0].m
-    outer = outer_weights(relations)
-    deviations = [inner_deviation(r, paper_literal, diag) for r in relations]
-    inner = inner_weights(deviations, m, diag)
+    scores, certainties = stacked(relations)
+    outer = outer_weights(scores, certainties)
+    deviations = [inner_deviation(E, paper_literal, diag) for E in scores]
+    inner = inner_weights(deviations, scores.shape[1], diag)
     tru = trust_weights(trust)
     blended = blend_weights(outer, inner, tru, alpha, beta, gamma)
     return ExpertWeightReport(outer, inner, tru, blended, alpha, beta, gamma)
+
+
+def consensus_problem(
+    scores: np.ndarray,
+    certainties: np.ndarray,
+    weights: np.ndarray | list[float],
+) -> SimplexWLSProblem:
+    """The collective-priority least-squares problem from stacked arrays.
+
+    Takes (n, m, m) scores and certainties. One term per expert k and pair
+    i < j, expert by expert and pairs in row-major order: design row
+    (e_i - e_j)/2, target E^k_ij - 1/2, weight omega_k p^k_ij.
+    """
+    n, m = scores.shape[:2]
+    w = np.asarray(weights, dtype=float)
+    if w.size != n:
+        raise ShapeError(f"{n} relations but {w.size} expert weights")
+    if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
+        raise ConfigError("expert weights must form a probability vector")
+    i, j = np.triu_indices(m, 1)
+    pair_rows = np.zeros((i.size, m))
+    pair_rows[np.arange(i.size), i] = 0.5
+    pair_rows[np.arange(i.size), j] = -0.5
+    return SimplexWLSProblem(
+        m=m,
+        rows=np.tile(pair_rows, (n, 1)),
+        targets=(scores[:, i, j] - 0.5).ravel(),
+        weights=(w[:, None] * certainties[:, i, j]).ravel(),
+        strict=True,
+    )
 
 
 def model1_problem(
     relations: list[PreferenceRelation],
     weights: np.ndarray | list[float],
 ) -> SimplexWLSProblem:
-    """Assemble the collective-priority least-squares problem."""
-    if not relations:
-        raise ShapeError("need at least one relation")
-    m = relations[0].m
-    w = np.asarray(weights, dtype=float)
-    if w.size != len(relations):
-        raise ShapeError(f"{len(relations)} relations but {w.size} expert weights")
-    if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
-        raise ConfigError("expert weights must form a probability vector")
-    terms = []
-    for k, relation in enumerate(relations):
-        if relation.m != m:
-            raise ShapeError("relations must share one alternative count")
-        E = score_matrix(relation)
-        P = certainty_matrix(relation)
-        for i in range(m):
-            for j in range(i + 1, m):
-                row = [0.0] * m
-                row[i] = 0.5
-                row[j] = -0.5
-                terms.append((tuple(row), E[i, j] - 0.5, float(w[k] * P[i, j])))
-    return SimplexWLSProblem(m=m, terms=tuple(terms), strict=True)
+    """Assemble the collective-priority problem of one attribute's relations."""
+    return consensus_problem(*stacked(relations), weights)
 
 
 def collective_priorities(
@@ -363,29 +385,6 @@ def collective_priorities(
 ) -> np.ndarray:
     """Priority vector of the certainty-weighted consensus model."""
     return solve(model1_problem(relations, weights)).vector
-
-
-def scored_model1_problem(
-    scores: list[np.ndarray],
-    certainties: list[np.ndarray],
-    weights: np.ndarray | list[float],
-) -> SimplexWLSProblem:
-    """Model-1 problem straight from score/certainty matrices.
-
-    The comparison harness uses this entry point to swap in alternative
-    evidence reductions without building relation objects.
-    """
-    m = scores[0].shape[0]
-    w = np.asarray(weights, dtype=float)
-    terms = []
-    for k, (E, P) in enumerate(zip(scores, certainties)):
-        for i in range(m):
-            for j in range(i + 1, m):
-                row = [0.0] * m
-                row[i] = 0.5
-                row[j] = -0.5
-                terms.append((tuple(row), E[i, j] - 0.5, float(w[k] * P[i, j])))
-    return SimplexWLSProblem(m=m, terms=tuple(terms), strict=True)
 
 
 def consistent_relation(

@@ -70,10 +70,19 @@ def _check_coord(scale: LinguisticScale, term: TermCoord) -> None:
         raise RangeError(f"second-hierarchy subscript k={term.k} outside [-{scale.zeta}, {scale.zeta}]")
 
 
+def unit_value(scale: LinguisticScale, t, k):
+    """The unit transform of subscripts t and k, scalars or numpy arrays.
+
+    No range check: ``to_unit`` checks a single coordinate first, and the
+    array callers hold coordinates of terms that were checked when built.
+    """
+    return (k + (scale.tau + t) * scale.zeta) / (2.0 * scale.zeta * scale.tau)
+
+
 def to_unit(scale: LinguisticScale, term: TermCoord) -> float:
     """Map a coordinate pair to its unit value gamma in [0, 1]."""
     _check_coord(scale, term)
-    return (term.k + (scale.tau + term.t) * scale.zeta) / (2.0 * scale.zeta * scale.tau)
+    return unit_value(scale, term.t, term.k)
 
 
 def from_unit(scale: LinguisticScale, gamma: float) -> TermCoord:

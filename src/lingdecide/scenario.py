@@ -314,6 +314,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     preferences = _decode_preferences(
         data.get("preferences"), scale, attributes, experts, m, overrides, col
     )
+    raw_preferences = data.get("preferences")
+    if n < 2 and isinstance(raw_preferences, dict):
+        weighed = [a for a in attributes if a in raw_preferences]
+        if weighed:
+            col.add(
+                "experts",
+                f"preference relations for {weighed} need at least two experts to weigh, "
+                f"got {n}; cover those attributes with overrides.priority_vectors instead",
+            )
 
     col.raise_if_any()
     return Scenario(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import null_space
@@ -35,49 +36,54 @@ _VIOLATION_TOL = 1e-12
 _RELEASE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexWLSProblem:
     """Weighted least-squares data over an m-simplex.
 
-    ``terms`` is a sequence of (row, target, weight) with nonnegative
-    weights; ``strict`` selects the 1e-9 positivity floor.
+    Term t has design row ``rows[t]`` (length m), target ``targets[t]``
+    and nonnegative weight ``weights[t]``; ``strict`` selects the 1e-9
+    positivity floor. The arrays are used as given, not copied, so they
+    must not change once the problem is built.
     """
 
     m: int
-    terms: tuple[tuple[tuple[float, ...], float, float], ...]
+    rows: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
     strict: bool = True
 
     def __post_init__(self):
         if self.m < 1:
             raise ShapeError(f"dimension must be >= 1, got {self.m}")
-        for row, _, weight in self.terms:
-            if len(row) != self.m:
-                raise ShapeError(f"design row length {len(row)} != dimension {self.m}")
-            if weight < 0.0:
-                raise ShapeError(f"negative term weight {weight}")
+        rows = np.asarray(self.rows, dtype=float)
+        targets = np.asarray(self.targets, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.m:
+            raise ShapeError(f"design rows of shape {rows.shape}, expected (terms, {self.m})")
+        if targets.shape != (rows.shape[0],) or weights.shape != targets.shape:
+            raise ShapeError(
+                f"{rows.shape[0]} design rows but {targets.size} targets and {weights.size} weights"
+            )
+        if np.any(weights < 0.0):
+            raise ShapeError(f"negative term weight {weights.min()}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def floor(self) -> float:
         return STRICT_FLOOR if self.strict else 0.0
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.terms:
-            return (
-                np.zeros((0, self.m)),
-                np.zeros(0),
-                np.zeros(0),
-            )
-        rows = np.array([row for row, _, _ in self.terms], dtype=float)
-        targets = np.array([t for _, t, _ in self.terms], dtype=float)
-        weights = np.array([w for _, _, w in self.terms], dtype=float)
-        return rows, targets, weights
+    @cached_property
+    def normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
+        """H = A^T W A and c = A^T W b: the objective is x.Hx - 2 c.x + const."""
+        H = (self.rows * self.weights[:, None]).T @ self.rows
+        c = self.rows.T @ (self.weights * self.targets)
+        return H, c
 
     def objective(self, x: np.ndarray) -> float:
-        rows, targets, weights = self.arrays()
-        if rows.shape[0] == 0:
-            return 0.0
-        res = rows @ np.asarray(x, dtype=float) - targets
-        return float(np.dot(weights, res * res))
+        res = self.rows @ np.asarray(x, dtype=float) - self.targets
+        return float(np.dot(self.weights, res * res))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +129,7 @@ def solve(problem: SimplexWLSProblem) -> SimplexSolution:
     if m == 1:
         return SimplexSolution(np.array([1.0]), problem.objective(np.array([1.0])), (), "optimal")
 
-    rows, targets, weights = problem.arrays()
-    H = (rows * weights[:, None]).T @ rows
-    c = rows.T @ (weights * targets)
+    H, c = problem.normal_equations
 
     active: list[int] = []
     degenerate = False
@@ -171,9 +175,7 @@ def stationarity_residual(problem: SimplexWLSProblem, x: np.ndarray) -> float:
     Zero at a KKT point: free coordinates share one multiplier, bound
     coordinates only need a nonnegative one.
     """
-    rows, targets, weights = problem.arrays()
-    H = (rows * weights[:, None]).T @ rows
-    c = rows.T @ (weights * targets)
+    H, c = problem.normal_equations
     grad = 2.0 * (H @ x - c)
     at_bound = x <= problem.floor + 1e-9
     free = ~at_bound
@@ -255,7 +257,7 @@ def brute_force_oracle(problem: SimplexWLSProblem, step: float) -> SimplexSoluti
         x = np.array([1.0])
         return SimplexSolution(x, problem.objective(x), (), "oracle")
 
-    A, b, w = problem.arrays()
+    A, b, w = problem.rows, problem.targets, problem.weights
     if A.shape[0] == 0:
         A = np.zeros((1, m))
         b = np.zeros(1)

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .diagnostics import Diagnostics, record
@@ -30,8 +31,9 @@ from .errors import (
     EmptyEvidenceError,
     EvaluationError,
     RangeError,
+    ShapeError,
 )
-from .scale import LinguisticScale, TermCoord, from_unit, to_unit
+from .scale import LinguisticScale, TermCoord, from_unit, to_unit, unit_value
 
 _TOL = 1e-12
 
@@ -127,6 +129,33 @@ class PeakIntervalTerm:
     @classmethod
     def point(cls, scale: LinguisticScale, coord: TermCoord, p: float) -> "PeakIntervalTerm":
         return cls(scale, coord, coord, p)
+
+
+def unit_arrays(
+    scale: LinguisticScale, entries: tuple[tuple[PeakIntervalTerm, ...], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unit lower, unit upper, certainty and score arrays of a term matrix.
+
+    Every cell must use ``scale``. Each array entry equals its cell's
+    ``unit_lower``, ``unit_upper``, ``p`` or ``score`` exactly: the
+    arithmetic is the scalar one, applied elementwise. The arrays are
+    read-only, because the frozen matrices that hold them share them.
+    """
+    for row in entries:
+        for term in row:
+            if term.scale is not scale and term.scale != scale:
+                raise ShapeError("all entries must use the matrix's scale")
+    fields = np.array(
+        [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in entries],
+        dtype=float,
+    )
+    lower = unit_value(scale, fields[..., 0], fields[..., 1])
+    upper = unit_value(scale, fields[..., 2], fields[..., 3])
+    p = fields[..., 4].copy()
+    scores = (lower + upper) / 2.0
+    for a in (lower, upper, p, scores):
+        a.setflags(write=False)
+    return lower, upper, p, scores
 
 
 def peak(evidence: FuzzyIntervalSet, diag: Diagnostics | None = None) -> PeakIntervalTerm:

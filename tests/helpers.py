@@ -1,13 +1,21 @@
-"""Builders shared across test modules."""
+"""Builders shared across test modules, and loop references.
+
+The ``reference_*`` functions are the scalar loop forms of the expert
+weighting chain and the collective-priority model builder. The package
+computes the same quantities on arrays; tests compare the two.
+"""
 
 import itertools
+import math
 
 import numpy as np
 
-from lingdecide.prefs import PreferenceRelation
+from lingdecide.diagnostics import record
+from lingdecide.errors import ShapeError
+from lingdecide.prefs import PreferenceRelation, indirect_score
 from lingdecide.scale import LinguisticScale, TermCoord
 from lingdecide.solver import SimplexWLSProblem
-from lingdecide.terms import PeakIntervalTerm
+from lingdecide.terms import PeakIntervalTerm, score
 
 SCALE = LinguisticScale(4, 4)
 
@@ -45,6 +53,17 @@ def relation(upper, m, scale=SCALE):
     return PreferenceRelation(scale, tuple(rows))
 
 
+def problem_from_terms(m, terms, strict=True):
+    """Problem from (row, target, weight) triples, in the given order."""
+    return SimplexWLSProblem(
+        m=m,
+        rows=np.array([row for row, _, _ in terms], dtype=float).reshape(len(terms), m),
+        targets=[target for _, target, _ in terms],
+        weights=[weight for _, _, weight in terms],
+        strict=strict,
+    )
+
+
 def random_problem(rng, m, n_terms=10, strict=True):
     terms = []
     for _ in range(n_terms):
@@ -52,7 +71,7 @@ def random_problem(rng, m, n_terms=10, strict=True):
         target = float(rng.uniform(-0.5, 1.5))
         weight = float(rng.uniform(0.05, 1.0))
         terms.append((row, target, weight))
-    return SimplexWLSProblem(m=m, terms=tuple(terms), strict=strict)
+    return problem_from_terms(m, terms, strict=strict)
 
 
 def naive_grid_min(problem, step):
@@ -93,3 +112,93 @@ def uniform_scenario_dict(m=3, q=2, n=2, periods=2):
             a: {f"e{i + 1}": rel for i in range(n)} for a in attributes
         },
     }
+
+
+def reference_score_matrix(relation):
+    m = relation.m
+    E = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            E[i, j] = score(relation.entry(i, j))
+    return E
+
+
+def reference_certainty_matrix(relation):
+    m = relation.m
+    P = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            P[i, j] = relation.entry(i, j).p
+    return P
+
+
+def reference_distance(p, q):
+    """Root-mean difference of certainty-weighted scores over i < j."""
+    if p.m != q.m:
+        raise ShapeError(f"relation sizes differ: {p.m} vs {q.m}")
+    m = p.m
+    Ep, Eq = reference_score_matrix(p), reference_score_matrix(q)
+    Pp, Pq = reference_certainty_matrix(p), reference_certainty_matrix(q)
+    total = 0.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            total += (Ep[i, j] * Pp[i, j] - Eq[i, j] * Pq[i, j]) ** 2
+    return math.sqrt(2.0 * total / (m * (m - 1)))
+
+
+def reference_outer_weights(relations):
+    """Distance-mass weights across experts; uniform when all coincide."""
+    n = len(relations)
+    if n < 2:
+        raise ShapeError("outer weights need at least two experts")
+    d = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            d[a, b] = d[b, a] = reference_distance(relations[a], relations[b])
+    sums = d.sum(axis=0)
+    total = sums.sum()
+    if total <= 1e-12:
+        return np.full(n, 1.0 / n)
+    return sums / total
+
+
+def reference_inner_deviation(E, paper_literal=False, diag=None):
+    """Total direct-vs-indirect score deviation, one triple at a time."""
+    m = E.shape[0]
+    if m < 3:
+        record(diag, "no_indirect_path", f"m={m} has no third alternative to route through")
+        return 0.0
+    total = 0.0
+    count = 0
+    for v in range(m):
+        for i in range(m):
+            if i == v:
+                continue
+            for j in range(i + 1, m):
+                if j == v:
+                    continue
+                total += abs(E[i, j] - indirect_score(E, i, j, v))
+                count += 1
+    if paper_literal:
+        record(
+            diag, "paper_literal",
+            f"printed constant m(m-1)*0.5 = {m * (m - 1) * 0.5:g} used in place of "
+            f"the triple count {count * 0.5:g}",
+        )
+        return total + 0.5 * count - 0.5 * m * (m - 1)
+    return total
+
+
+def reference_model_terms(scores, certainties, weights):
+    """(row, target, weight) triples of the collective-priority model."""
+    m = scores[0].shape[0]
+    w = np.asarray(weights, dtype=float)
+    terms = []
+    for k, (E, P) in enumerate(zip(scores, certainties)):
+        for i in range(m):
+            for j in range(i + 1, m):
+                row = [0.0] * m
+                row[i] = 0.5
+                row[j] = -0.5
+                terms.append((tuple(row), E[i, j] - 0.5, float(w[k] * P[i, j])))
+    return tuple(terms)

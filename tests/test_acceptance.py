@@ -23,6 +23,8 @@ from lingdecide.prefs import (
     inner_deviation,
     inner_weights,
     outer_weights,
+    score_matrix,
+    stacked,
     trust_weights,
 )
 from lingdecide.scale import LinguisticScale, TermCoord, from_unit, to_unit
@@ -178,7 +180,7 @@ def test_criterion_6_consistency_and_entropy():
         for _ in range(3):
             w = 0.5 * rng.dirichlet(np.ones(m)) + 0.5 / m
             rel = consistent_relation(LinguisticScale(4, 4), w, p=float(rng.uniform(0.2, 1.0)))
-            worst_dev = max(worst_dev, abs(inner_deviation(rel)))
+            worst_dev = max(worst_dev, abs(inner_deviation(score_matrix(rel))))
     ok_dev = worst_dev <= 1e-9
 
     scn = load_bundled_scenario()
@@ -239,8 +241,9 @@ def test_criterion_7_bimodal_evidence_paradox():
 def test_criterion_8_transcribed_fixture_diagnostics():
     scn = load_bundled_scenario()
     rels = list(scn.preferences["IRR"])
-    outer = outer_weights(rels)
-    inner = inner_weights([inner_deviation(r) for r in rels], m=4)
+    scores, certainties = stacked(rels)
+    outer = outer_weights(scores, certainties)
+    inner = inner_weights([inner_deviation(E) for E in scores], m=4)
     d_out = float(np.max(np.abs(outer - REPORTED_OUTER)))
     d_in = float(np.max(np.abs(inner - REPORTED_INNER)))
     tight = d_out <= 0.02 and d_in <= 0.02

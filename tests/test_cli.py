@@ -1,13 +1,17 @@
 import json
-import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lingdecide.cli import main
 from lingdecide.scenario import bundled_scenario_text
 from helpers import uniform_scenario_dict
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "financial_crisis.report.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,11 @@ class TestHappyPath:
         assert data["ranking"] == ["A1", "A3", "A4", "A2"]
         assert data["stage"] == "all"
 
+    def test_bundled_json_report_is_byte_identical_to_golden(self, crisis_path, capsys):
+        assert main([crisis_path, "--report", "json"]) == 0
+        out, _ = capsys.readouterr()
+        assert out.encode("utf-8") == GOLDEN_REPORT.read_bytes()
+
     def test_stage_markov(self, crisis_path, capsys):
         assert main([crisis_path, "--stage", "markov"]) == 0
         out, _ = capsys.readouterr()
@@ -55,6 +64,16 @@ class TestHappyPath:
         assert main([crisis_path, "--paper-literal", "--report", "json"]) == 0
         out, _ = capsys.readouterr()
         assert json.loads(out)["paper_literal"] is True
+
+    def test_one_expert_runs_when_priorities_are_overridden(self, tmp_path, capsys):
+        data = uniform_scenario_dict(n=1)
+        del data["preferences"]
+        data["overrides"] = {
+            "priority_vectors": {a: [1 / 3, 1 / 3, 1 / 3] for a in data["attributes"]}
+        }
+        assert main([write_scenario(tmp_path, data), "--report", "json"]) == 0
+        out, _ = capsys.readouterr()
+        assert json.loads(out)["experts"] == ["e1"]
 
     def test_reshape_scheme(self, tmp_path, capsys):
         data = uniform_scenario_dict()
@@ -84,6 +103,12 @@ class TestFailureExitCodes:
         assert main([write_scenario(tmp_path, data)]) == 1
         _, err = capsys.readouterr()
         assert "validation error" in err and "format" in err
+
+    def test_one_expert_with_relations_is_located_validation_error(self, tmp_path, capsys):
+        assert main([write_scenario(tmp_path, uniform_scenario_dict(n=1))]) == 1
+        _, err = capsys.readouterr()
+        assert "  experts: preference relations for ['Q1', 'Q2'] need at least two" in err
+        assert "step 3" not in err
 
     def test_reshape_without_updates_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, uniform_scenario_dict())
@@ -122,14 +147,15 @@ def test_entry_point_raises_system_exit(crisis_path, capsys, monkeypatch):
 
 
 def test_installed_script_smoke(crisis_path):
-    exe = shutil.which("decide")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    """The command line in a process of its own, as the ``decide`` script runs it."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [exe, crisis_path, "--report", "json"],
+        [sys.executable, "-m", "lingdecide.cli", crisis_path, "--report", "json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ranking"] == ["A1", "A3", "A4", "A2"]

@@ -13,20 +13,35 @@ from lingdecide.prefs import (
     collective_priorities,
     compute_expert_weights,
     consistent_relation,
-    distance,
+    distances,
     indirect_score,
     inner_deviation,
-    inner_deviation_from_scores,
     inner_weights,
     model1_problem,
     outer_weights,
     score_matrix,
+    stacked,
     trust_weights,
     validate_relation,
 )
-from lingdecide.scale import LinguisticScale
+from lingdecide.scale import LinguisticScale, from_unit
 from lingdecide.terms import PeakIntervalTerm
-from helpers import SCALE, iv, pt, relation
+from helpers import (
+    SCALE,
+    iv,
+    problem_from_terms,
+    pt,
+    reference_certainty_matrix,
+    reference_inner_deviation,
+    reference_model_terms,
+    reference_outer_weights,
+    reference_score_matrix,
+    relation,
+)
+
+
+def distance(p, q):
+    return distances(*stacked([p, q]))[0, 1]
 
 
 def sample_relation(p12=0.4):
@@ -74,6 +89,27 @@ class TestValidation:
         rules = {v.rule for v in validate_relation(bad)}
         assert {"diagonal", "endpoint-reciprocity", "probability-reciprocity"} <= rules
 
+    def test_messages_and_their_order(self):
+        rows = [list(r) for r in sample_relation().entries]
+        rows[0][0] = pt(1, 0, 1.0)
+        rows[2][2] = pt(0, 0, 0.5)
+        rows[1][0] = pt(2, 0, 0.9)
+        rows[2][1] = pt(-2, 1, 0.7)
+        bad = PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
+        assert [str(v) for v in validate_relation(bad)] == [
+            "(0, 0) diagonal: expected the indifferent point (unit 0.5, p=1), got [0.625, 0.625] p=1",
+            "(2, 2) diagonal: expected the indifferent point (unit 0.5, p=1), got [0.5, 0.5] p=0.5",
+            "(0, 1) endpoint-reciprocity: unit sums (1, 1.03125) differ from 1",
+            "(0, 1) probability-reciprocity: p=0.4 vs p=0.9",
+            "(1, 2) probability-reciprocity: p=0.4 vs p=0.7",
+        ]
+
+    def test_cells_on_another_scale_rejected(self):
+        rows = [list(r) for r in sample_relation().entries]
+        rows[0][1] = pt(1, 0, 0.4, scale=LinguisticScale(3, 2))
+        with pytest.raises(ShapeError):
+            PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
+
     def test_too_small(self):
         with pytest.raises(ShapeError):
             PreferenceRelation(SCALE, ((pt(0, 0, 1.0),),))
@@ -102,14 +138,14 @@ class TestScoresAndDistance:
 
     def test_outer_weights_uniform_on_identical(self):
         r = sample_relation()
-        assert outer_weights([r, r, r]) == pytest.approx(np.full(3, 1 / 3))
+        assert outer_weights(*stacked([r, r, r])) == pytest.approx(np.full(3, 1 / 3))
 
     def test_outer_weights_mass_follows_distance(self):
         # third expert sits far away, so (as printed) it weighs most
         near1 = relation({(0, 1): pt(0, 0, 1.0)}, m=2)
         near2 = relation({(0, 1): pt(0, 1, 1.0)}, m=2)
         far = relation({(0, 1): pt(4, 0, 1.0)}, m=2)
-        w = outer_weights([near1, near2, far])
+        w = outer_weights(*stacked([near1, near2, far]))
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert w[2] == max(w)
 
@@ -131,7 +167,7 @@ class TestConsistency:
     def test_consistent_relation_has_zero_deviation(self):
         w = np.array([0.5, 0.3, 0.2])
         rel = consistent_relation(SCALE, w, p=0.8)
-        assert inner_deviation(rel) == pytest.approx(0.0, abs=1e-9)
+        assert inner_deviation(score_matrix(rel)) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_perturbation_counts_twice(self):
         # perturbing one raw score shows up in exactly two triples at m = 3
@@ -142,11 +178,11 @@ class TestConsistency:
                 E[i, j] = w[i] - w[j] + 0.5
         delta = 0.07
         E[0, 1] += delta
-        assert inner_deviation_from_scores(E) == pytest.approx(2 * delta, abs=1e-12)
+        assert inner_deviation(E) == pytest.approx(2 * delta, abs=1e-12)
 
     def test_m2_has_no_indirect_path(self):
         diag = Diagnostics()
-        out = inner_deviation_from_scores(np.full((2, 2), 0.5), diag=diag)
+        out = inner_deviation(np.full((2, 2), 0.5), diag=diag)
         assert out == 0.0
         assert "no_indirect_path" in diag.kinds()
 
@@ -158,15 +194,15 @@ class TestConsistency:
             for j in range(4):
                 E[i, j] = w[i] - w[j] + 0.5
         E[0, 2] += 0.1
-        default = inner_deviation_from_scores(E)
-        literal = inner_deviation_from_scores(E, paper_literal=True)
+        default = inner_deviation(E)
+        literal = inner_deviation(E, paper_literal=True)
         assert literal == pytest.approx(default, abs=1e-12)
 
     def test_paper_literal_shifts_at_m3(self):
         E = np.full((3, 3), 0.5)
         # 3 triples of 0.5 each minus the printed constant 3
-        assert inner_deviation_from_scores(E, paper_literal=True) == pytest.approx(-1.5)
-        assert inner_deviation_from_scores(E) == 0.0
+        assert inner_deviation(E, paper_literal=True) == pytest.approx(-1.5)
+        assert inner_deviation(E) == 0.0
 
 
 class TestWeightVectors:
@@ -272,3 +308,50 @@ def test_compute_expert_weights_end_to_end():
         assert np.all(vec >= 0.0)
     d = rep.as_dict()
     assert set(d) == {"outer", "inner", "trust", "blended", "alpha", "beta", "gamma"}
+
+
+def random_reciprocal_relation(rng, m):
+    """Relation with random point and interval cells above the diagonal."""
+    upper = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
+            if rng.random() < 0.5:
+                hi = lo
+            p = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+            upper[(i, j)] = PeakIntervalTerm(SCALE, from_unit(SCALE, lo), from_unit(SCALE, hi), p)
+    return relation(upper, m)
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40)
+def test_array_chain_matches_loop_references(m, n, seed):
+    rng = np.random.default_rng(seed)
+    rels = [random_reciprocal_relation(rng, m) for _ in range(n)]
+    assert all(validate_relation(r) == [] for r in rels)
+    loop_scores = [reference_score_matrix(r) for r in rels]
+    scores, certainties = stacked(rels)
+    assert np.array_equal(scores, loop_scores)
+
+    assert outer_weights(scores, certainties) == pytest.approx(
+        reference_outer_weights(rels), rel=0, abs=1e-12
+    )
+    for literal in (False, True):
+        got = [inner_deviation(E, literal) for E in scores]
+        want = [reference_inner_deviation(E, literal) for E in loop_scores]
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+        if m >= 3 and min(want) >= 0.0:
+            assert inner_weights(got, m) == pytest.approx(inner_weights(want, m), rel=0, abs=1e-12)
+
+    # the model keeps the loop's term order, so the solver sees the same bits
+    w = rng.dirichlet(np.ones(n))
+    problem = model1_problem(rels, w)
+    loop = problem_from_terms(
+        m, reference_model_terms(loop_scores, [reference_certainty_matrix(r) for r in rels], w)
+    )
+    for got, want in zip(problem.normal_equations, loop.normal_equations):
+        assert np.array_equal(got, want)

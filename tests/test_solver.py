@@ -11,38 +11,33 @@ from lingdecide.solver import (
     solve,
     stationarity_residual,
 )
-from helpers import naive_grid_min, random_problem
-
-
-def single_target_problem(m, pairs, strict=True):
-    """Problem from (row, target, weight) tuples given as plain lists."""
-    return SimplexWLSProblem(
-        m=m, terms=tuple((tuple(r), t, w) for r, t, w in pairs), strict=strict
-    )
+from helpers import naive_grid_min, problem_from_terms, random_problem
 
 
 class TestBasics:
     def test_m1_shortcut(self):
-        sol = solve(SimplexWLSProblem(m=1, terms=()))
+        sol = solve(problem_from_terms(1, []))
         assert sol.vector.tolist() == [1.0]
         assert sol.status == "optimal"
 
     def test_row_length_validated(self):
         with pytest.raises(ShapeError):
-            SimplexWLSProblem(m=3, terms=(((0.5, -0.5), 0.1, 1.0),))
+            SimplexWLSProblem(m=3, rows=[[0.5, -0.5]], targets=[0.1], weights=[1.0])
+        with pytest.raises(ShapeError):
+            SimplexWLSProblem(m=2, rows=[[0.5, -0.5]], targets=[0.1, 0.2], weights=[1.0])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ShapeError):
-            SimplexWLSProblem(m=2, terms=(((0.5, -0.5), 0.1, -1.0),))
+            SimplexWLSProblem(m=2, rows=[[0.5, -0.5]], targets=[0.1], weights=[-1.0])
 
     def test_no_terms_returns_uniform(self):
-        sol = solve(SimplexWLSProblem(m=4, terms=()))
+        sol = solve(problem_from_terms(4, []))
         assert sol.vector == pytest.approx(np.full(4, 0.25))
         # without data every direction is flat
         assert sol.status == "degenerate"
 
     def test_objective_matches_direct_computation(self):
-        problem = single_target_problem(
+        problem = problem_from_terms(
             2, [([0.5, -0.5], 0.1, 1.0), ([1.0, 0.0], 0.7, 2.0)]
         )
         x = np.array([0.6, 0.4])
@@ -53,14 +48,14 @@ class TestBasics:
 class TestClosedForms:
     def test_pairwise_score_formula(self):
         # one pairwise term (w1 - w2)/2 = E - 1/2 with E = 0.6 gives (0.6, 0.4)
-        problem = single_target_problem(2, [([0.5, -0.5], 0.1, 1.0)])
+        problem = problem_from_terms(2, [([0.5, -0.5], 0.1, 1.0)])
         sol = solve(problem)
         assert sol.vector == pytest.approx([0.6, 0.4], abs=1e-12)
         assert sol.objective == pytest.approx(0.0, abs=1e-15)
 
     def test_equal_scores_split_evenly(self):
         # basis rows with equal targets: min (x1-e)^2 + (x2-e)^2, sum = 1
-        problem = single_target_problem(
+        problem = problem_from_terms(
             2, [([1.0, 0.0], 0.8, 1.0), ([0.0, 1.0], 0.8, 1.0)]
         )
         assert solve(problem).vector == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -72,7 +67,7 @@ class TestClosedForms:
             row = [0.0] * 4
             row[j] = 1.0
             pairs.append((row, t, 0.7))
-        sol = solve(single_target_problem(4, pairs))
+        sol = solve(problem_from_terms(4, pairs))
         assert sol.vector == pytest.approx(targets, abs=1e-12)
 
     def test_certainty_weighted_two_columns(self):
@@ -84,7 +79,7 @@ class TestClosedForms:
             ([0.0, 1.0], 0.2, 1.0),
         ]
         want = (1.0 * 0.7 + 0.5 * 0.6 + 0.8 * 0.6 + 1.0 * 0.8) / 3.3
-        sol = solve(single_target_problem(2, pairs))
+        sol = solve(problem_from_terms(2, pairs))
         assert sol.vector[0] == pytest.approx(want, abs=1e-12)
         assert sol.vector[1] == pytest.approx(1.0 - want, abs=1e-12)
 
@@ -92,7 +87,7 @@ class TestClosedForms:
 class TestFloor:
     def test_strict_floor_respected(self):
         # all mass pushed to the first coordinate
-        problem = single_target_problem(
+        problem = problem_from_terms(
             3,
             [
                 ([1.0, 0.0, 0.0], 1.0, 1.0),
@@ -108,7 +103,7 @@ class TestFloor:
         assert sol.vector.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_relaxed_floor_reaches_zero(self):
-        problem = single_target_problem(
+        problem = problem_from_terms(
             2, [([1.0, 0.0], 1.0, 1.0), ([0.0, 1.0], -1.0, 1.0)], strict=False
         )
         sol = solve(problem)
@@ -122,16 +117,16 @@ class TestFloor:
             assert stationarity_residual(problem, sol.vector) < 1e-7
 
     def test_stationarity_residual_positive_off_optimum(self):
-        problem = single_target_problem(2, [([0.5, -0.5], 0.3, 1.0)])
+        problem = problem_from_terms(2, [([0.5, -0.5], 0.3, 1.0)])
         assert stationarity_residual(problem, np.array([0.5, 0.5])) > 1e-3
 
 
 class TestOracle:
     def test_scope_errors(self):
         with pytest.raises(OracleScopeError):
-            brute_force_oracle(SimplexWLSProblem(m=5, terms=()), 0.01)
+            brute_force_oracle(problem_from_terms(5, []), 0.01)
         with pytest.raises(OracleScopeError):
-            brute_force_oracle(SimplexWLSProblem(m=3, terms=()), 1e-4)
+            brute_force_oracle(problem_from_terms(3, []), 1e-4)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_naive_enumeration(self, m):
@@ -152,7 +147,7 @@ class TestOracle:
             assert sol.objective <= grid.objective + 1e-6
 
     def test_oracle_reports_status(self):
-        problem = single_target_problem(2, [([0.5, -0.5], 0.1, 1.0)])
+        problem = problem_from_terms(2, [([0.5, -0.5], 0.1, 1.0)])
         assert brute_force_oracle(problem, 0.05).status == "oracle"
 
 
