@@ -8,18 +8,15 @@ period weights, and a scenario-file pipeline with a CLI front end.
 from .diagnostics import Diagnostics, Event
 from .errors import (
     ConfigError,
-    DegenerateFusionError,
     EmptyEvidenceError,
     EmptyTrustError,
     EngineError,
-    EvaluationError,
     NumericalError,
     OracleScopeError,
     RangeError,
     ScenarioParseError,
     ScenarioValidationError,
     ShapeError,
-    TermOverflowError,
 )
 from .markov import (
     LinguisticMarkovAssessment,
@@ -59,8 +56,6 @@ from .scale import (
     format_term,
     from_unit,
     parse_term,
-    term_add,
-    term_scale,
     to_unit,
 )
 from .scenario import (
@@ -74,21 +69,11 @@ from .solver import SimplexWLSProblem, SimplexSolution, brute_force_oracle, solv
 from .terms import (
     FuzzyIntervalSet,
     FuzzyIntervalTerm,
-    NormalPeakModel,
-    Ordering,
     PeakIntervalTerm,
     ProbabilisticTermSet,
-    compare,
-    interval_add,
-    interval_fuse,
-    interval_scale,
-    linguistic_integral,
     peak,
-    peak_model,
-    plts_deviation,
     plts_score,
     score,
-    sigma,
 )
 
 __version__ = "0.1.0"

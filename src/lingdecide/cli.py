@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     EngineError,
-    EvaluationError,
     NumericalError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -98,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ShapeError, ScenarioValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, EvaluationError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -1,6 +1,6 @@
 """Diagnostics collection.
 
-Numerical edge cases (clamping, ties, entropy floors, missing indirect
+Numerical edge cases (ties, entropy floors, missing indirect
 paths) are never silent: operations that can hit one accept an optional
 collector and record an event per occurrence. The pipeline threads one
 collector through a run and the report lists every event.

@@ -15,18 +15,6 @@ class RangeError(EngineError, ValueError):
     """A coordinate or unit value lies outside its admissible range."""
 
 
-class TermOverflowError(EngineError, ArithmeticError):
-    """Componentwise term addition left the scale; nothing is clamped."""
-
-
-class EvaluationError(EngineError):
-    """A user-supplied density returned a non-finite value."""
-
-
-class DegenerateFusionError(EngineError):
-    """Fusion of two contradictory point intervals has no defined result."""
-
-
 class EmptyEvidenceError(EngineError):
     """An evidence set carries zero total probability."""
 

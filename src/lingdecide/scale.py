@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import RangeError, TermOverflowError
+from .errors import RangeError
 
 #: tolerance used when checking coordinates against scale bounds
 _EDGE = 1e-12
@@ -98,31 +98,6 @@ def from_unit(scale: LinguisticScale, gamma: float) -> TermCoord:
     x = 2.0 * scale.tau * gamma - scale.tau
     t = math.floor(x)
     return TermCoord(float(t), scale.zeta * (x - t))
-
-
-def term_add(scale: LinguisticScale, a: TermCoord, b: TermCoord) -> TermCoord:
-    """Componentwise addition; leaving the scale raises, nothing clamps."""
-    _check_coord(scale, a)
-    _check_coord(scale, b)
-    t = a.t + b.t
-    k = a.k + b.k
-    if abs(t) > scale.tau + _EDGE:
-        raise TermOverflowError(f"t1 + t2 = {t} overflows [-{scale.tau}, {scale.tau}]")
-    if abs(k) > scale.zeta + _EDGE:
-        raise TermOverflowError(f"k1 + k2 = {k} overflows [-{scale.zeta}, {scale.zeta}]")
-    return TermCoord(t, k)
-
-
-def term_scale(scale: LinguisticScale, lam: float, a: TermCoord) -> TermCoord:
-    """Scalar multiple (lam * t, k) with lam in [0, 1].
-
-    The second coordinate is deliberately left untouched: the source rule
-    scales only the first hierarchy, so e.g. lam = 0 keeps k as-is.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise RangeError(f"lambda={lam} outside [0, 1]")
-    _check_coord(scale, a)
-    return TermCoord(lam * a.t, a.k)
 
 
 _TERM_RE = re.compile(r"^s(-?\d+(?:\.\d+)?)\(o(-?\d+(?:\.\d+)?)\)$")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import NumericalError, OracleScopeError, ShapeError
 
@@ -94,6 +93,16 @@ class SimplexSolution:
     status: str
 
 
+def _sum_zero_basis(f: int) -> np.ndarray:
+    """Orthonormal basis of {z : sum(z) = 0} as the columns of an (f, f-1) array.
+
+    They are the last f-1 columns of the Householder reflector that maps
+    ones / sqrt(f) to e_1, so they are orthogonal to the ones vector.
+    """
+    r = math.sqrt(f)
+    return np.vstack([np.full((1, f - 1), 1.0 / r), np.eye(f - 1) - 1.0 / (f - r)])
+
+
 def _equality_solve(
     H: np.ndarray, c: np.ndarray, free: list[int], active: list[int], floor: float
 ) -> tuple[np.ndarray, bool]:
@@ -115,7 +124,7 @@ def _equality_solve(
         Hfa = H[np.ix_(free, active)]
         shift = Hfa @ np.full(len(active), floor)
     x0 = np.full(f, s / f)
-    N = null_space(np.ones((1, f)))
+    N = _sum_zero_basis(f)
     G = N.T @ Hff @ N
     g = N.T @ (Hff @ x0 + shift - c[free])
     z, _, rank, _ = np.linalg.lstsq(G, -g, rcond=None)

@@ -10,7 +10,8 @@ from lingdecide.cli import main
 from lingdecide.scenario import bundled_scenario_text
 from helpers import uniform_scenario_dict
 
-GOLDEN_REPORT = Path(__file__).parent / "data" / "financial_crisis.report.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN_REPORT = DATA / "financial_crisis.report.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -19,6 +20,22 @@ def crisis_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "crisis.json"
     path.write_text(bundled_scenario_text(), encoding="utf-8")
     return str(path)
+
+
+def assert_reports_agree(got, want, where="report"):
+    """Equal structure, keys and strings; floats within 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_reports_agree(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_reports_agree(g, w, f"{where}[{i}]")
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -45,6 +62,18 @@ class TestHappyPath:
         assert main([crisis_path, "--report", "json"]) == 0
         out, _ = capsys.readouterr()
         assert out.encode("utf-8") == GOLDEN_REPORT.read_bytes()
+
+    def test_solver_path_report_matches_fixture(self, capsys):
+        # a generated scenario without overrides, so every transition row and
+        # priority vector is solved, including rows with an active bound
+        path = str(DATA / "solver_paths.json")
+        assert main([path, "--report", "json"]) == 0
+        out, _ = capsys.readouterr()
+        got = json.loads(out)
+        want = json.loads((DATA / "solver_paths.report.json").read_text(encoding="utf-8"))
+        assert got["ranking"] == want["ranking"]
+        assert got["diagnostics"] == want["diagnostics"]
+        assert_reports_agree(got, want)
 
     def test_stage_markov(self, crisis_path, capsys):
         assert main([crisis_path, "--stage", "markov"]) == 0
@@ -146,16 +175,33 @@ def test_entry_point_raises_system_exit(crisis_path, capsys, monkeypatch):
     assert excinfo.value.code == 0
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+
+
 def test_installed_script_smoke(crisis_path):
     """The command line in a process of its own, as the ``decide`` script runs it."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "lingdecide.cli", crisis_path, "--report", "json"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ranking"] == ["A1", "A3", "A4", "A2"]
+
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy alone; importing the command line pulls in no scipy."""
+    code = (
+        "import lingdecide.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lingdecide.errors import RangeError, TermOverflowError
+from lingdecide.errors import RangeError
 from lingdecide.scale import (
     LinguisticScale,
     TermCoord,
     format_term,
     from_unit,
     parse_term,
-    term_add,
-    term_scale,
     to_unit,
 )
 
@@ -109,21 +107,6 @@ def test_label_validation():
         LinguisticScale(0, 2)
     with pytest.raises(RangeError):
         LinguisticScale(2, -1)
-
-
-def test_term_add_and_overflow(scale):
-    assert term_add(scale, TermCoord(1, 2), TermCoord(2, -1)) == TermCoord(3, 1)
-    with pytest.raises(TermOverflowError):
-        term_add(scale, TermCoord(3, 0), TermCoord(2, 0))
-    with pytest.raises(TermOverflowError):
-        term_add(scale, TermCoord(0, 3), TermCoord(0, 2))
-
-
-def test_term_scale_first_hierarchy_only(scale):
-    assert term_scale(scale, 0.5, TermCoord(2, 3)) == TermCoord(1.0, 3)
-    assert term_scale(scale, 0.0, TermCoord(2, 3)) == TermCoord(0.0, 3)
-    with pytest.raises(RangeError):
-        term_scale(scale, 1.5, TermCoord(1, 0))
 
 
 def test_format_and_parse_round_trip():

@@ -7,6 +7,7 @@ from lingdecide.errors import OracleScopeError, ShapeError
 from lingdecide.solver import (
     STRICT_FLOOR,
     SimplexWLSProblem,
+    _sum_zero_basis,
     brute_force_oracle,
     solve,
     stationarity_residual,
@@ -172,5 +173,56 @@ def test_solution_beats_random_feasible_points(seed):
     for _ in range(20):
         x = rng.dirichlet(np.ones(m))
         x = np.maximum(x, problem.floor)
+        x = x / x.sum()
+        assert sol.objective <= problem.objective(x) + 1e-9
+
+
+def test_sum_zero_basis_is_orthonormal():
+    for f in range(2, 65):
+        N = _sum_zero_basis(f)
+        assert N.shape == (f, f - 1)
+        assert np.abs(N.T @ N - np.eye(f - 1)).max() <= 1e-13, f
+        assert np.abs(np.ones(f) @ N).max() <= 1e-13, f
+
+
+def model_shaped_problem(rng, m):
+    """Identity rows (transition model), pairwise rows (priority model) or dense rows.
+
+    Some weights are zero and some terms repeat, as in real inputs where a
+    certainty is 0 or several experts give the same judgement.
+    """
+    shape = rng.integers(3)
+    if shape == 0:
+        rows = np.tile(np.eye(m), (int(rng.integers(1, 4)), 1))
+        targets = rng.uniform(0.0, 1.0, len(rows))
+    elif shape == 1:
+        i, j = np.triu_indices(m, 1)
+        rows = np.zeros((len(i), m))
+        rows[np.arange(len(i)), i] = 0.5
+        rows[np.arange(len(i)), j] = -0.5
+        targets = rng.uniform(-0.5, 0.5, len(rows))
+    else:
+        rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 2 * m)), m))
+        targets = rng.uniform(-0.5, 1.5, len(rows))
+    weights = rng.uniform(0.05, 1.0, len(rows))
+    weights[rng.random(len(rows)) < 0.2] = 0.0
+    repeat = rng.integers(len(rows), size=int(rng.integers(0, len(rows) + 1)))
+    rows = np.vstack([rows, rows[repeat]])
+    targets = np.concatenate([targets, targets[repeat]])
+    weights = np.concatenate([weights, weights[repeat]])
+    return SimplexWLSProblem(m, rows, targets, weights, strict=bool(rng.integers(2)))
+
+
+@given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_solution_optimal_at_model_sizes(m, seed):
+    rng = np.random.default_rng(seed)
+    problem = model_shaped_problem(rng, m)
+    sol = solve(problem)
+    assert sol.vector.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(sol.vector >= problem.floor - 1e-12)
+    assert stationarity_residual(problem, sol.vector) <= 1e-9
+    for _ in range(50):
+        x = np.maximum(rng.dirichlet(np.ones(m)), problem.floor)
         x = x / x.sum()
         assert sol.objective <= problem.objective(x) + 1e-9

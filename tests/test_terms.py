@@ -1,36 +1,16 @@
-import math
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from lingdecide.diagnostics import Diagnostics
-from lingdecide.errors import (
-    DegenerateFusionError,
-    EmptyEvidenceError,
-    EvaluationError,
-    RangeError,
-)
-from lingdecide.scale import LinguisticScale, TermCoord, from_unit, to_unit
+from lingdecide.errors import EmptyEvidenceError, RangeError
+from lingdecide.scale import TermCoord, to_unit
 from lingdecide.terms import (
     FuzzyIntervalSet,
     FuzzyIntervalTerm,
-    Ordering,
     PeakIntervalTerm,
     ProbabilisticTermSet,
-    compare,
-    expectation_term,
-    interval_add,
-    interval_fuse,
-    interval_scale,
-    linguistic_integral,
-    linguistic_sigma,
     peak,
-    peak_model,
-    plts_deviation,
     plts_score,
     score,
-    sigma,
 )
 from helpers import iv, pt
 
@@ -103,157 +83,6 @@ class TestScoreAndSigma:
         term = iv((-2, 0), (-2, 1), 0.4)
         assert score(term) == pytest.approx((0.25 + 0.28125) / 2)
 
-    def test_sigma_six_spread(self, scale):
-        term = iv((-2, 0), (2, 0), 0.5)
-        assert sigma(term) == pytest.approx((0.75 - 0.25) / 6)
-        assert sigma(pt(1, 1, 0.5)) == 0.0
-
-    def test_peak_model_matches(self, scale):
-        model = peak_model(iv((-2, 0), (2, 0), 0.5))
-        assert model.mu == pytest.approx(0.5)
-        assert model.sigma == pytest.approx(0.5 / 6)
-
-    def test_expectation_term_round_trips(self, scale):
-        term = iv((1, -2), (1, 0), 0.5)
-        coord = expectation_term(term)
-        assert to_unit(scale, coord) == pytest.approx(score(term), abs=1e-12)
-
-    def test_linguistic_sigma_presentation(self, scale):
-        term = iv((-2, 0), (2, 0), 0.5)
-        expected = from_unit(scale, sigma(term) + 0.5)
-        assert linguistic_sigma(term) == expected
-
-    def test_score_with_density_tracks_mean(self, scale):
-        term = iv((-1, 0), (1, 0), 0.6)
-        model = peak_model(term)
-        got = score(term, model.density)
-        # integral of x * density over +-3 sigma is 0.9973 of the mean
-        assert got == pytest.approx(model.mu * 0.9973, abs=1e-3)
-
-    def test_density_of_point_raises(self, scale):
-        with pytest.raises(EvaluationError):
-            peak_model(pt(0, 0, 1.0)).density(0.5)
-
-    def test_integral_checks_finiteness(self, scale):
-        with pytest.raises(EvaluationError):
-            linguistic_integral(
-                scale, lambda x: math.inf, TermCoord(0, 0), TermCoord(1, 0)
-            )
-
-
-class TestCompare:
-    def test_score_orders(self, scale):
-        assert compare(pt(1, 0, 0.5), pt(2, 0, 0.5)) is Ordering.LESS
-        assert compare(pt(2, 0, 0.5), pt(1, 0, 0.5)) is Ordering.GREATER
-
-    def test_equal_score_smaller_sigma_wins(self, scale):
-        wide = iv((-2, 0), (2, 0), 0.5)
-        narrow = iv((-1, 0), (1, 0), 0.5)
-        assert score(wide) == score(narrow)
-        assert compare(narrow, wide) is Ordering.GREATER
-        assert compare(wide, narrow) is Ordering.LESS
-
-    def test_identical_terms_equal(self, scale):
-        a = iv((-1, 0), (1, 0), 0.7)
-        assert compare(a, a) is Ordering.EQUAL
-
-
-class TestArithmetic:
-    def test_add_means_and_variances(self, scale):
-        # narrow summands keep the rebuilt six-sigma interval inside [0, 1]
-        a = iv((-2, 0), (-1, 0), 0.8)
-        b = iv((0, 0), (1, 0), 0.6)
-        out = interval_add(a, b)
-        assert score(out) == pytest.approx(score(a) + score(b))
-        assert sigma(out) == pytest.approx(math.hypot(sigma(a), sigma(b)))
-        assert out.p == pytest.approx(0.6)
-        assert not out.clamped
-
-    def test_add_clamps_and_flags(self, scale):
-        diag = Diagnostics()
-        a = iv((2, 0), (4, 0), 0.9)
-        b = iv((2, 0), (4, 0), 0.9)
-        out = interval_add(a, b, diag)
-        assert out.clamped
-        assert out.unit_upper <= 1.0 + 1e-12
-        assert "clamp" in diag.kinds()
-
-    def test_fuse_tightens(self, scale):
-        a = iv((-2, 0), (2, 0), 0.8)
-        b = iv((-1, 0), (3, 0), 0.7)
-        out = interval_fuse(a, b)
-        assert sigma(out) < min(sigma(a), sigma(b))
-        assert out.p == pytest.approx(0.7)
-        v1, v2 = sigma(a) ** 2, sigma(b) ** 2
-        want_mu = (score(a) * v2 + score(b) * v1) / (v1 + v2)
-        assert score(out) == pytest.approx(want_mu)
-
-    def test_fuse_point_dominates(self, scale):
-        a = pt(1, 0, 0.9)
-        b = iv((-2, 0), (3, 0), 0.5)
-        out = interval_fuse(a, b)
-        assert score(out) == score(a)
-        assert sigma(out) == 0.0
-        assert out.p == pytest.approx(0.5)
-
-    def test_fuse_contradictory_points(self, scale):
-        with pytest.raises(DegenerateFusionError):
-            interval_fuse(pt(1, 0, 0.9), pt(-1, 0, 0.9))
-
-    def test_fuse_agreeing_points(self, scale):
-        out = interval_fuse(pt(1, 0, 0.9), pt(1, 0, 0.4))
-        assert score(out) == score(pt(1, 0, 1.0))
-        assert out.p == pytest.approx(0.4)
-
-    def test_scale_shrinks(self, scale):
-        a = iv((0, 0), (2, 0), 0.8)
-        out = interval_scale(0.5, a)
-        assert score(out) == pytest.approx(0.5 * score(a))
-        assert sigma(out) == pytest.approx(0.5 * sigma(a))
-        assert out.p == pytest.approx(0.8)
-        with pytest.raises(RangeError):
-            interval_scale(2.0, a)
-
-    def test_scale_zero_collapses_to_floor(self, scale):
-        out = interval_scale(0.0, iv((0, 0), (2, 0), 0.8))
-        assert score(out) == 0.0
-        assert sigma(out) == 0.0
-
-
-@st.composite
-def peak_intervals(draw):
-    scale = LinguisticScale(4, 4)
-    gl = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    gr = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    if gl > gr:
-        gl, gr = gr, gl
-    p = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    return PeakIntervalTerm.from_units(scale, gl, gr, p)
-
-
-@given(peak_intervals(), peak_intervals())
-def test_add_commutes(a, b):
-    x, y = interval_add(a, b), interval_add(b, a)
-    assert score(x) == pytest.approx(score(y), abs=1e-12)
-    assert sigma(x) == pytest.approx(sigma(y), abs=1e-12)
-
-
-@given(peak_intervals(), peak_intervals())
-def test_fuse_never_widens(a, b):
-    try:
-        out = interval_fuse(a, b)
-    except DegenerateFusionError:
-        assert sigma(a) == sigma(b) == 0.0
-        return
-    assert sigma(out) <= min(sigma(a), sigma(b)) + 1e-12
-
-
-@given(peak_intervals())
-def test_scale_halving_halves(a):
-    out = interval_scale(0.5, a)
-    assert score(out) == pytest.approx(0.5 * score(a), abs=1e-12)
-    assert sigma(out) == pytest.approx(0.5 * sigma(a), abs=1e-12)
-
 
 class TestProbabilisticTermSet:
     def test_probability_validation(self, scale):
@@ -286,15 +115,3 @@ class TestProbabilisticTermSet:
     def test_empty_mass_rejected(self, scale):
         with pytest.raises(EmptyEvidenceError):
             plts_score(ProbabilisticTermSet(scale, ((TermCoord(0, 0), 0.0),)))
-
-    def test_deviation_zero_for_single_term(self, scale):
-        plts = ProbabilisticTermSet(scale, ((TermCoord(1, 0), 0.8),))
-        assert plts_deviation(plts) == 0.0
-
-    def test_deviation_hand_value(self, scale):
-        # r values are -2 and 2, mean 0; sum((p * r)^2) / sum(p)
-        plts = ProbabilisticTermSet(
-            scale, ((TermCoord(-2, 0), 0.5), (TermCoord(2, 0), 0.5))
-        )
-        want = math.sqrt(((0.5 * 2.0) ** 2 + (0.5 * 2.0) ** 2) / 1.0)
-        assert plts_deviation(plts) == pytest.approx(want)
