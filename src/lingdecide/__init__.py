@@ -71,6 +71,7 @@ from .terms import (
     FuzzyIntervalTerm,
     PeakIntervalTerm,
     ProbabilisticTermSet,
+    TermMatrix,
     peak,
     plts_score,
     score,

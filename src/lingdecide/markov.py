@@ -1,7 +1,8 @@
 """Linguistic Markov assessments and per-period attribute weights.
 
-Experts judge attribute-to-attribute transitions with peak intervals (no
-reciprocity here; a transition matrix is not a preference). The crisp
+Experts judge attribute-to-attribute transitions with a term matrix of
+peak intervals (``terms.TermMatrix``, as preference relations do; no
+reciprocity here, since a transition matrix is not a preference). The crisp
 row-stochastic matrix comes from a per-row certainty-weighted least
 squares fit over the simplex, with one exception: entries every expert
 scores as the floor point (unit score 0 at certainty 1) are pinned to an
@@ -15,53 +16,24 @@ to an externally supplied probability before iterating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, ShapeError
-from .scale import LinguisticScale
 from .solver import SimplexWLSProblem, solve
-from .terms import PeakIntervalTerm, unit_arrays
+from .terms import TermMatrix
 
 _STOCHASTIC_TOL = 1e-9
 
 _FLOOR_SCORE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LinguisticMarkovAssessment:
-    """One expert's q x q matrix of transition judgements.
-
-    Construction derives the read-only (q, q) unit arrays ``lower``,
-    ``upper``, ``p`` and ``scores``, as for a preference relation.
-    """
-
-    scale: LinguisticScale
-    entries: tuple[tuple[PeakIntervalTerm, ...], ...]
-    lower: np.ndarray = field(init=False, repr=False, compare=False)
-    upper: np.ndarray = field(init=False, repr=False, compare=False)
-    p: np.ndarray = field(init=False, repr=False, compare=False)
-    scores: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        q = len(self.entries)
-        if q < 1:
-            raise ShapeError("an assessment needs at least one attribute")
-        for i, row in enumerate(self.entries):
-            if len(row) != q:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {q}")
-        arrays = unit_arrays(self.scale, self.entries)
-        for name, value in zip(("lower", "upper", "p", "scores"), arrays):
-            object.__setattr__(self, name, value)
+class LinguisticMarkovAssessment(TermMatrix):
+    """One expert's q x q term matrix of transition judgements."""
 
     @property
     def q(self) -> int:
         return len(self.entries)
-
-    def entry(self, i: int, j: int) -> PeakIntervalTerm:
-        return self.entries[i][j]
 
 
 def check_transition_matrix(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> list[str]:

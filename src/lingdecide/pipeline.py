@@ -279,9 +279,9 @@ def run_pipeline(
                 raise ConfigError(
                     f"no preference relations for attribute {attr!r} and no priority override"
                 )
-            weights = _model_weights(scenario, attr, report, diag)
+            weights = _model_weights(scenario, attr, report.expert_weights[attr], diag)
             report.model_weights[attr] = weights
-            report.priorities[attr] = _solve_priorities(list(relations), weights)
+            report.priorities[attr] = solve(model1_problem(list(relations), weights)).vector
     if stage == "priorities":
         return report
 
@@ -296,7 +296,10 @@ def run_pipeline(
     return report
 
 
-def _model_weights(scenario, attr: str, report: DecisionReport, diag: Diagnostics) -> np.ndarray:
+def _model_weights(
+    scenario, attr: str, expert_weights: ExpertWeightReport, diag: Diagnostics
+) -> np.ndarray:
+    """The override's expert weights, normalised, or else the blended ones."""
     ov = scenario.overrides
     if attr in ov.expert_weight_vectors:
         record(diag, "override_applied", f"expert_weight_vectors.{attr}")
@@ -311,11 +314,7 @@ def _model_weights(scenario, attr: str, report: DecisionReport, diag: Diagnostic
             )
             w = w / total
         return w
-    return report.expert_weights[attr].blended
-
-
-def _solve_priorities(relations, weights: np.ndarray) -> np.ndarray:
-    return solve(model1_problem(relations, weights)).vector
+    return expert_weights.blended
 
 
 @dataclass(frozen=True)
@@ -384,7 +383,8 @@ def compare_with_plts(
 ) -> PltsComparison:
     """Solve the priority model on interval evidence and on its reduction.
 
-    Both routes share the same blended expert weights. The interval route
+    Both routes share the expert weights the pipeline's model uses: the
+    blended ones, or the attribute's normalised override. The interval route
     weights each residual by its certainty p; the reduction absorbs p
     into the score (p * E + (1 - p) / 2) and weights residuals equally,
     which is all a point representation can carry.
@@ -394,22 +394,18 @@ def compare_with_plts(
         raise ConfigError(f"no preference relations for attribute {attribute!r}")
     diag = Diagnostics()
     m = relations[0].m
-    ov = scenario.overrides
-    if attribute in ov.expert_weight_vectors:
-        w = np.array(ov.expert_weight_vectors[attribute], dtype=float)
-        w = w / w.sum()
-    else:
-        w = compute_expert_weights(
-            list(relations),
-            list(scenario.trust),
-            scenario.alpha,
-            scenario.beta,
-            scenario.gamma,
-            paper_literal=paper_literal,
-            diag=diag,
-        ).blended
+    expert_weights = compute_expert_weights(
+        list(relations),
+        list(scenario.trust),
+        scenario.alpha,
+        scenario.beta,
+        scenario.gamma,
+        paper_literal=paper_literal,
+        diag=diag,
+    )
+    w = _model_weights(scenario, attribute, expert_weights, diag)
 
-    interval = _solve_priorities(list(relations), w)
+    interval = solve(model1_problem(list(relations), w)).vector
 
     reduced = np.full((len(relations), m, m), 0.5)
     for k, relation in enumerate(relations):

@@ -21,15 +21,16 @@ Collective priorities solve the certainty-weighted least-squares model
 
 over the open simplex (positivity floor 1e-9).
 
-Relations derive their unit arrays once, when built. The weighting chain
-and the model builder run on one attribute's relations stacked into
-(n, m, m) score and certainty arrays (``stacked``).
+A relation is a ``terms.TermMatrix``, so it derives its unit arrays
+once, when built. The weighting chain and the model builder run on one
+attribute's relations stacked into (n, m, m) score and certainty arrays
+(``stacked``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,46 +38,28 @@ from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EmptyTrustError, ShapeError
 from .scale import LinguisticScale
 from .solver import SimplexWLSProblem, solve
-from .terms import PeakIntervalTerm, unit_arrays
+from .terms import PeakIntervalTerm, TermMatrix
 
 _RECIP_TOL = 1e-9
 
 ENTROPY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class PreferenceRelation:
-    """m x m matrix of peak intervals over one scale.
+class PreferenceRelation(TermMatrix):
+    """m x m term matrix over m >= 2 alternatives.
 
-    Construction derives the read-only (m, m) unit arrays the numerics run
-    on: endpoints ``lower`` and ``upper``, certainties ``p`` and midpoint
-    scores ``scores``. The cells stay for decoding, messages and reports.
+    Its own rule is reciprocity (``validate_relation``), which the
+    scenario decoder checks through ``violations``.
     """
 
-    scale: LinguisticScale
-    entries: tuple[tuple[PeakIntervalTerm, ...], ...]
-    lower: np.ndarray = field(init=False, repr=False, compare=False)
-    upper: np.ndarray = field(init=False, repr=False, compare=False)
-    p: np.ndarray = field(init=False, repr=False, compare=False)
-    scores: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = len(self.entries)
-        if m < 2:
-            raise ShapeError("a preference relation needs at least two alternatives")
-        for i, row in enumerate(self.entries):
-            if len(row) != m:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {m}")
-        arrays = unit_arrays(self.scale, self.entries)
-        for name, value in zip(("lower", "upper", "p", "scores"), arrays):
-            object.__setattr__(self, name, value)
+    minimum_size = 2
 
     @property
     def m(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> PeakIntervalTerm:
-        return self.entries[i][j]
+    def violations(self) -> list[Violation]:
+        return validate_relation(self)
 
 
 @dataclass(frozen=True)

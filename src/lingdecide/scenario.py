@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
-from .prefs import PreferenceRelation, validate_relation
+from .prefs import PreferenceRelation
 from .scale import LinguisticScale, TermCoord, parse_term, to_unit
-from .terms import PeakIntervalTerm
+from .terms import PeakIntervalTerm, TermMatrix
 
 FORMAT_VERSION = 1
 
@@ -108,7 +108,7 @@ def _decode_coord(scale: LinguisticScale, raw, where: str, col: _Collector) -> T
         coord = maker()
         to_unit(scale, coord)
         return coord
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         col.add(where, str(exc))
         return None
 
@@ -143,46 +143,79 @@ def _decode_entry(scale: LinguisticScale, raw, where: str, col: _Collector) -> P
         return None
     try:
         return PeakIntervalTerm(scale, lower, upper, float(p))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         col.add(where, str(exc))
         return None
 
 
 def _decode_term_matrix(
+    kind: type[TermMatrix],
     scale: LinguisticScale,
     raw,
-    rows: int,
-    cols: int,
+    size: int,
     where: str,
     col: _Collector,
-) -> tuple[tuple[PeakIntervalTerm, ...], ...] | None:
-    if not isinstance(raw, list) or len(raw) != rows:
-        col.add(where, f"expected {rows} rows")
+) -> TermMatrix | None:
+    """One size x size term matrix, built as ``kind``.
+
+    None when a cell fails to decode or the matrix breaks its type's own
+    rules (``violations``); every fault is collected.
+    """
+    if not isinstance(raw, list) or len(raw) != size:
+        col.add(where, f"expected {size} rows")
         return None
-    out = []
-    ok = True
+    rows = []
     for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            col.add(f"{where}[{i}]", f"expected {cols} entries")
-            ok = False
+        if not isinstance(row, list) or len(row) != size:
+            col.add(f"{where}[{i}]", f"expected {size} entries")
             continue
-        decoded = []
-        for j, cell in enumerate(row):
-            term = _decode_entry(scale, cell, f"{where}[{i}][{j}]", col)
-            if term is None:
-                ok = False
-            else:
-                decoded.append(term)
-        if ok:
-            out.append(tuple(decoded))
-    return tuple(out) if ok else None
+        cells = [_decode_entry(scale, cell, f"{where}[{i}][{j}]", col) for j, cell in enumerate(row)]
+        rows.append(tuple(cells))
+    if len(rows) < size or any(term is None for row in rows for term in row):
+        return None
+    matrix = kind(scale, tuple(rows))
+    broken = matrix.violations()
+    for v in broken:
+        col.add(where, str(v))
+    return None if broken else matrix
 
 
-def _decode_real_matrix(raw, shape: tuple[int, int], where: str, col: _Collector) -> np.ndarray | None:
+def _decode_expert_matrices(
+    kind: type[TermMatrix],
+    scale: LinguisticScale,
+    raw,
+    experts: tuple[str, ...],
+    size: int,
+    where: str,
+    col: _Collector,
+) -> tuple[TermMatrix, ...] | None:
+    """Each expert's term matrix under ``where``; None when any fails."""
+    sub = _expect_mapping(raw, where, col)
+    if sub is None:
+        return None
+    missing = [e for e in experts if e not in sub]
+    unknown = [e for e in sub if e not in experts]
+    if missing:
+        col.add(where, f"missing experts {missing}")
+    if unknown:
+        col.add(where, f"unknown experts {unknown}")
+    if missing or unknown:
+        return None
+    matrices = [
+        _decode_term_matrix(kind, scale, sub[e], size, f"{where}.{e}", col) for e in experts
+    ]
+    return None if None in matrices else tuple(matrices)
+
+
+def _decode_reals(raw, shape: tuple[int, ...], where: str, col: _Collector) -> np.ndarray | None:
+    """A finite float array of ``shape``, or None with the fault collected."""
     try:
         arr = np.asarray(raw, dtype=float)
+    except OverflowError:
+        col.add(where, "entries must be finite")
+        return None
     except (TypeError, ValueError):
-        col.add(where, "expected a numeric matrix")
+        col.add(where, f"expected a numeric {'vector' if len(shape) == 1 else 'matrix'}")
         return None
     if arr.shape != shape:
         col.add(where, f"shape {arr.shape} does not match expected {shape}")
@@ -355,7 +388,7 @@ def _decode_overrides(
         return Overrides()
     transition = None
     if "transition_matrix" in obj:
-        transition = _decode_real_matrix(
+        transition = _decode_reals(
             obj["transition_matrix"], (q, q), "overrides.transition_matrix", col
         )
         if transition is not None:
@@ -367,7 +400,7 @@ def _decode_overrides(
         if not isinstance(arr, list) or not arr:
             col.add("overrides.period_weights", "expected a nonempty list of period rows")
         else:
-            period = _decode_real_matrix(arr, (len(arr), q), "overrides.period_weights", col)
+            period = _decode_reals(arr, (len(arr), q), "overrides.period_weights", col)
             if period is not None and (np.any(period < -1e-9) or np.any(period > 1.0 + 1e-9)):
                 col.add("overrides.period_weights", "entries must lie in [0, 1]")
                 period = None
@@ -384,18 +417,11 @@ def _decode_overrides(
             if name not in attributes:
                 col.add(where, "unknown attribute")
                 continue
-            try:
-                arr = np.asarray(vec, dtype=float)
-            except (TypeError, ValueError):
-                col.add(where, "expected a numeric vector")
-                continue
-            if arr.shape != (length,):
-                col.add(where, f"shape {arr.shape} does not match expected ({length},)")
-                continue
-            if not np.all(np.isfinite(arr)) or np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
-                col.add(where, "entries must be finite reals in [0, 1]")
-                continue
-            out[name] = arr
+            arr = _decode_reals(vec, (length,), where, col)
+            if arr is not None and (np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9)):
+                col.add(where, "entries must lie in [0, 1]")
+            elif arr is not None:
+                out[name] = arr
         return out
 
     return Overrides(
@@ -461,34 +487,13 @@ def _decode_markov(
 
     assessments = None
     raw_assessments = obj.get("assessments")
-    if raw_assessments is None:
-        if overrides.transition_matrix is None:
-            col.add(
-                "markov.assessments",
-                "required unless overrides.transition_matrix is present",
-            )
-    else:
-        sub = _expect_mapping(raw_assessments, "markov.assessments", col)
-        if sub is not None:
-            missing = [e for e in experts if e not in sub]
-            unknown = [e for e in sub if e not in experts]
-            if missing:
-                col.add("markov.assessments", f"missing experts {missing}")
-            if unknown:
-                col.add("markov.assessments", f"unknown experts {unknown}")
-            if not missing and not unknown:
-                decoded = []
-                ok = True
-                for e in experts:
-                    entries = _decode_term_matrix(
-                        scale, sub[e], q, q, f"markov.assessments.{e}", col
-                    )
-                    if entries is None:
-                        ok = False
-                    else:
-                        decoded.append(LinguisticMarkovAssessment(scale, entries))
-                if ok:
-                    assessments = tuple(decoded)
+    if raw_assessments is not None:
+        assessments = _decode_expert_matrices(
+            LinguisticMarkovAssessment, scale, raw_assessments, experts, q,
+            "markov.assessments", col,
+        )
+    elif overrides.transition_matrix is None:
+        col.add("markov.assessments", "required unless overrides.transition_matrix is present")
 
     return MarkovSpec(
         periods=periods,
@@ -524,35 +529,11 @@ def _decode_preferences(
                     "required unless overrides.priority_vectors covers this attribute",
                 )
             continue
-        sub = _expect_mapping(obj[attr], f"preferences.{attr}", col)
-        if sub is None:
-            continue
-        missing = [e for e in experts if e not in sub]
-        extra = [e for e in sub if e not in experts]
-        if missing:
-            col.add(f"preferences.{attr}", f"missing experts {missing}")
-        if extra:
-            col.add(f"preferences.{attr}", f"unknown experts {extra}")
-        if missing or extra:
-            continue
-        relations = []
-        ok = True
-        for e in experts:
-            where = f"preferences.{attr}.{e}"
-            entries = _decode_term_matrix(scale, sub[e], m, m, where, col)
-            if entries is None:
-                ok = False
-                continue
-            relation = PreferenceRelation(scale, entries)
-            bad = validate_relation(relation)
-            if bad:
-                for v in bad:
-                    col.add(where, str(v))
-                ok = False
-            else:
-                relations.append(relation)
-        if ok:
-            out[attr] = tuple(relations)
+        relations = _decode_expert_matrices(
+            PreferenceRelation, scale, obj[attr], experts, m, f"preferences.{attr}", col
+        )
+        if relations is not None:
+            out[attr] = relations
     return out
 
 

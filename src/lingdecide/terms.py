@@ -5,13 +5,17 @@ double-hierarchy scale, each carrying a fuzzy degree fd (how much of the
 assessment stays unexplained). The peak of a set of such intervals is the
 interval with the smallest fd; its certainty is p = 1 - fd. A peak
 interval scores as its unit midpoint (g_l + g_r) / 2.
+
+Both kinds of matrix evidence, preference relations and Markov
+assessments, are square ``TermMatrix`` grids of peak intervals; the
+matrix derives the unit arrays the numerics run on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -23,21 +27,18 @@ _TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class FuzzyIntervalTerm:
-    """One linguistic interval with its fuzzy degree fd in [0, 1]."""
+class LinguisticInterval:
+    """A linguistic interval [lower, upper] whose endpoints are in unit order."""
 
     scale: LinguisticScale
     lower: TermCoord
     upper: TermCoord
-    fd: float
 
     def __post_init__(self):
         gl = to_unit(self.scale, self.lower)
         gr = to_unit(self.scale, self.upper)
         if gl > gr + _TOL:
             raise RangeError(f"interval endpoints out of order: unit {gl} > {gr}")
-        if not (0.0 <= self.fd <= 1.0):
-            raise RangeError(f"fuzzy degree fd={self.fd} outside [0, 1]")
 
     @property
     def unit_lower(self) -> float:
@@ -46,6 +47,18 @@ class FuzzyIntervalTerm:
     @property
     def unit_upper(self) -> float:
         return to_unit(self.scale, self.upper)
+
+
+@dataclass(frozen=True)
+class FuzzyIntervalTerm(LinguisticInterval):
+    """One linguistic interval with its fuzzy degree fd in [0, 1]."""
+
+    fd: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.fd <= 1.0):
+            raise RangeError(f"fuzzy degree fd={self.fd} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,29 +88,15 @@ class FuzzyIntervalSet:
 
 
 @dataclass(frozen=True)
-class PeakIntervalTerm:
+class PeakIntervalTerm(LinguisticInterval):
     """The minimum-fd interval of an assessment, with certainty p = 1 - fd."""
 
-    scale: LinguisticScale
-    lower: TermCoord
-    upper: TermCoord
     p: float
 
     def __post_init__(self):
-        gl = to_unit(self.scale, self.lower)
-        gr = to_unit(self.scale, self.upper)
-        if gl > gr + _TOL:
-            raise RangeError(f"interval endpoints out of order: unit {gl} > {gr}")
+        super().__post_init__()
         if not (0.0 <= self.p <= 1.0):
             raise RangeError(f"certainty p={self.p} outside [0, 1]")
-
-    @property
-    def unit_lower(self) -> float:
-        return to_unit(self.scale, self.lower)
-
-    @property
-    def unit_upper(self) -> float:
-        return to_unit(self.scale, self.upper)
 
     @classmethod
     def from_units(
@@ -110,31 +109,58 @@ class PeakIntervalTerm:
         return cls(scale, coord, coord, p)
 
 
-def unit_arrays(
-    scale: LinguisticScale, entries: tuple[tuple[PeakIntervalTerm, ...], ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unit lower, unit upper, certainty and score arrays of a term matrix.
+@dataclass(frozen=True)
+class TermMatrix:
+    """Square matrix of peak intervals over one scale.
 
-    Every cell must use ``scale``. Each array entry equals its cell's
-    ``unit_lower``, ``unit_upper``, ``p`` or ``score`` exactly: the
-    arithmetic is the scalar one, applied elementwise. The arrays are
-    read-only, because the frozen matrices that hold them share them.
+    Construction checks the shape and that every cell uses ``scale``, and
+    derives the read-only unit arrays the numerics run on: endpoints
+    ``lower`` and ``upper``, certainties ``p`` and midpoint scores
+    ``scores``. Each array entry equals its cell's ``unit_lower``,
+    ``unit_upper``, ``p`` or ``score`` exactly: the arithmetic is the
+    scalar one, applied elementwise. The cells stay for decoding, messages
+    and reports.
     """
-    for row in entries:
-        for term in row:
-            if term.scale is not scale and term.scale != scale:
-                raise ShapeError("all entries must use the matrix's scale")
-    fields = np.array(
-        [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in entries],
-        dtype=float,
-    )
-    lower = unit_value(scale, fields[..., 0], fields[..., 1])
-    upper = unit_value(scale, fields[..., 2], fields[..., 3])
-    p = fields[..., 4].copy()
-    scores = (lower + upper) / 2.0
-    for a in (lower, upper, p, scores):
-        a.setflags(write=False)
-    return lower, upper, p, scores
+
+    #: the fewest rows (and columns) a matrix of this type may have
+    minimum_size: ClassVar[int] = 1
+
+    scale: LinguisticScale
+    entries: tuple[tuple[PeakIntervalTerm, ...], ...]
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    scores: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = len(self.entries)
+        if size < self.minimum_size:
+            raise ShapeError(
+                f"a {type(self).__name__} needs at least {self.minimum_size} rows, got {size}"
+            )
+        for i, row in enumerate(self.entries):
+            if len(row) != size:
+                raise ShapeError(f"row {i} has {len(row)} entries, expected {size}")
+            for term in row:
+                if term.scale is not self.scale and term.scale != self.scale:
+                    raise ShapeError("all entries must use the matrix's scale")
+        fields = np.array(
+            [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in self.entries],
+            dtype=float,
+        )
+        lower = unit_value(self.scale, fields[..., 0], fields[..., 1])
+        upper = unit_value(self.scale, fields[..., 2], fields[..., 3])
+        arrays = (lower, upper, fields[..., 4].copy(), (lower + upper) / 2.0)
+        for name, value in zip(("lower", "upper", "p", "scores"), arrays):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def entry(self, i: int, j: int) -> PeakIntervalTerm:
+        return self.entries[i][j]
+
+    def violations(self) -> list:
+        """Breaks of rules beyond shape and scale; a plain matrix has none."""
+        return []
 
 
 def peak(evidence: FuzzyIntervalSet, diag: Diagnostics | None = None) -> PeakIntervalTerm:

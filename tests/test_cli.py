@@ -205,3 +205,36 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_integer_too_large_for_a_float_is_a_located_validation_error(tmp_path):
+    huge = 10**400
+    data = json.loads(json.dumps(uniform_scenario_dict()))
+    data["markov"]["assessments"]["e1"][0][1] = {"point": [0, 0], "p": huge}
+    data["preferences"]["Q1"]["e1"][0][1] = {"point": [huge, 0], "p": 1.0}
+    data["preferences"]["Q2"]["e2"][1][0] = {"interval": [[0, 0], [0, huge]], "p": 1.0}
+    data["overrides"] = {
+        "transition_matrix": [[huge, 0.0], [0.5, 0.5]],
+        "period_weights": [[0.5, 0.5], [huge, 0.5]],
+        "priority_vectors": {"Q1": [huge, 0.0, 0.0]},
+        "expert_weight_vectors": {"Q2": [0.5, huge]},
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "lingdecide.cli", write_scenario(tmp_path, data)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=src_env(),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    for where in (
+        "markov.assessments.e1[0][1]:",
+        "preferences.Q1.e1[0][1].point:",
+        "preferences.Q2.e2[1][0].interval[1]:",
+        "overrides.transition_matrix:",
+        "overrides.period_weights:",
+        "overrides.priority_vectors.Q1:",
+        "overrides.expert_weight_vectors.Q2:",
+    ):
+        assert f"  {where} " in proc.stderr

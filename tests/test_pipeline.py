@@ -250,6 +250,24 @@ class TestPltsComparison:
         with pytest.raises(ConfigError, match="ALR"):
             compare_with_plts(crisis, "ALR")
 
+    def test_weight_override_handled_as_in_the_pipeline(self):
+        data = varied_scenario_dict()
+        data["overrides"] = {"expert_weight_vectors": {"Q1": [0.6, 0.6]}}
+        scn = scenario_from_dict(data)
+        cmp = compare_with_plts(scn, "Q1")
+        rep = run_pipeline(scn)
+        assert cmp.expert_weights.tolist() == rep.model_weights["Q1"].tolist()
+        assert cmp.interval_priorities.tolist() == rep.priorities["Q1"].tolist()
+
+    def test_zero_mass_weight_override_is_a_config_error(self):
+        data = varied_scenario_dict()
+        data["overrides"] = {"expert_weight_vectors": {"Q1": [0.0, 0.0]}}
+        scn = scenario_from_dict(data)
+        with pytest.raises(ConfigError, match="zero mass"):
+            run_pipeline(scn)
+        with pytest.raises(ConfigError, match="zero mass"):
+            compare_with_plts(scn, "Q1")
+
     def test_as_dict_keys(self, crisis):
         d = compare_with_plts(crisis, "IRR").as_dict()
         assert set(d) == {

@@ -1,18 +1,23 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lingdecide.diagnostics import Diagnostics
-from lingdecide.errors import EmptyEvidenceError, RangeError
-from lingdecide.scale import TermCoord, to_unit
+from lingdecide.errors import EmptyEvidenceError, RangeError, ShapeError
+from lingdecide.markov import LinguisticMarkovAssessment
+from lingdecide.prefs import PreferenceRelation
+from lingdecide.scale import TermCoord, parse_term, to_unit
 from lingdecide.terms import (
     FuzzyIntervalSet,
     FuzzyIntervalTerm,
     PeakIntervalTerm,
     ProbabilisticTermSet,
+    TermMatrix,
     peak,
     plts_score,
     score,
 )
-from helpers import iv, pt
+from helpers import SCALE, iv, pt
 
 
 def fiv(lo, hi, fd, scale):
@@ -115,3 +120,67 @@ class TestProbabilisticTermSet:
     def test_empty_mass_rejected(self, scale):
         with pytest.raises(EmptyEvidenceError):
             plts_score(ProbabilisticTermSet(scale, ((TermCoord(0, 0), 0.0),)))
+
+
+# coordinates whose unit value lies in [0, 1]: integer subscripts,
+# including non-canonical pairs such as (1, -2), fractional subscripts whose
+# unit value rounds, and coordinates read from term literals
+integer_coords = st.builds(TermCoord, st.integers(-4, 4), st.integers(-4, 4))
+real_coords = st.builds(TermCoord, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+literal_coords = st.sampled_from(
+    ["s1(o-2)", "s-1(o2)", "s-4(o0)", "s4(o0)", "s0.3(o-1.7)", "s-3(o4)"]
+).map(parse_term)
+coords = st.one_of(integer_coords, real_coords, literal_coords).filter(
+    lambda c: 0.0 <= to_unit(SCALE, c) <= 1.0
+)
+
+
+@st.composite
+def peak_cells(draw):
+    p = draw(st.floats(0.0, 1.0))
+    a = draw(coords)
+    if draw(st.booleans()):
+        return PeakIntervalTerm.point(SCALE, a, p)
+    lower, upper = sorted((a, draw(coords)), key=lambda c: to_unit(SCALE, c))
+    return PeakIntervalTerm(SCALE, lower, upper, p)
+
+
+@given(data=st.data())
+def test_relation_and_assessment_carry_the_same_arrays(data):
+    size = data.draw(st.integers(2, 5))
+    rows = tuple(tuple(data.draw(peak_cells()) for _ in range(size)) for _ in range(size))
+    relation = PreferenceRelation(SCALE, rows)
+    assessment = LinguisticMarkovAssessment(SCALE, rows)
+    for name in ("lower", "upper", "p", "scores"):
+        assert getattr(relation, name).tobytes() == getattr(assessment, name).tobytes()
+    for i in range(size):
+        for j in range(size):
+            cell = rows[i][j]
+            assert relation.lower[i, j] == to_unit(SCALE, cell.lower)
+            assert relation.upper[i, j] == to_unit(SCALE, cell.upper)
+            assert relation.scores[i, j] == score(cell)
+            assert relation.p[i, j] == cell.p
+
+
+class TestTermMatrix:
+    def test_arrays_are_read_only(self):
+        matrix = TermMatrix(SCALE, ((pt(1, -2, 0.5),),))
+        assert matrix.scores[0, 0] == to_unit(SCALE, TermCoord(1, -2))
+        with pytest.raises(ValueError):
+            matrix.scores[0, 0] = 0.0
+
+    def test_rows_must_match_the_row_count(self):
+        with pytest.raises(ShapeError, match="row 1 has 1 entries, expected 2"):
+            TermMatrix(SCALE, ((pt(0, 0, 1.0), pt(0, 0, 1.0)), (pt(0, 0, 1.0),)))
+
+    def test_minimum_size_is_per_type(self):
+        single = ((pt(0, 0, 1.0),),)
+        assert LinguisticMarkovAssessment(SCALE, single).q == 1
+        with pytest.raises(ShapeError, match="PreferenceRelation needs at least 2 rows"):
+            PreferenceRelation(SCALE, single)
+
+    def test_only_relations_have_their_own_rule(self):
+        rows = ((pt(0, 0, 1.0), pt(1, 0, 0.5)), (pt(1, 0, 0.5), pt(0, 0, 1.0)))
+        assert LinguisticMarkovAssessment(SCALE, rows).violations() == []
+        rules = [v.rule for v in PreferenceRelation(SCALE, rows).violations()]
+        assert rules == ["endpoint-reciprocity"]
