@@ -79,4 +79,66 @@ from .terms import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Diagnostics",
+    "Event",
+    "ConfigError",
+    "EmptyEvidenceError",
+    "EmptyTrustError",
+    "EngineError",
+    "NumericalError",
+    "OracleScopeError",
+    "RangeError",
+    "ScenarioParseError",
+    "ScenarioValidationError",
+    "ShapeError",
+    "LinguisticMarkovAssessment",
+    "check_transition_matrix",
+    "estimate_transition",
+    "export_dot",
+    "period_weights",
+    "period_weights_reshaped",
+    "DecisionReport",
+    "PltsComparison",
+    "aggregate",
+    "compare_with_plts",
+    "rank",
+    "run_pipeline",
+    "ExpertWeightReport",
+    "PreferenceRelation",
+    "Violation",
+    "blend_weights",
+    "collective_priorities",
+    "compute_expert_weights",
+    "consistent_relation",
+    "distances",
+    "inner_deviation",
+    "inner_weights",
+    "outer_weights",
+    "stacked",
+    "trust_weights",
+    "validate_relation",
+    "LinguisticScale",
+    "TermCoord",
+    "format_term",
+    "from_unit",
+    "parse_term",
+    "to_unit",
+    "Scenario",
+    "bundled_scenario_text",
+    "load_bundled_scenario",
+    "load_scenario",
+    "scenario_from_dict",
+    "SimplexWLSProblem",
+    "SimplexSolution",
+    "brute_force_oracle",
+    "solve",
+    "FuzzyIntervalSet",
+    "FuzzyIntervalTerm",
+    "PeakIntervalTerm",
+    "ProbabilisticTermSet",
+    "TermMatrix",
+    "peak",
+    "plts_score",
+    "score",
+]

@@ -33,7 +33,7 @@ class LinguisticMarkovAssessment(TermMatrix):
 
     @property
     def q(self) -> int:
-        return len(self.entries)
+        return len(self.fields)
 
 
 def check_transition_matrix(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> list[str]:

@@ -367,12 +367,10 @@ def _plts_reduced_score(relation, i: int, j: int) -> float:
     leftover 1 - p goes to the indifferent middle term. The score is the
     probability-weighted mean term, read back in unit space.
     """
-    entry = relation.entry(i, j)
+    p = float(relation.p[i, j])
     scale = relation.scale
     mid = from_unit(scale, float(relation.scores[i, j]))
-    reduced = ProbabilisticTermSet(
-        scale, ((mid, entry.p), (TermCoord(0, 0), 1.0 - entry.p))
-    )
+    reduced = ProbabilisticTermSet(scale, ((mid, p), (TermCoord(0, 0), 1.0 - p)))
     return to_unit(scale, plts_score(reduced))
 
 

@@ -56,7 +56,7 @@ class PreferenceRelation(TermMatrix):
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return len(self.fields)
 
     def violations(self) -> list[Violation]:
         return validate_relation(self)

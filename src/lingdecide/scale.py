@@ -21,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RangeError
 
 #: tolerance used when checking coordinates against scale bounds
@@ -63,25 +65,49 @@ class TermCoord:
         yield self.k
 
 
-def _check_coord(scale: LinguisticScale, term: TermCoord) -> None:
-    if not math.isfinite(term.t) or abs(term.t) > scale.tau + _EDGE:
-        raise RangeError(f"first-hierarchy subscript t={term.t} outside [-{scale.tau}, {scale.tau}]")
-    if not math.isfinite(term.k) or abs(term.k) > scale.zeta + _EDGE:
-        raise RangeError(f"second-hierarchy subscript k={term.k} outside [-{scale.zeta}, {scale.zeta}]")
+def coord_fault(scale: LinguisticScale, t: float, k: float) -> str | None:
+    """The first rule the coordinate (t, k) breaks, as a message; None if none.
+
+    Both subscripts must be finite and lie within tau and zeta, and the unit
+    value within [0, 1], each up to a 1e-12 edge. ``off_scale`` applies
+    the same rules to arrays.
+    """
+    if not math.isfinite(t) or abs(t) > scale.tau + _EDGE:
+        return f"first-hierarchy subscript t={t} outside [-{scale.tau}, {scale.tau}]"
+    if not math.isfinite(k) or abs(k) > scale.zeta + _EDGE:
+        return f"second-hierarchy subscript k={k} outside [-{scale.zeta}, {scale.zeta}]"
+    gamma = unit_value(scale, t, k)
+    if gamma < -_EDGE or gamma > 1.0 + _EDGE:
+        return f"coordinate (t={t}, k={k}) has unit value {gamma} outside [0, 1]"
+    return None
+
+
+def off_scale(scale: LinguisticScale, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Elementwise mask of the coordinates (t, k) that ``coord_fault`` rejects."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gamma = unit_value(scale, t, k)
+        return ~(
+            (np.abs(t) <= scale.tau + _EDGE)
+            & (np.abs(k) <= scale.zeta + _EDGE)
+            & (gamma >= -_EDGE)
+            & (gamma <= 1.0 + _EDGE)
+        )
 
 
 def unit_value(scale: LinguisticScale, t, k):
     """The unit transform of subscripts t and k, scalars or numpy arrays.
 
     No range check: ``to_unit`` checks a single coordinate first, and the
-    array callers hold coordinates of terms that were checked when built.
+    array callers hold coordinates that were checked when decoded or built.
     """
     return (k + (scale.tau + t) * scale.zeta) / (2.0 * scale.zeta * scale.tau)
 
 
 def to_unit(scale: LinguisticScale, term: TermCoord) -> float:
     """Map a coordinate pair to its unit value gamma in [0, 1]."""
-    _check_coord(scale, term)
+    fault = coord_fault(scale, term.t, term.k)
+    if fault is not None:
+        raise RangeError(fault)
     return unit_value(scale, term.t, term.k)
 
 

@@ -19,13 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import RangeError, ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
-from .scale import LinguisticScale, TermCoord, parse_term, to_unit
-from .terms import PeakIntervalTerm, TermMatrix
+from .scale import LinguisticScale, parse_term
+from .terms import TermMatrix, field_faults
 
 FORMAT_VERSION = 1
+
+#: the largest ``markov.periods`` and ``markov.iterations`` a scenario may
+#: set; the period weights take about periods * (iterations + periods)
+#: vector-matrix products
+MAX_MARKOV_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -92,60 +97,81 @@ def _expect_mapping(data, where: str, col: _Collector) -> dict | None:
     return data
 
 
-def _decode_coord(scale: LinguisticScale, raw, where: str, col: _Collector) -> TermCoord | None:
-    if isinstance(raw, str):
-        maker = lambda: parse_term(raw)
-    elif (
-        isinstance(raw, (list, tuple))
-        and len(raw) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-    ):
-        maker = lambda: TermCoord(float(raw[0]), float(raw[1]))
-    else:
-        col.add(where, f"expected [t, k] or a term literal, got {raw!r}")
-        return None
-    try:
-        coord = maker()
-        to_unit(scale, coord)
-        return coord
-    except (ValueError, OverflowError) as exc:
-        col.add(where, str(exc))
-        return None
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _decode_entry(scale: LinguisticScale, raw, where: str, col: _Collector) -> PeakIntervalTerm | None:
-    obj = _expect_mapping(raw, where, col)
-    if obj is None:
-        return None
-    if "p" not in obj:
-        col.add(where, "missing certainty field 'p'")
-        return None
-    p = obj["p"]
-    if not isinstance(p, (int, float)) or isinstance(p, bool):
-        col.add(where, f"'p' must be a number, got {p!r}")
-        return None
-    if "point" in obj:
-        c = _decode_coord(scale, obj["point"], where + ".point", col)
-        if c is None:
-            return None
-        lower = upper = c
-    elif "interval" in obj:
-        iv = obj["interval"]
-        if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-            col.add(where + ".interval", "expected [LO, HI]")
-            return None
-        lower = _decode_coord(scale, iv[0], where + ".interval[0]", col)
-        upper = _decode_coord(scale, iv[1], where + ".interval[1]", col)
-        if lower is None or upper is None:
-            return None
+#: the exact types ``json`` decodes numbers to; the cell reader tests them
+#: before calling ``_is_number``, as it runs for every number of a matrix
+_JSON_NUMBERS = frozenset((int, float))
+
+
+#: the fields of a cell that could not be read, and of a coordinate that
+#: could not; they lie on every scale, so they draw no fault of their own
+_BLANK_CELL = (0.0, 0.0, 0.0, 0.0, 0.0)
+_BLANK_COORD = (0.0, 0.0)
+
+
+def _read_coord(raw) -> tuple[float, float] | str:
+    """Subscripts (t, k) of ``[t, k]`` or a term literal, else the fault."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        t, k = raw
+        if (type(t) in _JSON_NUMBERS or _is_number(t)) and (
+            type(k) in _JSON_NUMBERS or _is_number(k)
+        ):
+            try:
+                return float(t), float(k)
+            except OverflowError as exc:
+                return str(exc)
+    elif isinstance(raw, str):
+        try:
+            coord = parse_term(raw)
+        except ValueError as exc:
+            return str(exc)
+        return coord.t, coord.k
+    return f"expected [t, k] or a term literal, got {raw!r}"
+
+
+def _read_cell(raw) -> tuple[tuple[float, ...], dict[int, tuple[str, str]]]:
+    """The fields (t_lo, k_lo, t_hi, k_hi, p) of one JSON cell.
+
+    Also returns the faults that only the JSON types show, as
+    {slot: (location suffix, message)}: slot -1 when the cell could not be
+    read at all, 0 and 1 for a coordinate, 2 for a p too large for a float.
+    Whatever could not be read is blank in the fields.
+    """
+    if not isinstance(raw, dict):
+        return _BLANK_CELL, {-1: ("", f"expected an object, got {type(raw).__name__}")}
+    if "p" not in raw:
+        return _BLANK_CELL, {-1: ("", "missing certainty field 'p'")}
+    p = raw["p"]
+    if not (type(p) in _JSON_NUMBERS or _is_number(p)):
+        return _BLANK_CELL, {-1: ("", f"'p' must be a number, got {p!r}")}
+    point = "point" in raw
+    if point:
+        lo = hi = _read_coord(raw["point"])
+    elif "interval" in raw:
+        interval = raw["interval"]
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
+            return _BLANK_CELL, {-1: (".interval", "expected [LO, HI]")}
+        lo, hi = _read_coord(interval[0]), _read_coord(interval[1])
     else:
-        col.add(where, "entry needs 'interval' or 'point'")
-        return None
+        return _BLANK_CELL, {-1: ("", "entry needs 'interval' or 'point'")}
+    faults = {}
+    if type(lo) is str:
+        faults[0] = (".point" if point else ".interval[0]", lo)
+        lo = _BLANK_COORD
+        if point:
+            hi = lo
+    if type(hi) is str:
+        faults[1] = (".interval[1]", hi)
+        hi = _BLANK_COORD
     try:
-        return PeakIntervalTerm(scale, lower, upper, float(p))
-    except (ValueError, OverflowError) as exc:
-        col.add(where, str(exc))
-        return None
+        p = float(p)
+    except OverflowError as exc:
+        faults[2] = ("", str(exc))
+        p = 0.0
+    return (*lo, *hi, p), faults
 
 
 def _decode_term_matrix(
@@ -158,22 +184,49 @@ def _decode_term_matrix(
 ) -> TermMatrix | None:
     """One size x size term matrix, built as ``kind``.
 
-    None when a cell fails to decode or the matrix breaks its type's own
-    rules (``violations``); every fault is collected.
+    One pass over the JSON reads every cell into a (size, size, 5) fields
+    array and keeps the faults only the JSON types show; building the
+    matrix from the array then checks the numeric rules on all cells at
+    once, and ``field_faults`` locates the cells that break them. A cell
+    reports its faults in the order a cell built on its own checks them:
+    the cell's form, its coordinates, then its endpoint order or p. None
+    when any cell is faulty or the matrix breaks its type's own rules
+    (``violations``); every fault is collected.
     """
     if not isinstance(raw, list) or len(raw) != size:
         col.add(where, f"expected {size} rows")
         return None
-    rows = []
+    values = []
+    faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != size:
-            col.add(f"{where}[{i}]", f"expected {size} entries")
+            faults[i, -1] = {-1: ("", f"expected {size} entries")}
+            values += _BLANK_CELL * size
             continue
-        cells = [_decode_entry(scale, cell, f"{where}[{i}][{j}]", col) for j, cell in enumerate(row)]
-        rows.append(tuple(cells))
-    if len(rows) < size or any(term is None for row in rows for term in row):
+        for j, cell in enumerate(row):
+            value, found = _read_cell(cell)
+            values += value
+            if found:
+                faults[i, j] = found
+    fields = np.array(values, dtype=float).reshape(size, size, 5)
+    try:
+        matrix = kind.from_fields(scale, fields)
+    except RangeError:
+        # a cell breaks a numeric rule: find every cell that does
+        matrix = None
+        for i, j, slot, message in field_faults(scale, fields):
+            point = "point" in raw[i][j]
+            if slot == 1 and point:
+                continue
+            suffix = "" if slot == 2 else ".point" if point else f".interval[{slot}]"
+            faults.setdefault((i, j), {}).setdefault(slot, (suffix, message))
+    for (i, j), slots in sorted(faults.items()):
+        here = f"{where}[{i}]" if j < 0 else f"{where}[{i}][{j}]"
+        shown = [slots[s] for s in (-1, 0, 1) if s in slots] or [slots[2]]
+        for suffix, message in shown:
+            col.add(here + suffix, message)
+    if faults:
         return None
-    matrix = kind(scale, tuple(rows))
     broken = matrix.violations()
     for v in broken:
         col.add(where, str(v))
@@ -207,8 +260,23 @@ def _decode_expert_matrices(
     return None if None in matrices else tuple(matrices)
 
 
+def _numbers_only(raw) -> bool:
+    """True when ``raw`` is a number or nested lists of numbers."""
+    pending = [raw]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, (list, tuple)):
+            pending.extend(x)
+        elif not _is_number(x):
+            return False
+    return True
+
+
 def _decode_reals(raw, shape: tuple[int, ...], where: str, col: _Collector) -> np.ndarray | None:
     """A finite float array of ``shape``, or None with the fault collected."""
+    if not _numbers_only(raw):
+        col.add(where, f"expected a numeric {'vector' if len(shape) == 1 else 'matrix'}")
+        return None
     try:
         arr = np.asarray(raw, dtype=float)
     except OverflowError:
@@ -292,7 +360,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not isinstance(name, str) or not name:
                 col.add(f"experts[{idx}].name", "expected a nonempty string")
                 ok = False
-            if not isinstance(psi, (int, float)) or isinstance(psi, bool) or not 0.0 <= psi <= 1.0:
+            if not _is_number(psi) or not 0.0 <= psi <= 1.0:
                 col.add(f"experts[{idx}].trust", f"must be a real in [0, 1], got {psi!r}")
                 ok = False
             if ok:
@@ -312,7 +380,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             vals = []
             for key in ("alpha", "beta", "gamma"):
                 v = obj.get(key)
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
+                if not _is_number(v) or not 0.0 <= v <= 1.0:
                     col.add(f"blend.{key}", f"must be a real in [0, 1], got {v!r}")
                     vals = None
                     break
@@ -450,6 +518,9 @@ def _decode_markov(
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             col.add(f"markov.{name}", f"must be an integer >= 1, got {v!r}")
             return None
+        if v > MAX_MARKOV_STEPS:
+            col.add(f"markov.{name}", f"must be at most {MAX_MARKOV_STEPS}")
+            return None
     origin_raw = obj.get("origin", 0)
     if isinstance(origin_raw, str):
         if origin_raw not in attributes:
@@ -471,10 +542,7 @@ def _decode_markov(
         if (
             not isinstance(raw_updates, list)
             or len(raw_updates) != periods
-            or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 <= x <= 1.0
-                for x in raw_updates
-            )
+            or not all(_is_number(x) and 0.0 <= x <= 1.0 for x in raw_updates)
         ):
             col.add(
                 "markov.origin_updates",

@@ -7,23 +7,42 @@ interval with the smallest fd; its certainty is p = 1 - fd. A peak
 interval scores as its unit midpoint (g_l + g_r) / 2.
 
 Both kinds of matrix evidence, preference relations and Markov
-assessments, are square ``TermMatrix`` grids of peak intervals; the
-matrix derives the unit arrays the numerics run on.
+assessments, are square ``TermMatrix`` grids of peak intervals. A
+matrix is held as one array of subscripts and certainties, from which
+it derives the unit arrays the numerics run on; ``field_faults`` checks
+such an array against the rules each cell keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterable
 
 import numpy as np
 
 from .diagnostics import Diagnostics, record
 from .errors import EmptyEvidenceError, RangeError, ShapeError
-from .scale import LinguisticScale, TermCoord, from_unit, to_unit, unit_value
+from .scale import (
+    LinguisticScale,
+    TermCoord,
+    coord_fault,
+    from_unit,
+    off_scale,
+    to_unit,
+    unit_value,
+)
 
 _TOL = 1e-12
+
+
+def _order_fault(gl: float, gr: float) -> str:
+    return f"interval endpoints out of order: unit {gl} > {gr}"
+
+
+def _certainty_fault(p: float) -> str:
+    return f"certainty p={p} outside [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -38,7 +57,7 @@ class LinguisticInterval:
         gl = to_unit(self.scale, self.lower)
         gr = to_unit(self.scale, self.upper)
         if gl > gr + _TOL:
-            raise RangeError(f"interval endpoints out of order: unit {gl} > {gr}")
+            raise RangeError(_order_fault(gl, gr))
 
     @property
     def unit_lower(self) -> float:
@@ -96,7 +115,7 @@ class PeakIntervalTerm(LinguisticInterval):
     def __post_init__(self):
         super().__post_init__()
         if not (0.0 <= self.p <= 1.0):
-            raise RangeError(f"certainty p={self.p} outside [0, 1]")
+            raise RangeError(_certainty_fault(self.p))
 
     @classmethod
     def from_units(
@@ -109,58 +128,142 @@ class PeakIntervalTerm(LinguisticInterval):
         return cls(scale, coord, coord, p)
 
 
-@dataclass(frozen=True)
 class TermMatrix:
-    """Square matrix of peak intervals over one scale.
+    """Square matrix of peak intervals over one scale, held as arrays.
 
-    Construction checks the shape and that every cell uses ``scale``, and
-    derives the read-only unit arrays the numerics run on: endpoints
-    ``lower`` and ``upper``, certainties ``p`` and midpoint scores
-    ``scores``. Each array entry equals its cell's ``unit_lower``,
-    ``unit_upper``, ``p`` or ``score`` exactly: the arithmetic is the
-    scalar one, applied elementwise. The cells stay for decoding, messages
-    and reports.
+    The matrix keeps one read-only (size, size, 5) float array ``fields``:
+    per cell the lower coordinate (t, k), the upper coordinate (t, k) and
+    the certainty p. From it the matrix derives the read-only unit arrays
+    the numerics run on: endpoints ``lower`` and ``upper``, certainties
+    ``p`` and midpoint scores ``scores``. Each array entry equals its
+    cell's ``unit_lower``, ``unit_upper``, ``p`` or ``score`` exactly: the
+    arithmetic is the scalar one, applied elementwise. The cells
+    themselves (``entries``, ``entry``) are built on first use.
     """
 
     #: the fewest rows (and columns) a matrix of this type may have
     minimum_size: ClassVar[int] = 1
 
-    scale: LinguisticScale
-    entries: tuple[tuple[PeakIntervalTerm, ...], ...]
-    lower: np.ndarray = field(init=False, repr=False, compare=False)
-    upper: np.ndarray = field(init=False, repr=False, compare=False)
-    p: np.ndarray = field(init=False, repr=False, compare=False)
-    scores: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        size = len(self.entries)
-        if size < self.minimum_size:
-            raise ShapeError(
-                f"a {type(self).__name__} needs at least {self.minimum_size} rows, got {size}"
-            )
-        for i, row in enumerate(self.entries):
+    def __init__(self, scale: LinguisticScale, entries):
+        """A matrix from rows of ``PeakIntervalTerm`` cells on ``scale``."""
+        entries = tuple(tuple(row) for row in entries)
+        size = len(entries)
+        self._check_size(size)
+        for i, row in enumerate(entries):
             if len(row) != size:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {size}")
             for term in row:
-                if term.scale is not self.scale and term.scale != self.scale:
+                if term.scale is not scale and term.scale != scale:
                     raise ShapeError("all entries must use the matrix's scale")
         fields = np.array(
-            [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in self.entries],
+            [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in entries],
             dtype=float,
-        )
-        lower = unit_value(self.scale, fields[..., 0], fields[..., 1])
-        upper = unit_value(self.scale, fields[..., 2], fields[..., 3])
-        arrays = (lower, upper, fields[..., 4].copy(), (lower + upper) / 2.0)
-        for name, value in zip(("lower", "upper", "p", "scores"), arrays):
+        ).reshape(size, size, 5)
+        self._derive(scale, fields)
+        # the given cells are the ones ``entries`` would build; keep them
+        self.__dict__["entries"] = entries
+
+    @classmethod
+    def from_fields(cls, scale: LinguisticScale, fields) -> "TermMatrix":
+        """A matrix from a (size, size, 5) array of t_lo, k_lo, t_hi, k_hi, p.
+
+        The array is copied. A cell that breaks a peak-interval rule
+        raises ``RangeError`` with the first of ``field_faults``.
+        """
+        fields = np.array(fields, dtype=float)
+        if fields.ndim != 3 or fields.shape[0] != fields.shape[1] or fields.shape[2] != 5:
+            raise ShapeError(f"fields need shape (size, size, 5), got {fields.shape}")
+        cls._check_size(fields.shape[0])
+        faults = field_faults(scale, fields)
+        if faults:
+            i, j, _, message = faults[0]
+            raise RangeError(f"cell ({i}, {j}): {message}")
+        matrix = cls.__new__(cls)
+        matrix._derive(scale, fields)
+        return matrix
+
+    @classmethod
+    def _check_size(cls, size: int) -> None:
+        if size < cls.minimum_size:
+            raise ShapeError(
+                f"a {cls.__name__} needs at least {cls.minimum_size} rows, got {size}"
+            )
+
+    def _derive(self, scale: LinguisticScale, fields: np.ndarray) -> None:
+        lower = unit_value(scale, fields[..., 0], fields[..., 1])
+        upper = unit_value(scale, fields[..., 2], fields[..., 3])
+        arrays = (fields, lower, upper, fields[..., 4].copy(), (lower + upper) / 2.0)
+        object.__setattr__(self, "scale", scale)
+        for name, value in zip(("fields", "lower", "upper", "p", "scores"), arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scale == other.scale and np.array_equal(self.fields, other.fields)
+
+    def __hash__(self):
+        return hash((self.scale, self.fields.shape))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(scale={self.scale!r}, size={len(self.fields)})"
+
+    @cached_property
+    def entries(self) -> tuple[tuple[PeakIntervalTerm, ...], ...]:
+        """The cells, built from ``fields`` on first use."""
+        return tuple(
+            tuple(
+                PeakIntervalTerm(self.scale, TermCoord(tl, kl), TermCoord(th, kh), p)
+                for tl, kl, th, kh, p in row
+            )
+            for row in self.fields.tolist()
+        )
 
     def entry(self, i: int, j: int) -> PeakIntervalTerm:
         return self.entries[i][j]
 
     def violations(self) -> list:
-        """Breaks of rules beyond shape and scale; a plain matrix has none."""
+        """Breaks of rules beyond shape and cells; a plain matrix has none."""
         return []
+
+
+def field_faults(scale: LinguisticScale, fields: np.ndarray) -> list[tuple[int, int, int, str]]:
+    """Every peak-interval rule the cells of a fields array break.
+
+    The rules are the ones a cell checks when built: each coordinate lies
+    on the scale (``coord_fault``); then, where both do, the endpoints are
+    in unit order and, where they are, p lies in [0, 1]. They are applied
+    to all cells of the (size, size, 5) array at once. Each fault is
+    ``(i, j, slot, message)``, slot 0 and 1 for the lower and upper
+    coordinate and 2 for the cell's own rules, in row-major cell order.
+    """
+    t, k = fields[..., 0:4:2], fields[..., 1:4:2]
+    off = off_scale(scale, t, k)
+    on_scale = ~off.any(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        units = unit_value(scale, t, k)
+        reversed_ = on_scale & (units[..., 0] > units[..., 1] + _TOL)
+        p = fields[..., 4]
+        uncertain = on_scale & ~reversed_ & ~((p >= 0.0) & (p <= 1.0))
+    if not (off.any() or reversed_.any() or uncertain.any()):
+        return []
+    faults = [
+        (i, j, s, coord_fault(scale, t[i, j, s].item(), k[i, j, s].item()))
+        for i, j, s in np.argwhere(off).tolist()
+    ]
+    faults += [
+        (i, j, 2, _order_fault(units[i, j, 0].item(), units[i, j, 1].item()))
+        for i, j in np.argwhere(reversed_).tolist()
+    ]
+    faults += [(i, j, 2, _certainty_fault(p[i, j].item())) for i, j in np.argwhere(uncertain).tolist()]
+    return sorted(faults)
 
 
 def peak(evidence: FuzzyIntervalSet, diag: Diagnostics | None = None) -> PeakIntervalTerm:

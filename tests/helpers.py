@@ -1,8 +1,10 @@
 """Builders shared across test modules, and loop references.
 
 The ``reference_*`` functions are the scalar loop forms of the expert
-weighting chain and the collective-priority model builder. The package
-computes the same quantities on arrays; tests compare the two.
+weighting chain, the collective-priority model builder and the scenario
+decoder's term matrices, which are read one cell at a time into
+``PeakIntervalTerm`` objects. The package computes the same quantities on
+arrays; tests compare the two.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import numpy as np
 from lingdecide.diagnostics import record
 from lingdecide.errors import ShapeError
 from lingdecide.prefs import PreferenceRelation, indirect_score
-from lingdecide.scale import LinguisticScale, TermCoord
+from lingdecide.scale import LinguisticScale, TermCoord, parse_term, to_unit
 from lingdecide.solver import SimplexWLSProblem
 from lingdecide.terms import PeakIntervalTerm, score
 
@@ -202,3 +204,88 @@ def reference_model_terms(scores, certainties, weights):
                 row[j] = -0.5
                 terms.append((tuple(row), E[i, j] - 0.5, float(w[k] * P[i, j])))
     return tuple(terms)
+
+
+def reference_decode_coord(scale, raw, where, faults):
+    """One ``[t, k]`` or literal coordinate; faults go to ``faults``."""
+    if isinstance(raw, str):
+        maker = lambda: parse_term(raw)
+    elif (
+        isinstance(raw, (list, tuple))
+        and len(raw) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
+    ):
+        maker = lambda: TermCoord(float(raw[0]), float(raw[1]))
+    else:
+        faults.append(f"{where}: expected [t, k] or a term literal, got {raw!r}")
+        return None
+    try:
+        coord = maker()
+        to_unit(scale, coord)
+        return coord
+    except (ValueError, OverflowError) as exc:
+        faults.append(f"{where}: {exc}")
+        return None
+
+
+def reference_decode_entry(scale, raw, where, faults):
+    """One JSON cell as a ``PeakIntervalTerm``, or None with its faults."""
+    if not isinstance(raw, dict):
+        faults.append(f"{where}: expected an object, got {type(raw).__name__}")
+        return None
+    if "p" not in raw:
+        faults.append(f"{where}: missing certainty field 'p'")
+        return None
+    p = raw["p"]
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        faults.append(f"{where}: 'p' must be a number, got {p!r}")
+        return None
+    if "point" in raw:
+        c = reference_decode_coord(scale, raw["point"], where + ".point", faults)
+        if c is None:
+            return None
+        lower = upper = c
+    elif "interval" in raw:
+        iv = raw["interval"]
+        if not isinstance(iv, (list, tuple)) or len(iv) != 2:
+            faults.append(f"{where}.interval: expected [LO, HI]")
+            return None
+        lower = reference_decode_coord(scale, iv[0], where + ".interval[0]", faults)
+        upper = reference_decode_coord(scale, iv[1], where + ".interval[1]", faults)
+        if lower is None or upper is None:
+            return None
+    else:
+        faults.append(f"{where}: entry needs 'interval' or 'point'")
+        return None
+    try:
+        return PeakIntervalTerm(scale, lower, upper, float(p))
+    except (ValueError, OverflowError) as exc:
+        faults.append(f"{where}: {exc}")
+        return None
+
+
+def reference_decode_matrix(kind, scale, raw, size, where):
+    """(faults, matrix) for one JSON term matrix, built cell by cell.
+
+    The matrix is None when any fault was found; the type's own rules
+    (``violations``) are checked only on a matrix whose cells all decoded.
+    """
+    faults = []
+    if not isinstance(raw, list) or len(raw) != size:
+        return [f"{where}: expected {size} rows"], None
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != size:
+            faults.append(f"{where}[{i}]: expected {size} entries")
+            continue
+        rows.append(
+            tuple(
+                reference_decode_entry(scale, cell, f"{where}[{i}][{j}]", faults)
+                for j, cell in enumerate(row)
+            )
+        )
+    if len(rows) < size or any(term is None for row in rows for term in row):
+        return faults, None
+    matrix = kind(scale, tuple(rows))
+    faults += [f"{where}: {v}" for v in matrix.violations()]
+    return faults, None if faults else matrix

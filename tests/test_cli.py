@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lingdecide.cli import main
-from lingdecide.scenario import bundled_scenario_text
+from lingdecide.scenario import MAX_MARKOV_STEPS, bundled_scenario_text
 from helpers import uniform_scenario_dict
 
 DATA = Path(__file__).parent / "data"
@@ -138,6 +138,34 @@ class TestFailureExitCodes:
         _, err = capsys.readouterr()
         assert "  experts: preference relations for ['Q1', 'Q2'] need at least two" in err
         assert "step 3" not in err
+
+    def test_coordinate_off_the_unit_interval_is_located_validation_error(self, tmp_path, capsys):
+        # each subscript is within tau = zeta = 4, but the pair is not
+        data = json.loads(json.dumps(uniform_scenario_dict()))
+        data["markov"]["assessments"]["e1"][0][1] = {"point": [4, 1], "p": 1.0}
+        data["preferences"]["Q1"]["e2"][1][0] = {"interval": [[-4, -1], [0, 0]], "p": 1.0}
+        assert main([write_scenario(tmp_path, data)]) == 1
+        _, err = capsys.readouterr()
+        assert (
+            "  markov.assessments.e1[0][1].point: "
+            "coordinate (t=4.0, k=1.0) has unit value 1.03125 outside [0, 1]\n"
+        ) in err
+        assert (
+            "  preferences.Q1.e2[1][0].interval[0]: "
+            "coordinate (t=-4.0, k=-1.0) has unit value -0.03125 outside [0, 1]\n"
+        ) in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("periods", 10**400), ("iterations", 1001)], ids=["periods", "iterations"]
+    )
+    def test_markov_steps_above_the_cap_are_a_located_validation_error(
+        self, tmp_path, capsys, key, value
+    ):
+        data = uniform_scenario_dict()
+        data["markov"][key] = value
+        assert main([write_scenario(tmp_path, data)]) == 1
+        _, err = capsys.readouterr()
+        assert f"  markov.{key}: must be at most {MAX_MARKOV_STEPS}\n" in err
 
     def test_reshape_without_updates_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, uniform_scenario_dict())

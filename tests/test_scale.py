@@ -12,6 +12,7 @@ from lingdecide.scale import (
     from_unit,
     parse_term,
     to_unit,
+    unit_value,
 )
 
 
@@ -86,9 +87,9 @@ def test_round_trip_any_scale(tau, zeta, gamma):
 )
 def test_coords_survive_as_unit_values(t, k):
     # from_unit canonicalizes the representation but never the value;
-    # corner coords below s-4 or above s4 have no canonical form, skip them
+    # corner coords below s-4 or above s4 lie off the scale, skip them
     scale = LinguisticScale(4, 4)
-    gamma = to_unit(scale, TermCoord(t, k))
+    gamma = unit_value(scale, t, k)
     assume(0.0 <= gamma <= 1.0)
     assert to_unit(scale, from_unit(scale, gamma)) == pytest.approx(gamma, abs=1e-12)
 
@@ -96,8 +97,8 @@ def test_coords_survive_as_unit_values(t, k):
 def test_strictly_increasing_in_each_coordinate(scale):
     for t in range(-3, 4):
         for k in range(-4, 4):
-            assert to_unit(scale, TermCoord(t, k)) < to_unit(scale, TermCoord(t, k + 1))
-            assert to_unit(scale, TermCoord(t, k)) < to_unit(scale, TermCoord(t + 1, k))
+            assert unit_value(scale, t, k) < unit_value(scale, t, k + 1)
+            assert unit_value(scale, t, k) < unit_value(scale, t + 1, k)
 
 
 def test_label_validation():

@@ -187,6 +187,39 @@ class TestValidation:
         data["overrides"] = {"priority_vectors": {"BOGUS": [0.4, 0.3, 0.3]}}
         assert any("unknown attribute" in v for v in violations_of(data))
 
+    @pytest.mark.parametrize("entry", ["0.2", True, None, [0.2]])
+    def test_override_entries_must_be_json_numbers(self, entry):
+        data = fresh(uniform_scenario_dict(m=3, q=2, periods=2))
+        data["overrides"] = {
+            "transition_matrix": [[0.5, 0.5], [entry, 0.5]],
+            "period_weights": [[0.5, 0.5], [0.5, entry]],
+            "priority_vectors": {"Q1": [entry, 0.3, 0.5]},
+            "expert_weight_vectors": {"Q2": [0.5, entry]},
+        }
+        bad = violations_of(data)
+        for where, kind in (
+            ("overrides.transition_matrix", "matrix"),
+            ("overrides.period_weights", "matrix"),
+            ("overrides.priority_vectors.Q1", "vector"),
+            ("overrides.expert_weight_vectors.Q2", "vector"),
+        ):
+            assert f"{where}: expected a numeric {kind}" in bad
+
+    def test_override_arrays_keep_their_values(self):
+        data = fresh(uniform_scenario_dict(m=3, q=2, periods=2))
+        data["overrides"] = {
+            "transition_matrix": [[1, 0.0], [0.25, 0.75]],
+            "period_weights": [[0.1, 0.9], [1, 0]],
+            "priority_vectors": {"Q1": [0.2, 0.3, 0.5]},
+            "expert_weight_vectors": {"Q2": [2e-1, 1]},
+        }
+        got = scenario_from_dict(data).overrides
+        want = data["overrides"]
+        assert got.transition_matrix.tobytes() == np.array(want["transition_matrix"], dtype=float).tobytes()
+        assert got.period_weights.tobytes() == np.array(want["period_weights"], dtype=float).tobytes()
+        assert got.priority_vectors["Q1"].tolist() == [0.2, 0.3, 0.5]
+        assert got.expert_weight_vectors["Q2"].tolist() == [0.2, 1.0]
+
     def test_trust_range_checked(self):
         data = fresh(uniform_scenario_dict())
         data["experts"][0]["trust"] = -0.1

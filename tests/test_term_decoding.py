@@ -1,0 +1,302 @@
+"""The scenario decoder reads term matrices straight into arrays.
+
+Its violations, and the arrays of every matrix that decodes, must match
+the cell-by-cell reference decoder in ``helpers``; cells are built only
+when a caller reads them.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lingdecide.errors import ScenarioValidationError
+from lingdecide.markov import LinguisticMarkovAssessment
+from lingdecide.prefs import PreferenceRelation
+from lingdecide.scale import LinguisticScale, TermCoord, to_unit, unit_value
+from lingdecide.scenario import scenario_from_dict
+from lingdecide.terms import PeakIntervalTerm, score
+from helpers import SCALE, reference_decode_matrix, uniform_scenario_dict
+
+DATA = Path(__file__).parent / "data"
+#: SCALE as a scenario declares it, with the default labels filled in
+LABELLED = LinguisticScale(
+    SCALE.tau,
+    SCALE.zeta,
+    tuple(f"s{t}" for t in range(-SCALE.tau, SCALE.tau + 1)),
+    tuple(f"o{k}" for k in range(-SCALE.zeta, SCALE.zeta + 1)),
+)
+NEUTRAL = {"point": [0, 0], "p": 1.0}
+HUGE = 10**400
+
+
+def scenario_around(kind, raw, size):
+    """A scenario whose only evidence of ``kind`` is expert e1's ``raw``.
+
+    Returns the scenario dict and the location of e1's matrix; e2's matrix
+    is the neutral one, valid in both kinds.
+    """
+    neutral = [[NEUTRAL] * size for _ in range(size)]
+    base = {
+        "format": 1,
+        "scale": {"tau": SCALE.tau, "zeta": SCALE.zeta},
+        "experts": [{"name": "e1", "trust": 0.5}, {"name": "e2", "trust": 0.5}],
+    }
+    if kind is LinguisticMarkovAssessment:
+        attributes = [f"Q{i + 1}" for i in range(size)]
+        return {
+            **base,
+            "attributes": attributes,
+            "alternatives": ["A1", "A2"],
+            "markov": {"origin": 0, "assessments": {"e1": raw, "e2": neutral}},
+            "overrides": {"priority_vectors": {a: [0.5, 0.5] for a in attributes}},
+        }, "markov.assessments.e1"
+    return {
+        **base,
+        "attributes": ["Q1"],
+        "alternatives": [f"A{i + 1}" for i in range(size)],
+        "overrides": {"transition_matrix": [[1.0]]},
+        "preferences": {"Q1": {"e1": raw, "e2": neutral}},
+    }, "preferences.Q1.e1"
+
+
+def decoded(scenario, kind):
+    if kind is LinguisticMarkovAssessment:
+        return scenario.markov.assessments[0]
+    return scenario.preferences["Q1"][0]
+
+
+# subscripts of coordinates on the scale: integers, non-canonical pairs
+# such as (1, -2), and fractional ones
+subscripts = st.one_of(
+    st.integers(-4, 4),
+    st.floats(-4.0, 4.0).map(lambda x: round(x, 2)),
+)
+on_scale = st.tuples(subscripts, subscripts).filter(
+    lambda c: 0.0 <= unit_value(SCALE, *c) <= 1.0
+)
+certainties = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+
+
+@st.composite
+def spelled(draw, coord):
+    """``coord`` as a ``[t, k]`` pair or as the equivalent term literal."""
+    t, k = coord
+    if draw(st.booleans()):
+        return f"s{t}(o{k})"
+    return [t, k]
+
+
+def mirror(coord):
+    return tuple(-x for x in coord)
+
+
+@st.composite
+def valid_cells(draw, lower, upper, p):
+    if lower == upper and draw(st.booleans()):
+        return {"point": draw(spelled(lower)), "p": p}
+    return {"interval": [draw(spelled(lower)), draw(spelled(upper))], "p": p}
+
+
+@st.composite
+def valid_matrices(draw, kind, size):
+    """Valid cells; relations are reciprocal with the neutral diagonal."""
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if kind is PreferenceRelation and i == j:
+                rows[i][j] = dict(NEUTRAL)
+                continue
+            if kind is PreferenceRelation and i > j:
+                continue
+            a, b = sorted((draw(on_scale), draw(on_scale)), key=lambda c: unit_value(SCALE, *c))
+            if draw(st.booleans()):
+                b = a
+            p = draw(certainties)
+            rows[i][j] = draw(valid_cells(a, b, p))
+            if kind is PreferenceRelation:
+                rows[j][i] = draw(valid_cells(mirror(b), mirror(a), p))
+    return rows
+
+
+# any coordinate, on the scale or not, well formed or not
+coordinates = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(list),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(list),
+    st.builds(lambda t, k: f"s{t}(o{k})", st.integers(-6, 6), st.integers(-6, 6)),
+    st.sampled_from(
+        [
+            [4, 1],
+            [-4, -1],
+            [4.0000000000001, 0],
+            [HUGE, 0],
+            [0, -HUGE],
+            [float("nan"), 0],
+            [0, float("inf")],
+            [1e308, 1e308],
+            [True, 0],
+            ["1", 0],
+            [1],
+            [1, 2, 3],
+            None,
+            7,
+            "nonsense",
+            "s1(o)",
+            "s4(o1)",
+            "s0.3(o-1.7)",
+            "s" + "9" * 400 + "(o0)",
+        ]
+    ),
+)
+any_p = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0, 1, HUGE, float("nan"), None, "high", True, False]),
+)
+
+
+@st.composite
+def any_cells(draw):
+    shapes = ["point", "interval", "interval", "nearly-reversed", "neither", "bad-interval"]
+    shape = draw(st.sampled_from(shapes))
+    if shape == "point":
+        cell = {"point": draw(coordinates)}
+    elif shape == "interval":
+        cell = {"interval": [draw(coordinates), draw(coordinates)]}
+    elif shape == "nearly-reversed":
+        # lower above upper by about 1e-13 (within the edge) or 3e-12
+        cell = {"interval": [[0, draw(st.sampled_from([3e-12, 1e-10]))], [0, 0]]}
+    elif shape == "bad-interval":
+        cell = {"interval": draw(st.sampled_from([[[0, 0]], "s0(o0)", None]))}
+    else:
+        cell = {}
+    if draw(st.integers(0, 5)):
+        cell["p"] = draw(any_p)
+    return draw(st.sampled_from([cell, cell, cell, cell, None, [cell]]))
+
+
+@st.composite
+def raw_matrices(draw, kind):
+    """A valid matrix with up to three cells, and maybe a row, replaced."""
+    size = draw(st.integers(kind.minimum_size, 4))
+    rows = draw(valid_matrices(kind, size))
+    index = st.integers(0, size - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(index)][draw(index)] = draw(any_cells())
+    if not draw(st.integers(0, 7)):
+        i = draw(index)
+        rows[i] = draw(st.sampled_from([rows[i][1:], rows[i] + [NEUTRAL], None]))
+    return size, rows
+
+
+def assert_decodes_like_the_reference(kind, raw, size):
+    scenario, where = scenario_around(kind, raw, size)
+    faults, reference = reference_decode_matrix(kind, LABELLED, raw, size, where)
+    if faults:
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(scenario)
+        assert err.value.violations == faults
+        return
+    matrix = decoded(scenario_from_dict(scenario), kind)
+    assert type(matrix) is kind
+    cells = reference.entries
+    for name, value in (
+        ("lower", lambda c: to_unit(LABELLED, c.lower)),
+        ("upper", lambda c: to_unit(LABELLED, c.upper)),
+        ("p", lambda c: c.p),
+        ("scores", score),
+    ):
+        want = np.array([[value(c) for c in row] for row in cells])
+        assert getattr(matrix, name).tobytes() == want.tobytes(), name
+    assert matrix == reference
+    assert matrix.entries == cells
+
+
+@settings(max_examples=200)
+@given(data=st.data(), kind=st.sampled_from([LinguisticMarkovAssessment, PreferenceRelation]))
+def test_array_decoder_matches_the_cell_reference(data, kind):
+    size, raw = data.draw(raw_matrices(kind))
+    assert_decodes_like_the_reference(kind, raw, size)
+
+
+@pytest.mark.parametrize("kind", [LinguisticMarkovAssessment, PreferenceRelation])
+@pytest.mark.parametrize(
+    "cell",
+    [
+        {"point": [9, 0], "p": HUGE},
+        {"interval": [[0, 0], "bad"], "p": HUGE},
+        {"interval": [[1, 0], [0, 0]], "p": HUGE},
+        {"interval": [[1, 0], [0, 0]], "p": 1.5},
+        {"interval": [[0, 3e-12], [0, 0]], "p": 0.5},
+        {"interval": [[0, 1e-10], [0, 0]], "p": 0.5},
+        {"interval": [[HUGE, 0], [0, 99]], "p": 0.5},
+        {"interval": ["s9(o0)", [0, HUGE]], "p": -1},
+        {"interval": [[1e308, 1e308], [0, 0]], "p": 0.5},
+        {"point": [float("nan"), 0], "p": float("nan")},
+        {"point": [0, 0], "p": float("nan")},
+        {"point": [4, 1], "p": 0.5},
+        {"point": [4.0000000000001, 0], "p": 1},
+        {"point": "s" + "9" * 400 + "(o0)", "p": 0.5},
+    ],
+)
+def test_cells_at_the_rule_edges_decode_like_the_reference(kind, cell):
+    # cell (0, 1), off the diagonal of a relation
+    raw = [[NEUTRAL, cell], [NEUTRAL, NEUTRAL]]
+    assert_decodes_like_the_reference(kind, raw, 2)
+
+
+def counting_cells(monkeypatch):
+    built = []
+    check = PeakIntervalTerm.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PeakIntervalTerm, "__post_init__", counted)
+    return built
+
+
+def test_decoding_builds_no_cells_until_they_are_read(monkeypatch):
+    raw = json.loads((DATA / "solver_paths.json").read_text(encoding="utf-8"))
+    built = counting_cells(monkeypatch)
+    scenario = scenario_from_dict(raw)
+    assert built == []
+
+    experts = scenario.experts
+    pairs = [
+        (m, raw["markov"]["assessments"][e], f"markov.assessments.{e}")
+        for m, e in zip(scenario.markov.assessments, experts)
+    ]
+    for attribute, relations in scenario.preferences.items():
+        pairs += [
+            (r, raw["preferences"][attribute][e], f"preferences.{attribute}.{e}")
+            for r, e in zip(relations, experts)
+        ]
+    for matrix, rows, where in pairs:
+        cells = matrix.entries
+        assert len(built) == len(rows) ** 2
+        built.clear()
+        _, reference = reference_decode_matrix(type(matrix), LABELLED, rows, len(rows), where)
+        assert cells == reference.entries
+        built.clear()
+
+
+def test_cells_built_on_read_keep_the_written_coordinates(monkeypatch):
+    data = json.loads(json.dumps(uniform_scenario_dict()))
+    data["preferences"]["Q1"]["e1"][0][1] = {"point": "s1(o-2)", "p": 1.0}
+    data["preferences"]["Q1"]["e1"][1][0] = {"point": [-1, 2], "p": 1.0}
+    data["preferences"]["Q1"]["e1"][0][2] = {"interval": ["s-0.5(o-2)", "s0(o0)"], "p": 0.5}
+    data["preferences"]["Q1"]["e1"][2][0] = {"interval": [[0, 0], [0.5, 2]], "p": 0.5}
+    built = counting_cells(monkeypatch)
+    relation = scenario_from_dict(data).preferences["Q1"][0]
+    assert built == []
+    assert relation.entry(0, 1).lower == TermCoord(1.0, -2.0)
+    assert relation.entry(1, 0).upper == TermCoord(-1.0, 2.0)
+    assert relation.entry(0, 2).lower == TermCoord(-0.5, -2.0)
+    assert relation.entry(2, 0).upper == TermCoord(0.5, 2.0)
+    assert len(built) == 9
+    relation.entry(2, 2)
+    assert len(built) == 9

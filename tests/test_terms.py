@@ -6,7 +6,7 @@ from lingdecide.diagnostics import Diagnostics
 from lingdecide.errors import EmptyEvidenceError, RangeError, ShapeError
 from lingdecide.markov import LinguisticMarkovAssessment
 from lingdecide.prefs import PreferenceRelation
-from lingdecide.scale import TermCoord, parse_term, to_unit
+from lingdecide.scale import TermCoord, parse_term, to_unit, unit_value
 from lingdecide.terms import (
     FuzzyIntervalSet,
     FuzzyIntervalTerm,
@@ -131,7 +131,7 @@ literal_coords = st.sampled_from(
     ["s1(o-2)", "s-1(o2)", "s-4(o0)", "s4(o0)", "s0.3(o-1.7)", "s-3(o4)"]
 ).map(parse_term)
 coords = st.one_of(integer_coords, real_coords, literal_coords).filter(
-    lambda c: 0.0 <= to_unit(SCALE, c) <= 1.0
+    lambda c: 0.0 <= unit_value(SCALE, c.t, c.k) <= 1.0
 )
 
 
@@ -184,3 +184,30 @@ class TestTermMatrix:
         assert LinguisticMarkovAssessment(SCALE, rows).violations() == []
         rules = [v.rule for v in PreferenceRelation(SCALE, rows).violations()]
         assert rules == ["endpoint-reciprocity"]
+
+    def test_cells_and_fields_build_equal_matrices(self):
+        rows = ((pt(0, 0, 1.0), iv((1, -2), (2, 0), 0.5)), (iv((-2, 0), (-1, 2), 0.5), pt(0, 0, 1.0)))
+        from_cells = PreferenceRelation(SCALE, rows)
+        from_fields = PreferenceRelation.from_fields(SCALE, from_cells.fields)
+        assert from_fields == from_cells
+        assert from_fields.entries == rows
+        assert from_fields.scores.tobytes() == from_cells.scores.tobytes()
+        assert from_fields != LinguisticMarkovAssessment(SCALE, rows)
+
+    def test_from_fields_checks_each_cell(self):
+        fields = TermMatrix(SCALE, ((pt(0, 0, 1.0), pt(1, 0, 0.5)),) * 2).fields.copy()
+        fields[1, 0] = (4, 1, 4, 1, 0.5)
+        with pytest.raises(RangeError, match=r"cell \(1, 0\): coordinate \(t=4.0, k=1.0\)"):
+            TermMatrix.from_fields(SCALE, fields)
+        fields[1, 0] = (1, 0, 0, 0, 0.5)
+        with pytest.raises(RangeError, match=r"cell \(1, 0\): interval endpoints out of order"):
+            TermMatrix.from_fields(SCALE, fields)
+        with pytest.raises(ShapeError, match="PreferenceRelation needs at least 2 rows"):
+            PreferenceRelation.from_fields(SCALE, fields[:1, :1])
+        with pytest.raises(ShapeError, match=r"fields need shape \(size, size, 5\)"):
+            TermMatrix.from_fields(SCALE, fields[:, :1])
+
+    def test_matrices_are_read_only(self):
+        matrix = TermMatrix(SCALE, ((pt(0, 0, 1.0),),))
+        with pytest.raises(AttributeError):
+            matrix.scale = None
