@@ -4,9 +4,10 @@ Experts judge attribute-to-attribute transitions with a term matrix of
 peak intervals (``terms.TermMatrix``, as preference relations do; no
 reciprocity here, since a transition matrix is not a preference). The crisp
 row-stochastic matrix comes from a per-row certainty-weighted least
-squares fit over the simplex, with one exception: entries every expert
-scores as the floor point (unit score 0 at certainty 1) are pinned to an
-exact zero instead of the solver's positivity floor.
+squares fit over the simplex, a weighted projection solved exactly by
+sorting breakpoints. Entries every expert scores as the floor point (unit
+score 0 at certainty 1) are pinned to an exact zero instead of the fit's
+1e-9 positivity floor.
 
 Period weights follow the power scheme omega^t = e_origin M^(Z + t - 1),
 computed by repeated vector-matrix products. A variant scheme reshapes
@@ -20,10 +21,12 @@ import numpy as np
 
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, ShapeError
-from .solver import SimplexWLSProblem, solve
 from .terms import TermMatrix
 
 _STOCHASTIC_TOL = 1e-9
+
+# every estimated entry that is not pinned stays at least this large
+_FLOOR = 1e-9
 
 _FLOOR_SCORE_TOL = 1e-12
 
@@ -66,12 +69,16 @@ def estimate_transition(
     certainties: list[np.ndarray] | None = None,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
-    """Row-wise least-squares transition matrix from expert assessments.
+    """Row-wise certainty-weighted transition matrix from expert assessments.
 
-    Each row solves min sum_j sum_k p_ij^k (P_ij - E_ij^k)^2 subject to
-    sum_j P_ij = 1 and P_ij >= 1e-9, over the columns not pinned to zero.
-    ``certainties`` optionally replaces the per-entry certainty of each
-    assessment (one q x q array per expert).
+    Row i minimises sum_j sum_k p_ij^k (P_ij - E_ij^k)^2 subject to
+    sum_j P_ij = 1 and P_ij >= 1e-9, over the columns not pinned to zero:
+    P_ij = max(1e-9, (c_j - lam) / d_j) with d_j = sum_k p_ij^k,
+    c_j = sum_k p_ij^k E_ij^k and lam making the row sum to 1. Columns with
+    d_j = 0 split what the others leave at lam = 0 equally, or sit at the
+    floor when the others need the whole row; two or more sharing mass
+    record ``degenerate_row``. ``certainties`` optionally replaces the
+    per-entry certainty of each assessment (one q x q array per expert).
     """
     if not assessments:
         raise ShapeError("need at least one assessment")
@@ -89,6 +96,8 @@ def estimate_transition(
             if c.shape != (q, q):
                 raise ShapeError(f"certainty matrix shape {c.shape}, expected {(q, q)}")
         P = np.stack(given)
+        if np.any(P < 0.0):
+            raise ShapeError(f"negative certainty {P.min()}")
     E = np.stack([a.scores for a in assessments])
     # a column is pinned when every expert rates it the floor point at p = 1
     pinned_cells = (
@@ -96,8 +105,8 @@ def estimate_transition(
         & (np.stack([a.upper for a in assessments]) <= _FLOOR_SCORE_TOL)
         & (np.abs(P - 1.0) <= _FLOOR_SCORE_TOL)
     ).all(axis=0)
+    D, C = P.sum(axis=0), (P * E).sum(axis=0)
 
-    n = len(assessments)
     M = np.zeros((q, q))
     for i in range(q):
         pinned = np.flatnonzero(pinned_cells[i]).tolist()
@@ -106,18 +115,52 @@ def estimate_transition(
             raise ConfigError(f"row {i} pins every column to zero; no transition mass left")
         if pinned:
             record(diag, "zero_pinned", f"row {i}: columns {pinned} fixed at exactly 0")
-        # one identity design row per expert and free column, expert by expert
-        problem = SimplexWLSProblem(
-            m=free.size,
-            rows=np.tile(np.eye(free.size), (n, 1)),
-            targets=E[:, i, free].ravel(),
-            weights=P[:, i, free].ravel(),
-            strict=True,
-        )
-        sol = solve(problem)
-        if sol.status == "degenerate":
+        M[i, free], degenerate = _fit_row(D[i, free], C[i, free])
+        if degenerate:
             record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
-        M[i, free] = sol.vector
+    return M
+
+
+def _fit_row(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimiser of sum_j d_j x_j^2 - 2 c_j x_j over sum x = 1, x >= floor.
+
+    Also says whether two or more flat (d_j = 0) columns share mass: the
+    optimum is then not unique, and their equal split is its minimum-norm
+    point.
+    """
+    if d.size == 1:
+        return np.ones(1), False
+    flat = d == 0.0
+    n_flat = int(flat.sum())
+    x = np.full(d.size, _FLOOR)
+    if n_flat:
+        x[~flat] = np.maximum(_FLOOR, c[~flat] / d[~flat])
+        share = (1.0 - x[~flat].sum()) / n_flat
+        if share >= _FLOOR:
+            x[flat] = share
+            return x, n_flat > 1
+    d, c = d[~flat], c[~flat]
+    # column j is off the floor iff lam < breaks_j; lam_k puts exactly the
+    # k largest off it, and lam is the last lam_k below its breakpoint
+    breaks = c - _FLOOR * d
+    order = np.argsort(-breaks, kind="stable")
+    inv = 1.0 / d[order]
+    k = np.arange(1, d.size + 1)
+    total = 1.0 - _FLOOR * n_flat
+    lam = (np.cumsum(c[order] * inv) + _FLOOR * (d.size - k) - total) / np.cumsum(inv)
+    lam = lam[np.flatnonzero(breaks[order] > lam)[-1]]
+    x[~flat] = np.maximum(_FLOOR, (c - lam) / d)
+    return x, False
+
+
+def _check_steps(M: np.ndarray, T: int, Z: int, origin: int) -> np.ndarray:
+    M = require_stochastic(M)
+    if T < 1:
+        raise ConfigError(f"period count must be >= 1, got {T}")
+    if Z < 1:
+        raise ConfigError(f"iteration count must be >= 1, got {Z}")
+    if not (0 <= origin < M.shape[0]):
+        raise ConfigError(f"origin index {origin} outside 0..{M.shape[0] - 1}")
     return M
 
 
@@ -128,54 +171,15 @@ def period_weights(
     origin: int,
 ) -> np.ndarray:
     """T x q matrix of attribute weights, omega^t = e_origin M^(Z+t-1)."""
-    M = require_stochastic(M)
-    q = M.shape[0]
-    if T < 1:
-        raise ConfigError(f"period count must be >= 1, got {T}")
-    if Z < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {Z}")
-    if not (0 <= origin < q):
-        raise ConfigError(f"origin index {origin} outside 0..{q - 1}")
-    v = np.zeros(q)
+    M = _check_steps(M, T, Z, origin)
+    v = np.zeros(M.shape[0])
     v[origin] = 1.0
-    for _ in range(Z):
+    for _ in range(Z - 1):
         v = v @ M
-    out = np.empty((T, q))
-    out[0] = v
-    for t in range(1, T):
+    out = np.empty((T, M.shape[0]))
+    for t in range(T):
         v = v @ M
         out[t] = v
-    return out
-
-
-def _reshape_vector(
-    v: np.ndarray,
-    origin: int,
-    update: float,
-    diag: Diagnostics | None,
-    period: int,
-) -> np.ndarray:
-    if not (0.0 <= update <= 1.0):
-        raise ConfigError(f"origin update {update:g} outside [0, 1]")
-    w = np.array(v, dtype=float)
-    rest = np.delete(w, origin)
-    mass = float(rest.sum())
-    out = np.empty_like(w)
-    out[origin] = update
-    others = [j for j in range(w.size) if j != origin]
-    if mass <= 1e-15:
-        if update < 1.0 and others:
-            record(
-                diag, "uniform_redistribution",
-                f"period {period}: previous non-origin mass is zero, spreading "
-                f"{1.0 - update:.6g} uniformly",
-            )
-        share = (1.0 - update) / len(others) if others else 0.0
-        for j in others:
-            out[j] = share
-    else:
-        for j in others:
-            out[j] = w[j] * (1.0 - update) / mass
     return out
 
 
@@ -194,26 +198,33 @@ def period_weights_reshaped(
     rescales the rest proportionally (uniformly when the previous
     non-origin mass is zero), and applies Z + t - 1 products with M.
     """
-    M = require_stochastic(M)
-    q = M.shape[0]
-    if T < 1:
-        raise ConfigError(f"period count must be >= 1, got {T}")
-    if Z < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {Z}")
-    if not (0 <= origin < q):
-        raise ConfigError(f"origin index {origin} outside 0..{q - 1}")
+    M = _check_steps(M, T, Z, origin)
     updates = np.asarray(updates, dtype=float)
     if updates.size != T:
         raise ShapeError(f"{T} periods but {updates.size} origin updates")
+    q = M.shape[0]
     prev = np.zeros(q)
     prev[origin] = 1.0
+    others = np.arange(q) != origin
     out = np.empty((T, q))
-    for t in range(1, T + 1):
-        v = _reshape_vector(prev, origin, float(updates[t - 1]), diag, t)
+    for t, update in enumerate(updates.tolist(), start=1):
+        if not (0.0 <= update <= 1.0):
+            raise ConfigError(f"origin update {update:g} outside [0, 1]")
+        v = np.full(q, update)
+        mass = float(prev[others].sum())
+        if mass <= 1e-15:
+            if update < 1.0 and q > 1:
+                record(
+                    diag, "uniform_redistribution",
+                    f"period {t}: previous non-origin mass is zero, spreading "
+                    f"{1.0 - update:.6g} uniformly",
+                )
+            v[others] = (1.0 - update) / max(q - 1, 1)
+        else:
+            v[others] = prev[others] * (1.0 - update) / mass
         for _ in range(Z + t - 1):
             v = v @ M
-        out[t - 1] = v
-        prev = v
+        out[t - 1] = prev = v
     return out
 
 

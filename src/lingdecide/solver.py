@@ -1,6 +1,6 @@
 """Weighted least squares over the probability simplex.
 
-Both estimation models in this package reduce to
+The collective-priority model reduces to
 
     minimise   sum_t  w_t * (a_t . x - b_t)^2
     subject to sum(x) = 1,  x_i >= floor
@@ -135,9 +135,6 @@ def solve(problem: SimplexWLSProblem) -> SimplexSolution:
     """KKT-optimal point of the convex quadratic over the simplex."""
     m = problem.m
     floor = problem.floor
-    if m == 1:
-        return SimplexSolution(np.array([1.0]), problem.objective(np.array([1.0])), (), "optimal")
-
     H, c = problem.normal_equations
 
     active: list[int] = []

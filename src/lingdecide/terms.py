@@ -204,6 +204,10 @@ class TermMatrix:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
+    def __reduce__(self):
+        # copies and unpickled matrices go through from_fields, read-only again
+        return type(self).from_fields, (self.scale, self.fields)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

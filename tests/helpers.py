@@ -4,7 +4,9 @@ The ``reference_*`` functions are the scalar loop forms of the expert
 weighting chain, the collective-priority model builder and the scenario
 decoder's term matrices, which are read one cell at a time into
 ``PeakIntervalTerm`` objects. The package computes the same quantities on
-arrays; tests compare the two.
+arrays; tests compare the two. ``reference_transition`` is the transition
+estimate as a general active-set solve per row, against which the
+closed-form projection is checked.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from lingdecide.diagnostics import record
 from lingdecide.errors import ShapeError
 from lingdecide.prefs import PreferenceRelation, indirect_score
 from lingdecide.scale import LinguisticScale, TermCoord, parse_term, to_unit
-from lingdecide.solver import SimplexWLSProblem
+from lingdecide.solver import SimplexWLSProblem, solve
 from lingdecide.terms import PeakIntervalTerm, score
 
 SCALE = LinguisticScale(4, 4)
@@ -289,3 +291,42 @@ def reference_decode_matrix(kind, scale, raw, size, where):
     matrix = kind(scale, tuple(rows))
     faults += [f"{where}: {v}" for v in matrix.violations()]
     return faults, None if faults else matrix
+
+
+def reference_transition(assessments, certainties=None, diag=None):
+    """Transition matrix with one ``solver.solve`` per row.
+
+    Row i is the weighted least-squares problem with one identity design
+    row per expert and free column, target E_ij^k and weight p_ij^k; cells
+    every expert rates the floor point at p = 1 are pinned to 0.
+    """
+    q = assessments[0].q
+    n = len(assessments)
+    if certainties is None:
+        P = np.stack([a.p for a in assessments])
+    else:
+        P = np.stack([np.asarray(c, dtype=float) for c in certainties])
+    E = np.stack([a.scores for a in assessments])
+    pinned_cells = (
+        (np.stack([a.lower for a in assessments]) <= 1e-12)
+        & (np.stack([a.upper for a in assessments]) <= 1e-12)
+        & (np.abs(P - 1.0) <= 1e-12)
+    ).all(axis=0)
+    M = np.zeros((q, q))
+    for i in range(q):
+        pinned = np.flatnonzero(pinned_cells[i]).tolist()
+        free = np.flatnonzero(~pinned_cells[i])
+        if pinned:
+            record(diag, "zero_pinned", f"row {i}: columns {pinned} fixed at exactly 0")
+        problem = SimplexWLSProblem(
+            m=free.size,
+            rows=np.tile(np.eye(free.size), (n, 1)),
+            targets=E[:, i, free].ravel(),
+            weights=P[:, i, free].ravel(),
+            strict=True,
+        )
+        sol = solve(problem)
+        if sol.status == "degenerate":
+            record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
+        M[i, free] = sol.vector
+    return M

@@ -126,6 +126,15 @@ class TestFailureExitCodes:
         _, err = capsys.readouterr()
         assert "line 1" in err
 
+    def test_integer_beyond_the_digit_limit_is_parse_error(self, tmp_path, capsys):
+        text = (DATA / "solver_paths.json").read_text(encoding="utf-8")
+        assert text.count('"periods":3') == 1
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace('"periods":3', '"periods":' + "9" * 5000), encoding="utf-8")
+        assert main([str(path)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("parse error: ") and "digits" in err
+
     def test_contract_violation_is_validation_error(self, tmp_path, capsys):
         data = uniform_scenario_dict()
         data["format"] = 99

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lingdecide.diagnostics import Diagnostics
 from lingdecide.errors import ConfigError, ShapeError
@@ -14,7 +16,7 @@ from lingdecide.markov import (
 )
 from lingdecide.scenario import load_bundled_scenario
 from lingdecide.terms import PeakIntervalTerm
-from helpers import SCALE
+from helpers import SCALE, reference_transition
 
 # the transition matrix of the bundled crisis scenario, also used as a
 # generic well-formed stochastic matrix throughout
@@ -146,6 +148,92 @@ class TestEstimate:
             estimate_transition([a, b])
         with pytest.raises(ShapeError):
             estimate_transition([])
+
+
+# A column no expert weighs (certainty 0) leaves the row objective flat in
+# it. Each case: one expert whose every row reads ``targets`` at
+# certainties ``weights``, the expected row, and whether it is degenerate.
+FLAT_COLUMN_CASES = {
+    "one flat column takes the leftover": ([0.2, 0.3, 0.9], [1, 1, 0], [0.2, 0.3, 0.5], False),
+    "flat column at the floor when overfilled": (
+        [0.7, 0.6, 0.9], [1, 1, 0], [0.55, 0.45, 1e-9], False
+    ),
+    "flat column at the floor when less than the floor is left": (
+        [0.4, 0.6 - 5e-10, 0.9], [1, 1, 0], [0.4, 0.6, 1e-9], False
+    ),
+    "flat columns split the leftover": ([0.2, 0.9, 0.9], [1, 0, 0], [0.2, 0.4, 0.4], True),
+    "all-flat row is uniform": ([0.2, 0.9, 0.9], [0, 0, 0], [1 / 3] * 3, True),
+    "lone free column": ([0.4], [0], [1.0], False),
+    "lone column left by a pin": ([0.0, 0.4], [1, 0], [0.0, 1.0], False),
+}
+
+
+class TestFlatColumns:
+    @pytest.mark.parametrize("case", FLAT_COLUMN_CASES, ids=list(FLAT_COLUMN_CASES))
+    def test_matches_the_active_set_solve(self, case):
+        targets, weights, want, degenerate = FLAT_COLUMN_CASES[case]
+        q = len(targets)
+        a = units_assessment([targets] * q)
+        certainties = [np.array([weights] * q, dtype=float)]
+        diag, ref_diag = Diagnostics(), Diagnostics()
+        got = estimate_transition([a], certainties, diag=diag)
+        ref = reference_transition([a], certainties, diag=ref_diag)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        assert diag.events == ref_diag.events
+        for row in got:
+            assert row == pytest.approx(want, abs=1e-9)
+        assert diag.kinds().count("degenerate_row") == (q if degenerate else 0)
+        pinned = [j for j, w in enumerate(weights) if w == 1 and targets[j] == 0.0]
+        assert diag.kinds().count("zero_pinned") == (q if pinned else 0)
+
+
+def fields_from_units(units, p, scale=SCALE):
+    """(size, size, 5) fields of interval cells at unit endpoints ``units[..., 0:2]``.
+
+    Each endpoint takes ``from_unit``'s canonical coordinate.
+    """
+    x = 2.0 * scale.tau * units - scale.tau
+    t = np.where(units >= 1.0, scale.tau, np.floor(x))
+    k = np.where(units >= 1.0, 0.0, scale.zeta * (x - t))
+    return np.stack([t[..., 0], k[..., 0], t[..., 1], k[..., 1], p], axis=-1)
+
+
+@given(
+    q=st.integers(1, 60),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    with_certainties=st.booleans(),
+)
+def test_closed_form_rows_match_the_active_set_reference(q, n, seed, with_certainties):
+    rng = np.random.default_rng(seed)
+
+    def mixed(shape):
+        """0, 1 or uniform on [0, 1], about a third each."""
+        pick = rng.integers(0, 3, size=shape)
+        return np.where(pick == 0, 0.0, np.where(pick == 1, 1.0, rng.uniform(0.0, 1.0, shape)))
+
+    units = np.sort(mixed((n, q, q, 2)), axis=-1)
+    p = mixed((n, q, q))
+    certainties = mixed((n, q, q)) if with_certainties else p
+    pinned = rng.random((q, q)) < rng.uniform(0.0, 0.9)
+    rows, kept = np.arange(q), rng.integers(0, q, size=q)
+    pinned[rows, kept] = False
+    units[:, pinned] = 0.0
+    certainties[:, pinned] = 1.0
+    # one cell per row stays off the floor point, so no row is fully pinned
+    units[0, rows, kept, 1] = np.maximum(units[0, rows, kept, 1], 0.25)
+    assessments = [
+        LinguisticMarkovAssessment.from_fields(SCALE, fields_from_units(u, pk))
+        for u, pk in zip(units, p)
+    ]
+    given_certainties = list(certainties) if with_certainties else None
+
+    diag, ref_diag = Diagnostics(), Diagnostics()
+    got = estimate_transition(assessments, given_certainties, diag=diag)
+    ref = reference_transition(assessments, given_certainties, diag=ref_diag)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert diag.events == ref_diag.events
+    assert np.all(got[pinned] == 0.0)
 
 
 class TestPeriodWeights:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -211,3 +214,17 @@ class TestTermMatrix:
         matrix = TermMatrix(SCALE, ((pt(0, 0, 1.0),),))
         with pytest.raises(AttributeError):
             matrix.scale = None
+
+    @pytest.mark.parametrize("kind", [LinguisticMarkovAssessment, PreferenceRelation])
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_keep_the_type_and_read_only_arrays(self, kind, duplicate):
+        rows = ((pt(0, 0, 1.0), iv((1, -2), (2, 0), 0.5)), (iv((-2, 0), (-1, 2), 0.5), pt(0, 0, 1.0)))
+        matrix = kind(SCALE, rows)
+        twin = duplicate(matrix)
+        assert type(twin) is kind and twin == matrix and twin.entries == rows
+        for name in ("fields", "lower", "upper", "p", "scores"):
+            array = getattr(twin, name)
+            assert array.tobytes() == getattr(matrix, name).tobytes()
+            assert not array.flags.writeable, name
