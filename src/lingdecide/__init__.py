@@ -28,9 +28,7 @@ from .markov import (
 )
 from .pipeline import (
     DecisionReport,
-    PltsComparison,
     aggregate,
-    compare_with_plts,
     rank,
     run_pipeline,
 )
@@ -99,9 +97,7 @@ __all__ = [
     "period_weights",
     "period_weights_reshaped",
     "DecisionReport",
-    "PltsComparison",
     "aggregate",
-    "compare_with_plts",
     "rank",
     "run_pipeline",
     "ExpertWeightReport",

@@ -21,15 +21,8 @@ import numpy as np
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
-from .prefs import (
-    ExpertWeightReport,
-    compute_expert_weights,
-    consensus_problem,
-    model1_problem,
-)
-from .scale import TermCoord, from_unit, to_unit
+from .prefs import ExpertWeightReport, compute_expert_weights, model1_problem
 from .solver import solve
-from .terms import ProbabilisticTermSet, plts_score
 
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")
 
@@ -315,107 +308,3 @@ def _model_weights(
             w = w / total
         return w
     return expert_weights.blended
-
-
-@dataclass(frozen=True)
-class PltsComparison:
-    """Priority vectors from the interval algebra and a point reduction."""
-
-    attribute: str
-    expert_weights: np.ndarray
-    interval_priorities: np.ndarray
-    plts_priorities: np.ndarray
-
-    @staticmethod
-    def _min_gap(v: np.ndarray) -> float:
-        s = np.sort(v)
-        return float(np.diff(s).min()) if s.size > 1 else 0.0
-
-    @property
-    def interval_min_gap(self) -> float:
-        return self._min_gap(self.interval_priorities)
-
-    @property
-    def plts_min_gap(self) -> float:
-        return self._min_gap(self.plts_priorities)
-
-    @property
-    def interval_range(self) -> float:
-        return float(self.interval_priorities.max() - self.interval_priorities.min())
-
-    @property
-    def plts_range(self) -> float:
-        return float(self.plts_priorities.max() - self.plts_priorities.min())
-
-    def as_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "expert_weights": self.expert_weights.tolist(),
-            "interval_priorities": self.interval_priorities.tolist(),
-            "plts_priorities": self.plts_priorities.tolist(),
-            "interval_min_gap": self.interval_min_gap,
-            "plts_min_gap": self.plts_min_gap,
-            "interval_range": self.interval_range,
-            "plts_range": self.plts_range,
-        }
-
-
-def _plts_reduced_score(relation, i: int, j: int) -> float:
-    """Unit score of a pairwise judgement after point reduction.
-
-    The interval collapses to its midpoint term at probability p; the
-    leftover 1 - p goes to the indifferent middle term. The score is the
-    probability-weighted mean term, read back in unit space.
-    """
-    p = float(relation.p[i, j])
-    scale = relation.scale
-    mid = from_unit(scale, float(relation.scores[i, j]))
-    reduced = ProbabilisticTermSet(scale, ((mid, p), (TermCoord(0, 0), 1.0 - p)))
-    return to_unit(scale, plts_score(reduced))
-
-
-def compare_with_plts(
-    scenario,
-    attribute: str,
-    paper_literal: bool = False,
-) -> PltsComparison:
-    """Solve the priority model on interval evidence and on its reduction.
-
-    Both routes share the expert weights the pipeline's model uses: the
-    blended ones, or the attribute's normalised override. The interval route
-    weights each residual by its certainty p; the reduction absorbs p
-    into the score (p * E + (1 - p) / 2) and weights residuals equally,
-    which is all a point representation can carry.
-    """
-    relations = scenario.preferences.get(attribute)
-    if relations is None:
-        raise ConfigError(f"no preference relations for attribute {attribute!r}")
-    diag = Diagnostics()
-    m = relations[0].m
-    expert_weights = compute_expert_weights(
-        list(relations),
-        list(scenario.trust),
-        scenario.alpha,
-        scenario.beta,
-        scenario.gamma,
-        paper_literal=paper_literal,
-        diag=diag,
-    )
-    w = _model_weights(scenario, attribute, expert_weights, diag)
-
-    interval = solve(model1_problem(list(relations), w)).vector
-
-    reduced = np.full((len(relations), m, m), 0.5)
-    for k, relation in enumerate(relations):
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    reduced[k, i, j] = _plts_reduced_score(relation, i, j)
-    plts = solve(consensus_problem(reduced, np.ones_like(reduced), w)).vector
-
-    return PltsComparison(
-        attribute=attribute,
-        expert_weights=w,
-        interval_priorities=interval,
-        plts_priorities=plts,
-    )

@@ -19,7 +19,11 @@ Collective priorities solve the certainty-weighted least-squares model
 
     min sum_k omega_k sum_{i<j} p^k_ij ((w_i - w_j)/2 - E^k_ij + 1/2)^2
 
-over the open simplex (positivity floor 1e-9).
+over the open simplex (positivity floor 1e-9). Expanded, that is the
+quadratic form w.Hw - 2 c.w + const, built in closed form from
+W = sum_k omega_k triu(P^k, 1) and G = sum_k omega_k triu(P^k o (E^k - 1/2), 1):
+H = (diag(S 1) - S)/4 with S = W + W^T, c = (G 1 - G^T 1)/2, and const
+the weighted sum of (E^k_ij - 1/2)^2 over i < j.
 
 A relation is a ``terms.TermMatrix``, so it derives its unit arrays
 once, when built. The weighting chain and the model builder run on one
@@ -324,33 +328,34 @@ def compute_expert_weights(
     return ExpertWeightReport(outer, inner, tru, blended, alpha, beta, gamma)
 
 
-def consensus_problem(
+def consensus_form(
     scores: np.ndarray,
     certainties: np.ndarray,
     weights: np.ndarray | list[float],
 ) -> SimplexWLSProblem:
-    """The collective-priority least-squares problem from stacked arrays.
+    """The collective-priority quadratic form from (n, m, m) stacked arrays.
 
-    Takes (n, m, m) scores and certainties. One term per expert k and pair
-    i < j, expert by expert and pairs in row-major order: design row
-    (e_i - e_j)/2, target E^k_ij - 1/2, weight omega_k p^k_ij.
+    Only pairs i < j enter: the model reads each relation's upper triangle.
     """
-    n, m = scores.shape[:2]
+    n = scores.shape[0]
     w = np.asarray(weights, dtype=float)
     if w.size != n:
         raise ShapeError(f"{n} relations but {w.size} expert weights")
     if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
         raise ConfigError("expert weights must form a probability vector")
-    i, j = np.triu_indices(m, 1)
-    pair_rows = np.zeros((i.size, m))
-    pair_rows[np.arange(i.size), i] = 0.5
-    pair_rows[np.arange(i.size), j] = -0.5
+
+    def pair_sum(a: np.ndarray) -> np.ndarray:
+        """sum_k omega_k a^k over the pairs i < j; zero elsewhere."""
+        return np.triu(np.tensordot(w, a, 1), 1)
+
+    weighted_target = certainties * (scores - 0.5)
+    W = pair_sum(certainties)
+    G = pair_sum(weighted_target)
+    S = W + W.T
     return SimplexWLSProblem(
-        m=m,
-        rows=np.tile(pair_rows, (n, 1)),
-        targets=(scores[:, i, j] - 0.5).ravel(),
-        weights=(w[:, None] * certainties[:, i, j]).ravel(),
-        strict=True,
+        H=0.25 * (np.diag(S.sum(axis=1)) - S),
+        c=0.5 * (G.sum(axis=1) - G.sum(axis=0)),
+        const=float(pair_sum(weighted_target * (scores - 0.5)).sum()),
     )
 
 
@@ -359,7 +364,7 @@ def model1_problem(
     weights: np.ndarray | list[float],
 ) -> SimplexWLSProblem:
     """Assemble the collective-priority problem of one attribute's relations."""
-    return consensus_problem(*stacked(relations), weights)
+    return consensus_form(*stacked(relations), weights)
 
 
 def collective_priorities(

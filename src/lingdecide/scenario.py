@@ -635,6 +635,6 @@ def load_scenario(path: str) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:  # an integer literal beyond the digit limit
+    except (ValueError, RecursionError) as exc:  # an integer beyond the digit limit, deep nesting
         raise ScenarioParseError(str(exc)) from exc
     return scenario_from_dict(data)

@@ -1,15 +1,16 @@
-"""Weighted least squares over the probability simplex.
+"""Convex quadratics over the probability simplex.
 
-The collective-priority model reduces to
+The collective-priority model reduces to the quadratic form
 
-    minimise   sum_t  w_t * (a_t . x - b_t)^2
-    subject to sum(x) = 1,  x_i >= floor
+    minimise   x.Hx - 2 c.x + const
+    subject to sum(x) = 1,  x_i >= 1e-9
 
-with floor = 1e-9 (strict positivity) or 0. The solver runs a primal
-active-set method on the bound constraints: each subproblem is an
-equality-constrained normal-equation solve performed in the nullspace of
-the sum constraint, so rank-deficient objectives resolve to the
-minimum-norm optimum (flagged as degenerate).
+with H symmetric positive semidefinite; the floor is the constant
+``STRICT_FLOOR``, so every coordinate stays positive. The solver runs a
+primal active-set method on the bound constraints: each subproblem is an
+equality-constrained solve performed in the nullspace of the sum
+constraint, so rank-deficient objectives resolve to the minimum-norm
+optimum (flagged as degenerate).
 
 ``brute_force_oracle`` is the independent check: the exact minimum of the
 objective over the discretised simplex {v / N}. It enumerates every grid
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,52 +37,35 @@ _RELEASE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SimplexWLSProblem:
-    """Weighted least-squares data over an m-simplex.
+    """The objective x.Hx - 2 c.x + const over an m-simplex, m = len(c).
 
-    Term t has design row ``rows[t]`` (length m), target ``targets[t]``
-    and nonnegative weight ``weights[t]``; ``strict`` selects the 1e-9
-    positivity floor. The arrays are used as given, not copied, so they
-    must not change once the problem is built.
+    ``H`` is a symmetric positive semidefinite (m, m) array. The arrays
+    are used as given, not copied, so they must not change once the
+    problem is built.
     """
 
-    m: int
-    rows: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
-    strict: bool = True
+    H: np.ndarray
+    c: np.ndarray
+    const: float = 0.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ShapeError(f"dimension must be >= 1, got {self.m}")
-        rows = np.asarray(self.rows, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.m:
-            raise ShapeError(f"design rows of shape {rows.shape}, expected (terms, {self.m})")
-        if targets.shape != (rows.shape[0],) or weights.shape != targets.shape:
-            raise ShapeError(
-                f"{rows.shape[0]} design rows but {targets.size} targets and {weights.size} weights"
-            )
-        if np.any(weights < 0.0):
-            raise ShapeError(f"negative term weight {weights.min()}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "weights", weights)
+        H = np.asarray(self.H, dtype=float)
+        c = np.asarray(self.c, dtype=float)
+        if c.ndim != 1 or c.size < 1:
+            raise ShapeError(f"linear term of shape {c.shape}, expected (m,) with m >= 1")
+        if H.shape != (c.size, c.size):
+            raise ShapeError(f"quadratic term of shape {H.shape}, expected ({c.size}, {c.size})")
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "const", float(self.const))
 
     @property
-    def floor(self) -> float:
-        return STRICT_FLOOR if self.strict else 0.0
-
-    @cached_property
-    def normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
-        """H = A^T W A and c = A^T W b: the objective is x.Hx - 2 c.x + const."""
-        H = (self.rows * self.weights[:, None]).T @ self.rows
-        c = self.rows.T @ (self.weights * self.targets)
-        return H, c
+    def m(self) -> int:
+        return self.c.size
 
     def objective(self, x: np.ndarray) -> float:
-        res = self.rows @ np.asarray(x, dtype=float) - self.targets
-        return float(np.dot(self.weights, res * res))
+        x = np.asarray(x, dtype=float)
+        return float(x @ self.H @ x - 2.0 * self.c @ x + self.const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +87,7 @@ def _sum_zero_basis(f: int) -> np.ndarray:
 
 
 def _equality_solve(
-    H: np.ndarray, c: np.ndarray, free: list[int], active: list[int], floor: float
+    H: np.ndarray, c: np.ndarray, free: list[int], active: list[int]
 ) -> tuple[np.ndarray, bool]:
     """Minimise over the free coordinates with the active ones at the floor.
 
@@ -113,7 +96,7 @@ def _equality_solve(
     constraint flat and lstsq returns the minimum-norm nullspace step.
     """
     f = len(free)
-    s = 1.0 - floor * len(active)
+    s = 1.0 - STRICT_FLOOR * len(active)
     if s <= 0.0:
         raise NumericalError("positivity floor is infeasible for this dimension")
     if f == 1:
@@ -122,7 +105,7 @@ def _equality_solve(
     shift = np.zeros(f)
     if active:
         Hfa = H[np.ix_(free, active)]
-        shift = Hfa @ np.full(len(active), floor)
+        shift = Hfa @ np.full(len(active), STRICT_FLOOR)
     x0 = np.full(f, s / f)
     N = _sum_zero_basis(f)
     G = N.T @ Hff @ N
@@ -134,8 +117,7 @@ def _equality_solve(
 def solve(problem: SimplexWLSProblem) -> SimplexSolution:
     """KKT-optimal point of the convex quadratic over the simplex."""
     m = problem.m
-    floor = problem.floor
-    H, c = problem.normal_equations
+    H, c = problem.H, problem.c
 
     active: list[int] = []
     degenerate = False
@@ -144,11 +126,11 @@ def solve(problem: SimplexWLSProblem) -> SimplexSolution:
         free = [i for i in range(m) if i not in active]
         if not free:
             raise NumericalError("active-set iteration fixed every coordinate")
-        xf, degenerate = _equality_solve(H, c, free, active, floor)
-        x = np.full(m, floor)
+        xf, degenerate = _equality_solve(H, c, free, active)
+        x = np.full(m, STRICT_FLOOR)
         x[free] = xf
 
-        below = [i for i in free if x[i] < floor - _VIOLATION_TOL]
+        below = [i for i in free if x[i] < STRICT_FLOOR - _VIOLATION_TOL]
         if below:
             worst = min(below, key=lambda i: x[i])
             active.append(worst)
@@ -166,7 +148,7 @@ def solve(problem: SimplexWLSProblem) -> SimplexSolution:
     else:
         raise NumericalError("active-set method did not settle")
 
-    x = np.maximum(x, floor)
+    x = np.maximum(x, STRICT_FLOOR)
     return SimplexSolution(
         vector=x,
         objective=problem.objective(x),
@@ -181,9 +163,8 @@ def stationarity_residual(problem: SimplexWLSProblem, x: np.ndarray) -> float:
     Zero at a KKT point: free coordinates share one multiplier, bound
     coordinates only need a nonnegative one.
     """
-    H, c = problem.normal_equations
-    grad = 2.0 * (H @ x - c)
-    at_bound = x <= problem.floor + 1e-9
+    grad = 2.0 * (problem.H @ x - problem.c)
+    at_bound = x <= STRICT_FLOOR + 1e-9
     free = ~at_bound
     if not free.any():
         return 0.0
@@ -196,32 +177,27 @@ def stationarity_residual(problem: SimplexWLSProblem, x: np.ndarray) -> float:
 
 
 def _fiber_batch_min(
-    A: np.ndarray,
-    b: np.ndarray,
-    w: np.ndarray,
-    prefix: np.ndarray,
-    remainder: np.ndarray,
-    N: int,
+    problem: SimplexWLSProblem, prefix: np.ndarray, remainder: np.ndarray, N: int
 ) -> tuple[float, int, int]:
     """Exact grid minimum over a batch of fibers.
 
-    Each fiber fixes the first m-2 integer coordinates (``prefix`` rows)
-    and spreads ``remainder`` over the last two as (u, R-u). Returns the
-    best objective with the row index and u attaining it.
+    Each fiber fixes the first m-2 integer coordinates (one row of
+    ``prefix`` each) and spreads ``remainder`` over the last two as (u, R-u), the points
+    x0 + u s with s = (e_{m-2} - e_{m-1}) / N. Returns the best objective
+    with the row index and u attaining it.
     """
-    T = A.shape[0]
-    m = A.shape[1]
-    s = (A[:, m - 2] - A[:, m - 1]) / N
-    Aq = float(np.dot(w, s * s))
+    H, c = problem.H, problem.c
+    m = problem.m
+    s = np.zeros(m)
+    s[m - 2], s[m - 1] = 1.0 / N, -1.0 / N
+    Hs = H @ s
+    Aq = float(s @ Hs)
 
-    if prefix.shape[1]:
-        r0 = (prefix / N) @ A[:, : m - 2].T
-    else:
-        r0 = np.zeros((prefix.shape[0], T))
-    r0 += (remainder / N)[:, None] * A[:, m - 1][None, :]
-    res0 = r0 - b[None, :]
-    f0 = (res0 * res0) @ w
-    B = res0 @ (2.0 * w * s)
+    x0 = np.zeros((prefix.shape[0], m))
+    x0[:, : m - 2] = prefix / N
+    x0[:, m - 1] = remainder / N
+    f0 = np.einsum("bi,bi->b", x0 @ H, x0) - 2.0 * (x0 @ c) + problem.const
+    B = 2.0 * (x0 @ Hs - float(c @ s))
 
     R = remainder.astype(float)
     cands = [np.zeros_like(R), R]
@@ -249,7 +225,7 @@ def brute_force_oracle(problem: SimplexWLSProblem, step: float) -> SimplexSoluti
 
     Certifies an upper bound on the optimum within the grid resolution.
     Limited to m <= 4 and step >= 1e-3. Grid points on the boundary are
-    admitted even under strict positivity; they sit within the floor of a
+    admitted although the floor is 1e-9; they sit within the floor of a
     feasible point.
     """
     m = problem.m
@@ -263,17 +239,11 @@ def brute_force_oracle(problem: SimplexWLSProblem, step: float) -> SimplexSoluti
         x = np.array([1.0])
         return SimplexSolution(x, problem.objective(x), (), "oracle")
 
-    A, b, w = problem.rows, problem.targets, problem.weights
-    if A.shape[0] == 0:
-        A = np.zeros((1, m))
-        b = np.zeros(1)
-        w = np.zeros(1)
-
     best = (math.inf, None)
 
     def consider(prefix: np.ndarray, remainder: np.ndarray) -> None:
         nonlocal best
-        f, row, u = _fiber_batch_min(A, b, w, prefix, remainder, N)
+        f, row, u = _fiber_batch_min(problem, prefix, remainder, N)
         if f < best[0]:
             v = np.empty(m, dtype=float)
             v[: m - 2] = prefix[row] / N

@@ -6,7 +6,9 @@ decoder's term matrices, which are read one cell at a time into
 ``PeakIntervalTerm`` objects. The package computes the same quantities on
 arrays; tests compare the two. ``reference_transition`` is the transition
 estimate as a general active-set solve per row, against which the
-closed-form projection is checked.
+closed-form projection is checked. ``problem_from_rows`` turns design
+rows into the quadratic form the solver takes; it is the reference
+builder for the solver tests and for ``reference_transition``.
 """
 
 import itertools
@@ -57,38 +59,62 @@ def relation(upper, m, scale=SCALE):
     return PreferenceRelation(scale, tuple(rows))
 
 
-def problem_from_terms(m, terms, strict=True):
-    """Problem from (row, target, weight) triples, in the given order."""
-    return SimplexWLSProblem(
-        m=m,
-        rows=np.array([row for row, _, _ in terms], dtype=float).reshape(len(terms), m),
-        targets=[target for _, target, _ in terms],
-        weights=[weight for _, _, weight in terms],
-        strict=strict,
-    )
+def problem_from_rows(rows, targets, weights):
+    """The quadratic form (A^T W A, A^T W b, b^T W b) of design rows A.
+
+    The objective sum_t w_t (a_t . x - b_t)^2 expands to x.Hx - 2 c.x + const.
+    The constant is summed exactly (``math.fsum``): it adds thousands of
+    terms at the model's sizes, where a running sum drifts by about 1e-14.
+    """
+    A = np.asarray(rows, dtype=float)
+    b = np.asarray(targets, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    return SimplexWLSProblem(H=(A * w[:, None]).T @ A, c=A.T @ (w * b), const=math.fsum(w * b * b))
 
 
-def random_problem(rng, m, n_terms=10, strict=True):
+def terms_arrays(m, terms):
+    """Design rows, targets and weights of (row, target, weight) triples."""
+    rows = np.array([row for row, _, _ in terms], dtype=float).reshape(len(terms), m)
+    targets = np.array([target for _, target, _ in terms], dtype=float)
+    weights = np.array([weight for _, _, weight in terms], dtype=float)
+    return rows, targets, weights
+
+
+def problem_from_terms(m, terms):
+    """Problem from (row, target, weight) triples."""
+    return problem_from_rows(*terms_arrays(m, terms))
+
+
+def random_terms(rng, m, n_terms=10):
     terms = []
     for _ in range(n_terms):
         row = tuple(float(x) for x in rng.uniform(-1.0, 1.0, m))
         target = float(rng.uniform(-0.5, 1.5))
         weight = float(rng.uniform(0.05, 1.0))
         terms.append((row, target, weight))
-    return problem_from_terms(m, terms, strict=strict)
+    return terms
 
 
-def naive_grid_min(problem, step):
-    """Direct enumeration of the simplex grid; only for coarse steps."""
+def random_problem(rng, m, n_terms=10):
+    return problem_from_terms(m, random_terms(rng, m, n_terms))
+
+
+def naive_grid_min(m, terms, step):
+    """Direct enumeration of the simplex grid, scored on the design rows.
+
+    Only for coarse steps. It shares no arithmetic with the quadratic form
+    the oracle reads.
+    """
+    rows, targets, weights = terms_arrays(m, terms)
     N = round(1.0 / step)
-    m = problem.m
     best = (np.inf, None)
     for combo in itertools.product(range(N + 1), repeat=m - 1):
         rest = N - sum(combo)
         if rest < 0:
             continue
         x = np.array(list(combo) + [rest], dtype=float) / N
-        f = problem.objective(x)
+        res = rows @ x - targets
+        f = float(np.dot(weights, res * res))
         if f < best[0]:
             best = (f, x)
     return best
@@ -318,12 +344,8 @@ def reference_transition(assessments, certainties=None, diag=None):
         free = np.flatnonzero(~pinned_cells[i])
         if pinned:
             record(diag, "zero_pinned", f"row {i}: columns {pinned} fixed at exactly 0")
-        problem = SimplexWLSProblem(
-            m=free.size,
-            rows=np.tile(np.eye(free.size), (n, 1)),
-            targets=E[:, i, free].ravel(),
-            weights=P[:, i, free].ravel(),
-            strict=True,
+        problem = problem_from_rows(
+            np.tile(np.eye(free.size), (n, 1)), E[:, i, free].ravel(), P[:, i, free].ravel()
         )
         sol = solve(problem)
         if sol.status == "degenerate":

@@ -135,6 +135,13 @@ class TestFailureExitCodes:
         _, err = capsys.readouterr()
         assert err.startswith("parse error: ") and "digits" in err
 
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert main([str(path)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("parse error: ") and "recursion" in err
+
     def test_contract_violation_is_validation_error(self, tmp_path, capsys):
         data = uniform_scenario_dict()
         data["format"] = 99

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from lingdecide.errors import ConfigError, NumericalError, ShapeError
-from lingdecide.pipeline import (
-    DecisionReport,
-    aggregate,
-    compare_with_plts,
-    rank,
-    run_pipeline,
-)
+from lingdecide.pipeline import DecisionReport, aggregate, rank, run_pipeline
 from lingdecide.scale import from_unit
 from lingdecide.scenario import load_bundled_scenario, scenario_from_dict
 from helpers import SCALE, uniform_scenario_dict
@@ -187,6 +181,12 @@ class TestOverrideSoundness:
         assert "override_normalized" in rep.diagnostics.kinds()
         assert rep.model_weights["Q1"] == pytest.approx([0.5, 0.5])
 
+    def test_zero_mass_weight_override_is_a_config_error(self):
+        data = varied_scenario_dict()
+        data["overrides"] = {"expert_weight_vectors": {"Q1": [0.0, 0.0]}}
+        with pytest.raises(ConfigError, match="zero mass"):
+            run_pipeline(scenario_from_dict(data))
+
 
 class TestAggregateAndRank:
     def test_aggregate_hand_value(self):
@@ -221,65 +221,6 @@ class TestAggregateAndRank:
     def test_rank_rejects_nan(self):
         with pytest.raises(NumericalError):
             rank(np.array([0.1, np.nan]))
-
-
-class TestPltsComparison:
-    def test_crisis_discrimination(self, crisis):
-        cmp = compare_with_plts(crisis, "IRR")
-        assert cmp.interval_priorities == pytest.approx(
-            [0.2127, 0.5849, 0.0292, 0.1732], abs=5e-4
-        )
-        assert cmp.plts_priorities == pytest.approx(
-            [0.2242, 0.4326, 0.1407, 0.2025], abs=5e-4
-        )
-        assert np.argsort(cmp.interval_priorities).tolist() == np.argsort(
-            cmp.plts_priorities
-        ).tolist()
-        assert cmp.interval_min_gap > cmp.plts_min_gap
-        assert cmp.interval_range > cmp.plts_range
-
-    def test_point_certain_judgements_coincide(self):
-        data = uniform_scenario_dict()
-        data = json.loads(json.dumps(data))
-        data["preferences"]["Q1"]["e1"][0][1] = unit_point(0.7, 1.0)
-        data["preferences"]["Q1"]["e1"][1][0] = unit_point(0.3, 1.0)
-        cmp = compare_with_plts(scenario_from_dict(data), "Q1")
-        assert cmp.plts_priorities == pytest.approx(cmp.interval_priorities, abs=1e-9)
-
-    def test_missing_attribute(self, crisis):
-        with pytest.raises(ConfigError, match="ALR"):
-            compare_with_plts(crisis, "ALR")
-
-    def test_weight_override_handled_as_in_the_pipeline(self):
-        data = varied_scenario_dict()
-        data["overrides"] = {"expert_weight_vectors": {"Q1": [0.6, 0.6]}}
-        scn = scenario_from_dict(data)
-        cmp = compare_with_plts(scn, "Q1")
-        rep = run_pipeline(scn)
-        assert cmp.expert_weights.tolist() == rep.model_weights["Q1"].tolist()
-        assert cmp.interval_priorities.tolist() == rep.priorities["Q1"].tolist()
-
-    def test_zero_mass_weight_override_is_a_config_error(self):
-        data = varied_scenario_dict()
-        data["overrides"] = {"expert_weight_vectors": {"Q1": [0.0, 0.0]}}
-        scn = scenario_from_dict(data)
-        with pytest.raises(ConfigError, match="zero mass"):
-            run_pipeline(scn)
-        with pytest.raises(ConfigError, match="zero mass"):
-            compare_with_plts(scn, "Q1")
-
-    def test_as_dict_keys(self, crisis):
-        d = compare_with_plts(crisis, "IRR").as_dict()
-        assert set(d) == {
-            "attribute",
-            "expert_weights",
-            "interval_priorities",
-            "plts_priorities",
-            "interval_min_gap",
-            "plts_min_gap",
-            "interval_range",
-            "plts_range",
-        }
 
 
 class TestReportRendering:

@@ -12,6 +12,7 @@ from lingdecide.prefs import (
     blend_weights,
     collective_priorities,
     compute_expert_weights,
+    consensus_form,
     consistent_relation,
     distances,
     indirect_score,
@@ -25,6 +26,7 @@ from lingdecide.prefs import (
     validate_relation,
 )
 from lingdecide.scale import LinguisticScale, from_unit
+from lingdecide.solver import solve
 from lingdecide.terms import PeakIntervalTerm
 from helpers import (
     SCALE,
@@ -347,11 +349,33 @@ def test_array_chain_matches_loop_references(m, n, seed):
         if m >= 3 and min(want) >= 0.0:
             assert inner_weights(got, m) == pytest.approx(inner_weights(want, m), rel=0, abs=1e-12)
 
-    # the model keeps the loop's term order, so the solver sees the same bits
     w = rng.dirichlet(np.ones(n))
-    problem = model1_problem(rels, w)
-    loop = problem_from_terms(
-        m, reference_model_terms(loop_scores, [reference_certainty_matrix(r) for r in rels], w)
-    )
-    for got, want in zip(problem.normal_equations, loop.normal_equations):
-        assert np.array_equal(got, want)
+    loop_certainties = [reference_certainty_matrix(r) for r in rels]
+    assert_matches_design_rows(model1_problem(rels, w), loop_scores, loop_certainties, w)
+
+
+def assert_matches_design_rows(problem, scores, certainties, w):
+    """The closed-form model equals the loop's design-row form, and so do their solutions.
+
+    The two sum in different orders, so they agree to rounding, not bit for bit.
+    """
+    loop = problem_from_terms(problem.m, reference_model_terms(scores, certainties, w))
+    assert np.abs(problem.H - loop.H).max() <= 1e-14
+    assert np.abs(problem.c - loop.c).max() <= 1e-14
+    assert problem.const == pytest.approx(loop.const, rel=0, abs=1e-14)
+    assert np.abs(solve(problem).vector - solve(loop).vector).max() <= 1e-12
+
+
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_model_form_matches_design_rows_at_panel_size(m, n, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(0.0, 1.0, (n, m, m))
+    kind = rng.integers(3, size=(n, m, m))
+    certainties = np.select([kind == 0, kind == 1], [0.0, 1.0], rng.uniform(0.0, 1.0, (n, m, m)))
+    w = rng.dirichlet(np.ones(n))
+    assert_matches_design_rows(consensus_form(scores, certainties, w), scores, certainties, w)

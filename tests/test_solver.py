@@ -12,7 +12,13 @@ from lingdecide.solver import (
     solve,
     stationarity_residual,
 )
-from helpers import naive_grid_min, problem_from_terms, random_problem
+from helpers import (
+    naive_grid_min,
+    problem_from_rows,
+    problem_from_terms,
+    random_problem,
+    random_terms,
+)
 
 
 class TestBasics:
@@ -22,14 +28,14 @@ class TestBasics:
         assert sol.status == "optimal"
 
     def test_row_length_validated(self):
+        # H is (m, m) with m = len(c) >= 1
         with pytest.raises(ShapeError):
-            SimplexWLSProblem(m=3, rows=[[0.5, -0.5]], targets=[0.1], weights=[1.0])
+            SimplexWLSProblem(H=np.eye(3)[:, :2], c=np.zeros(3))
         with pytest.raises(ShapeError):
-            SimplexWLSProblem(m=2, rows=[[0.5, -0.5]], targets=[0.1, 0.2], weights=[1.0])
-
-    def test_negative_weight_rejected(self):
+            SimplexWLSProblem(H=np.eye(2), c=np.zeros(3))
         with pytest.raises(ShapeError):
-            SimplexWLSProblem(m=2, rows=[[0.5, -0.5]], targets=[0.1], weights=[-1.0])
+            SimplexWLSProblem(H=np.zeros((0, 0)), c=np.zeros(0))
+        assert SimplexWLSProblem(H=np.eye(3), c=np.zeros(3)).m == 3
 
     def test_no_terms_returns_uniform(self):
         sol = solve(problem_from_terms(4, []))
@@ -103,13 +109,6 @@ class TestFloor:
         assert set(sol.active_bounds) == {1, 2}
         assert sol.vector.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_relaxed_floor_reaches_zero(self):
-        problem = problem_from_terms(
-            2, [([1.0, 0.0], 1.0, 1.0), ([0.0, 1.0], -1.0, 1.0)], strict=False
-        )
-        sol = solve(problem)
-        assert sol.vector[1] == 0.0
-
     def test_stationarity_residual_small_at_optimum(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -133,9 +132,9 @@ class TestOracle:
     def test_matches_naive_enumeration(self, m):
         rng = np.random.default_rng(17 + m)
         for _ in range(5):
-            problem = random_problem(rng, m, n_terms=6)
-            fast = brute_force_oracle(problem, step=0.05)
-            naive_f, naive_x = naive_grid_min(problem, step=0.05)
+            terms = random_terms(rng, m, n_terms=6)
+            fast = brute_force_oracle(problem_from_terms(m, terms), step=0.05)
+            naive_f, naive_x = naive_grid_min(m, terms, step=0.05)
             assert fast.objective == pytest.approx(naive_f, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -159,7 +158,7 @@ def test_solution_always_on_simplex(m, seed):
     problem = random_problem(rng, m, n_terms=int(rng.integers(1, 12)))
     sol = solve(problem)
     assert sol.vector.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(sol.vector >= problem.floor - 1e-12)
+    assert np.all(sol.vector >= STRICT_FLOOR - 1e-12)
     assert np.all(np.isfinite(sol.vector))
 
 
@@ -172,7 +171,7 @@ def test_solution_beats_random_feasible_points(seed):
     sol = solve(problem)
     for _ in range(20):
         x = rng.dirichlet(np.ones(m))
-        x = np.maximum(x, problem.floor)
+        x = np.maximum(x, STRICT_FLOOR)
         x = x / x.sum()
         assert sol.objective <= problem.objective(x) + 1e-9
 
@@ -210,7 +209,7 @@ def model_shaped_problem(rng, m):
     rows = np.vstack([rows, rows[repeat]])
     targets = np.concatenate([targets, targets[repeat]])
     weights = np.concatenate([weights, weights[repeat]])
-    return SimplexWLSProblem(m, rows, targets, weights, strict=bool(rng.integers(2)))
+    return problem_from_rows(rows, targets, weights)
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**31 - 1))
@@ -220,9 +219,9 @@ def test_solution_optimal_at_model_sizes(m, seed):
     problem = model_shaped_problem(rng, m)
     sol = solve(problem)
     assert sol.vector.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(sol.vector >= problem.floor - 1e-12)
+    assert np.all(sol.vector >= STRICT_FLOOR - 1e-12)
     assert stationarity_residual(problem, sol.vector) <= 1e-9
     for _ in range(50):
-        x = np.maximum(rng.dirichlet(np.ones(m)), problem.floor)
+        x = np.maximum(rng.dirichlet(np.ones(m)), STRICT_FLOOR)
         x = x / x.sum()
         assert sol.objective <= problem.objective(x) + 1e-9
