@@ -13,6 +13,7 @@ Peak intervals are encoded as ``{"interval": [LO, HI], "p": x}`` or
 
 from __future__ import annotations
 
+import gc
 import importlib.resources
 import json
 from dataclasses import dataclass, field
@@ -31,6 +32,10 @@ FORMAT_VERSION = 1
 #: set; the period weights take about periods * (iterations + periods)
 #: vector-matrix products
 MAX_MARKOV_STEPS = 1000
+
+#: the largest ``scale.tau`` and ``scale.zeta`` a scenario may set; the
+#: default labels are 2 * tau + 1 and 2 * zeta + 1 strings
+MAX_SCALE_HALF_WIDTH = 1000
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-#: the exact types ``json`` decodes numbers to; the cell reader tests them
-#: before calling ``_is_number``, as it runs for every number of a matrix
+#: the exact types ``json`` decodes numbers to, the only leaves the bulk
+#: pass over a term matrix takes
 _JSON_NUMBERS = frozenset((int, float))
 
 
@@ -116,9 +121,7 @@ def _read_coord(raw) -> tuple[float, float] | str:
     """Subscripts (t, k) of ``[t, k]`` or a term literal, else the fault."""
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         t, k = raw
-        if (type(t) in _JSON_NUMBERS or _is_number(t)) and (
-            type(k) in _JSON_NUMBERS or _is_number(k)
-        ):
+        if _is_number(t) and _is_number(k):
             try:
                 return float(t), float(k)
             except OverflowError as exc:
@@ -145,7 +148,7 @@ def _read_cell(raw) -> tuple[tuple[float, ...], dict[int, tuple[str, str]]]:
     if "p" not in raw:
         return _BLANK_CELL, {-1: ("", "missing certainty field 'p'")}
     p = raw["p"]
-    if not (type(p) in _JSON_NUMBERS or _is_number(p)):
+    if not _is_number(p):
         return _BLANK_CELL, {-1: ("", f"'p' must be a number, got {p!r}")}
     point = "point" in raw
     if point:
@@ -174,28 +177,57 @@ def _read_cell(raw) -> tuple[tuple[float, ...], dict[int, tuple[str, str]]]:
     return (*lo, *hi, p), faults
 
 
-def _decode_term_matrix(
-    kind: type[TermMatrix],
-    scale: LinguisticScale,
-    raw,
-    size: int,
-    where: str,
-    col: _Collector,
-) -> TermMatrix | None:
-    """One size x size term matrix, built as ``kind``.
+#: the containers the cell reader takes for an interval or a coordinate
+_PAIRS = frozenset((list, tuple))
 
-    One pass over the JSON reads every cell into a (size, size, 5) fields
-    array and keeps the faults only the JSON types show; building the
-    matrix from the array then checks the numeric rules on all cells at
-    once, and ``field_faults`` locates the cells that break them. A cell
-    reports its faults in the order a cell built on its own checks them:
-    the cell's form, its coordinates, then its endpoint order or p. None
-    when any cell is faulty or the matrix breaks its type's own rules
-    (``violations``); every fault is collected.
+
+def _bulk_fields(raw: list, size: int) -> np.ndarray | None:
+    """The (size, size, 5) fields array of a matrix whose cells all read cleanly.
+
+    One walk over the rows with exact container types collects every
+    cell's (t_lo, k_lo, t_hi, k_hi, p) into one flat list; one type check
+    over its leaves and one conversion make the array. None when any cell
+    needs ``_read_cell``: a row or cell of another shape or type, a leaf
+    that is no JSON number (a bool, None, or a term literal), or a number
+    too large for a float.
     """
-    if not isinstance(raw, list) or len(raw) != size:
-        col.add(where, f"expected {size} rows")
+    flat = []
+    put = flat.extend
+    for row in raw:
+        if type(row) is not list or len(row) != size:
+            return None
+        for cell in row:
+            if type(cell) is not dict or "p" not in cell:
+                return None
+            if "point" in cell:
+                lo = hi = cell["point"]
+            else:
+                interval = cell.get("interval")
+                if type(interval) not in _PAIRS or len(interval) != 2:
+                    return None
+                lo, hi = interval
+            if type(lo) not in _PAIRS or len(lo) != 2 or type(hi) not in _PAIRS or len(hi) != 2:
+                return None
+            put(lo)
+            put(hi)
+            flat.append(cell["p"])
+    if not set(map(type, flat)) <= _JSON_NUMBERS:
         return None
+    try:
+        return np.array(flat, dtype=float).reshape(size, size, 5)
+    except OverflowError:
+        return None
+
+
+def _read_cells(
+    raw: list, size: int
+) -> tuple[np.ndarray, dict[tuple[int, int], dict[int, tuple[str, str]]]]:
+    """The fields array of a matrix read cell by cell, with the JSON-type faults.
+
+    Faults are keyed by (row, column), column -1 for a row of the wrong
+    shape, and hold ``_read_cell``'s slots; what could not be read is
+    blank in the array.
+    """
     values = []
     faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
     for i, row in enumerate(raw):
@@ -208,7 +240,39 @@ def _decode_term_matrix(
             values += value
             if found:
                 faults[i, j] = found
-    fields = np.array(values, dtype=float).reshape(size, size, 5)
+    return np.array(values, dtype=float).reshape(size, size, 5), faults
+
+
+def _decode_term_matrix(
+    kind: type[TermMatrix],
+    scale: LinguisticScale,
+    raw,
+    size: int,
+    where: str,
+    col: _Collector,
+) -> TermMatrix | None:
+    """One size x size term matrix, built as ``kind``.
+
+    The cells become a (size, size, 5) fields array in one of two ways.
+    ``_bulk_fields`` first tries one pass over the whole matrix that
+    takes only JSON numbers in exact containers, which is how generated
+    and hand-written numeric files spell every cell. When it declines,
+    ``_read_cells`` reads cell by cell: it reads term literals and keeps
+    the faults only the JSON types show, so it locates every such fault.
+    Building the matrix from the array then checks the numeric rules on
+    all cells at once, and ``field_faults`` locates the cells that break
+    them. A cell reports its faults in the order a cell built on its own
+    checks them: the cell's form, its coordinates, then its endpoint
+    order or p. None when any cell is faulty or the matrix breaks its
+    type's own rules (``violations``); every fault is collected.
+    """
+    if not isinstance(raw, list) or len(raw) != size:
+        col.add(where, f"expected {size} rows")
+        return None
+    fields = _bulk_fields(raw, size)
+    faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
+    if fields is None:
+        fields, faults = _read_cells(raw, size)
     try:
         matrix = kind.from_fields(scale, fields)
     except RangeError:
@@ -303,14 +367,22 @@ def _decode_scale(data, col: _Collector) -> LinguisticScale | None:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             col.add(f"scale.{name}", f"must be an integer >= 1, got {v!r}")
             return None
-    first = obj.get("first_labels")
-    second = obj.get("second_labels")
-    if first is None:
-        first = [f"s{t}" for t in range(-tau, tau + 1)]
-    if second is None:
-        second = [f"o{k}" for k in range(-zeta, zeta + 1)]
+        if v > MAX_SCALE_HALF_WIDTH:
+            col.add(f"scale.{name}", f"must be at most {MAX_SCALE_HALF_WIDTH}")
+            return None
+    labels = []
+    for name, prefix, half in (("first_labels", "s", tau), ("second_labels", "o", zeta)):
+        raw = obj.get(name)
+        if raw is None:
+            labels.append(tuple(f"{prefix}{i}" for i in range(-half, half + 1)))
+        elif isinstance(raw, list) and all(isinstance(x, str) for x in raw):
+            labels.append(tuple(raw))
+        else:
+            col.add(f"scale.{name}", "expected a list of strings")
+    if len(labels) < 2:
+        return None
     try:
-        return LinguisticScale(tau, zeta, tuple(first), tuple(second))
+        return LinguisticScale(tau, zeta, *labels)
     except ValueError as exc:
         col.add("scale", str(exc))
         return None
@@ -614,9 +686,33 @@ def bundled_scenario_text(name: str = "financial_crisis") -> str:
         raise ScenarioParseError(f"no bundled scenario named {name!r}") from exc
 
 
+def _decode(text: str) -> Scenario:
+    """Parse and validate scenario text, with the cyclic collector held off.
+
+    Decoding a large scenario allocates a few hundred thousand dicts and
+    lists, enough to start many collector passes over the growing tree.
+    Decoded JSON holds no reference cycles, so reference counting frees it
+    all and those passes would find nothing. The collector's prior state
+    is restored however decoding ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ScenarioParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        except (ValueError, RecursionError) as exc:  # an integer beyond the digit limit, deep nesting
+            raise ScenarioParseError(str(exc)) from exc
+        return scenario_from_dict(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_bundled_scenario(name: str = "financial_crisis") -> Scenario:
     """Load a scenario shipped with the package."""
-    return scenario_from_dict(json.loads(bundled_scenario_text(name)))
+    return _decode(bundled_scenario_text(name))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -631,10 +727,4 @@ def load_scenario(path: str) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    except (ValueError, RecursionError) as exc:  # an integer beyond the digit limit, deep nesting
-        raise ScenarioParseError(str(exc)) from exc
-    return scenario_from_dict(data)
+    return _decode(text)

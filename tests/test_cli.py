@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lingdecide.cli import main
-from lingdecide.scenario import MAX_MARKOV_STEPS, bundled_scenario_text
+from lingdecide.scenario import MAX_MARKOV_STEPS, MAX_SCALE_HALF_WIDTH, bundled_scenario_text
 from helpers import uniform_scenario_dict
 
 DATA = Path(__file__).parent / "data"
@@ -182,6 +182,37 @@ class TestFailureExitCodes:
         assert main([write_scenario(tmp_path, data)]) == 1
         _, err = capsys.readouterr()
         assert f"  markov.{key}: must be at most {MAX_MARKOV_STEPS}\n" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("first_labels", 5),
+            ("first_labels", True),
+            ("first_labels", "sssssssss"),
+            ("first_labels", list(range(9))),
+            ("first_labels", {"a": 1}),
+            ("second_labels", "ooooooooo"),
+        ],
+        ids=["int", "bool", "string", "integers", "object", "second-string"],
+    )
+    def test_labels_that_are_no_list_of_strings_are_a_located_validation_error(
+        self, tmp_path, capsys, key, value
+    ):
+        data = json.loads(bundled_scenario_text())
+        data["scale"][key] = value
+        assert main([write_scenario(tmp_path, data)]) == 1
+        _, err = capsys.readouterr()
+        assert err == f"validation error:\n  scale.{key}: expected a list of strings\n"
+
+    @pytest.mark.parametrize("key", ["tau", "zeta"])
+    def test_scale_above_the_cap_is_a_located_validation_error(self, tmp_path, capsys, key):
+        # without labels a scale of 10**30 would spell out 2 * 10**30 + 1 defaults
+        data = json.loads((DATA / "solver_paths.json").read_text(encoding="utf-8"))
+        assert data["scale"]["first_labels"] is None
+        data["scale"][key] = 10**30
+        assert main([write_scenario(tmp_path, data)]) == 1
+        _, err = capsys.readouterr()
+        assert err == f"validation error:\n  scale.{key}: must be at most {MAX_SCALE_HALF_WIDTH}\n"
 
     def test_reshape_without_updates_is_validation_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, uniform_scenario_dict())

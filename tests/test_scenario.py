@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lingdecide.errors import ScenarioParseError, ScenarioValidationError
 from lingdecide.markov import check_transition_matrix
+from lingdecide import scenario
 from lingdecide.scale import TermCoord
 from lingdecide.scenario import (
     Overrides,
@@ -76,6 +78,12 @@ class TestParseErrors:
             load_scenario(str(path))
         assert err.value.line == 2
         assert err.value.column is not None
+
+    def test_broken_bundled_text_is_a_parse_error(self, monkeypatch):
+        monkeypatch.setattr(scenario, "bundled_scenario_text", lambda name: '{\n  "format": 1,,\n}\n')
+        with pytest.raises(ScenarioParseError) as err:
+            load_bundled_scenario()
+        assert err.value.line == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioParseError, match="cannot read"):
@@ -277,3 +285,59 @@ def test_uniform_scenario_estimates_uniform_transition():
 
     M = estimate_transition(list(scn.markov.assessments))
     assert M == pytest.approx(np.full((3, 3), 1 / 3), abs=1e-9)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector in the parametrized state; the prior one after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def write(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestCollectorState:
+    """Decoding holds the cyclic collector off and restores its prior state."""
+
+    def test_after_success(self, tmp_path, collector):
+        load_scenario(write(tmp_path, json.dumps(uniform_scenario_dict())))
+        assert gc.isenabled() is collector
+        load_bundled_scenario()
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", '{"format": ' + "9" * 5000 + "}", "[" * 200_000 + "]" * 200_000],
+        ids=["bad-json", "digit-limit", "deep-nesting"],
+    )
+    def test_after_a_parse_error(self, tmp_path, collector, text):
+        with pytest.raises(ScenarioParseError):
+            load_scenario(write(tmp_path, text))
+        assert gc.isenabled() is collector
+
+    def test_after_a_validation_error(self, tmp_path, collector):
+        data = uniform_scenario_dict()
+        data["format"] = 99
+        with pytest.raises(ScenarioValidationError):
+            load_scenario(write(tmp_path, json.dumps(data)))
+        assert gc.isenabled() is collector
+
+    def test_off_while_validating(self, tmp_path, collector, monkeypatch):
+        seen = []
+        validate = scenario.scenario_from_dict
+
+        def spy(data):
+            seen.append(gc.isenabled())
+            return validate(data)
+
+        monkeypatch.setattr(scenario, "scenario_from_dict", spy)
+        load_scenario(write(tmp_path, json.dumps(uniform_scenario_dict())))
+        load_bundled_scenario()
+        assert seen == [False, False]
+        assert gc.isenabled() is collector

@@ -6,6 +6,8 @@ when a caller reads them.
 """
 
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from lingdecide.errors import ScenarioValidationError
 from lingdecide.markov import LinguisticMarkovAssessment
 from lingdecide.prefs import PreferenceRelation
 from lingdecide.scale import LinguisticScale, TermCoord, to_unit, unit_value
-from lingdecide.scenario import scenario_from_dict
+from lingdecide.scenario import _bulk_fields, _read_cells, scenario_from_dict
 from lingdecide.terms import PeakIntervalTerm, score
 from helpers import SCALE, reference_decode_matrix, uniform_scenario_dict
 
@@ -300,3 +302,174 @@ def test_cells_built_on_read_keep_the_written_coordinates(monkeypatch):
     assert len(built) == 9
     relation.entry(2, 2)
     assert len(built) == 9
+
+
+# leaves the bulk pass converts, and leaves it must leave to the cell reader
+json_numbers = st.one_of(
+    st.integers(-6, 6),
+    st.floats(-5.0, 5.0),
+    st.sampled_from([2**70 + 1, 10**300, 1e308, -0.0, math.nan, math.inf, -math.inf]),
+)
+api_leaves = st.sampled_from(
+    [
+        HUGE, -HUGE, True, False, None, "s0(o0)", "s1(o-2)",
+        np.float64(0.25), np.int64(1), np.bool_(False), [0, 0],
+    ]
+)
+# containers the cell reader never takes as a pair
+odd_pairs = st.sampled_from([{0, 1}, {1: 0, 2: 0}, frozenset(), [0], [0, 0, 0], "s0(o0)", None])
+
+
+@st.composite
+def pairs(draw, leaf):
+    box = draw(st.sampled_from([list, list, tuple]))
+    return box([draw(leaf), draw(leaf)])
+
+
+@st.composite
+def api_cells(draw, leaf, pair, forms=("point", "interval"), odd=False):
+    """A cell built the way the Python API may build one, JSON-like or not."""
+    form = draw(st.sampled_from(forms))
+    cell = {}
+    if form in ("point", "both"):
+        cell["point"] = draw(pair)
+    if form in ("interval", "both"):
+        interval = st.one_of(pairs(pair), st.sampled_from([{0: [0, 0], 1: [0, 0]}, [[0, 0]]]))
+        cell["interval"] = draw(interval if odd else pairs(pair))
+    if not odd or draw(st.integers(0, 7)):
+        cell["p"] = draw(leaf)
+    return cell
+
+
+clean_cells = api_cells(json_numbers, pairs(json_numbers))
+any_api_cells = st.one_of(
+    api_cells(
+        st.one_of(json_numbers, api_leaves),
+        st.one_of(pairs(st.one_of(json_numbers, api_leaves)), odd_pairs),
+        forms=("point", "interval", "both", "neither"),
+        odd=True,
+    ),
+    st.sampled_from([None, [NEUTRAL], "s0(o0)"]),
+)
+
+
+@st.composite
+def api_matrices(draw):
+    """A matrix of JSON-like cells with maybe a cell, and maybe a row, replaced."""
+    size = draw(st.integers(1, 4))
+    rows = [[draw(clean_cells) for _ in range(size)] for _ in range(size)]
+    index = st.integers(0, size - 1)
+    if draw(st.booleans()):
+        rows[draw(index)][draw(index)] = draw(any_api_cells)
+    if not draw(st.integers(0, 7)):
+        i = draw(index)
+        rows[i] = draw(st.sampled_from([tuple(rows[i]), rows[i][1:], rows[i] + [NEUTRAL], None]))
+    return size, rows
+
+
+@settings(max_examples=200)
+@given(matrix=api_matrices())
+def test_bulk_pass_agrees_with_the_cell_reader(matrix):
+    size, raw = matrix
+    fields = _bulk_fields(raw, size)
+    reference, faults = _read_cells(raw, size)
+    if fields is not None:
+        assert faults == {}
+        assert fields.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("kind", [LinguisticMarkovAssessment, PreferenceRelation])
+@pytest.mark.parametrize(
+    "cell, bulk",
+    [
+        ({"interval": ((0, 0), (1, 0.5)), "p": 0.5}, True),
+        ({"point": (0, 0), "p": 1}, True),
+        ({"interval": [(0, 0), [1, 0.5]], "p": 0.5}, True),
+        ({"point": {0, 1}, "p": 0.5}, False),
+        ({"point": {1: 0, 2: 0}, "p": 0.5}, False),
+        ({"interval": {1: [0, 0], 2: [0, 0]}, "p": 0.5}, False),
+        ({"interval": {(0, 0), (1, 0)}, "p": 0.5}, False),
+        ({"point": [np.float64(1), 0], "p": 0.5}, False),
+        ({"point": [0, 0], "p": np.float64(0.5)}, False),
+        ({"point": [np.int64(1), 0], "p": 0.5}, False),
+        ({"point": [0, 0], "p": np.bool_(True)}, False),
+        ({"point": [True, 0], "p": 0.5}, False),
+        ({"point": [0, 0], "p": False}, False),
+        ({"point": [0, 0], "p": HUGE}, False),
+        ({"point": [0, -HUGE], "p": 0.5}, False),
+        ({"point": [0], "p": 0.5}, False),
+        ({"interval": [[0, 0]], "p": 0.5}, False),
+        ({"interval": [[0, 0], [0, 0], [1, 0]], "p": 0.5}, False),
+        ({"interval": [[0, 0], [1]], "p": 0.5}, False),
+        ({"interval": [[0, 0], [1, 0, 0]], "p": 0.5}, False),
+    ],
+)
+def test_python_api_containers_decode_as_before(kind, cell, bulk):
+    # cell (0, 1), off the diagonal of a relation
+    raw = [[NEUTRAL, cell], [NEUTRAL, NEUTRAL]]
+    assert (_bulk_fields(raw, 2) is not None) is bulk
+    assert_decodes_like_the_reference(kind, raw, 2)
+
+
+@pytest.mark.parametrize("kind", [LinguisticMarkovAssessment, PreferenceRelation])
+@pytest.mark.parametrize(
+    "short, long",
+    [([[0, 0], [1]], [[0, 0], [0, 1, 0]]), ([[1], [0, 0]], [[0, 1, 0], [0, 0]])],
+    ids=["upper", "lower"],
+)
+def test_short_and_long_coordinates_do_not_offset_each_other(kind, short, long):
+    # one leaf short in one cell and one too many in another still add up
+    # to five numbers a cell
+    raw = [
+        [NEUTRAL, {"interval": short, "p": 0.5}],
+        [{"interval": long, "p": 0.5}, NEUTRAL],
+    ]
+    assert _bulk_fields(raw, 2) is None
+    assert_decodes_like_the_reference(kind, raw, 2)
+
+
+@pytest.mark.parametrize("kind", [LinguisticMarkovAssessment, PreferenceRelation])
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        ('{"point": [NaN, 0], "p": 1}', True),
+        ('{"interval": [[0, 0], [Infinity, 0]], "p": 1}', True),
+        ('{"point": [0, 0], "p": -Infinity}', True),
+        ('{"point": [0, 0], "p": NaN}', True),
+        ('{"point": [0, ' + "9" * 400 + '], "p": 1}', False),
+        ('{"point": [0, 0], "p": ' + "9" * 400 + "}", False),
+    ],
+)
+def test_json_non_finite_and_long_numbers_decode_as_before(kind, text, bulk):
+    raw = json.loads(f'[[{json.dumps(NEUTRAL)}, {text}], [{json.dumps(NEUTRAL)}, {json.dumps(NEUTRAL)}]]')
+    assert (_bulk_fields(raw, 2) is not None) is bulk
+    assert_decodes_like_the_reference(kind, raw, 2)
+
+
+def numeric_matrix(kind, size, rng):
+    """A valid matrix whose every coordinate is a ``[t, k]`` list of integers."""
+    grid = sorted(
+        ((t, k) for t in range(-4, 5) for k in range(-4, 5) if 0 <= unit_value(SCALE, t, k) <= 1),
+        key=lambda c: unit_value(SCALE, *c),
+    )
+    rows = [[dict(NEUTRAL) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if kind is PreferenceRelation and i >= j:
+                continue
+            lo, hi = sorted(rng.sample(range(len(grid)), 2))
+            p = round(rng.uniform(0.0, 1.0), 3)
+            rows[i][j] = {"interval": [list(grid[lo]), list(grid[hi])], "p": p}
+            if kind is PreferenceRelation:
+                rows[j][i] = {"interval": [list(mirror(grid[hi])), list(mirror(grid[lo]))], "p": p}
+    return rows
+
+
+@pytest.mark.parametrize("kind", [LinguisticMarkovAssessment, PreferenceRelation])
+def test_thirty_by_thirty_matrix_takes_the_bulk_pass(kind):
+    size = 30
+    raw = numeric_matrix(kind, size, random.Random(30))
+    fields = _bulk_fields(raw, size)
+    reference, faults = _read_cells(raw, size)
+    assert faults == {} and fields.tobytes() == reference.tobytes()
+    assert_decodes_like_the_reference(kind, raw, size)
