@@ -1,9 +1,10 @@
 """Five-step decision pipeline from a scenario to a ranked report.
 
 Steps: (1) estimate the transition matrix from the linguistic Markov
-assessments, (2) propagate per-period attribute weights, (3) per
-attribute, blend expert weights and solve the collective-priority model,
-(4) aggregate comparable values U, (5) rank. Any stage override in the
+assessments, (2) propagate per-period attribute weights, (3) blend
+expert weights and build the collective-priority models of all
+attributes at once, then solve each attribute's model, (4) aggregate
+comparable values U, (5) rank. Any stage override in the
 scenario bypasses exactly its stage and is echoed in the diagnostics, so
 intermediate results can be injected and the remainder re-run.
 
@@ -21,7 +22,7 @@ import numpy as np
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
-from .prefs import ExpertWeightReport, compute_expert_weights, model1_problem
+from .prefs import consensus_form, consensus_forms, stacked, weigh_experts
 from .solver import solve
 
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")
@@ -249,18 +250,36 @@ def run_pipeline(
         return report
 
     with _step(3, "expert weights and priorities"):
+        weighed = [a for a in scenario.attributes if a in scenario.preferences]
+        if weighed:
+            groups = [scenario.preferences[a] for a in weighed]
+            n = len(groups[0])
+            if any(len(group) != n for group in groups):
+                raise ShapeError("every attribute needs one relation per expert")
+            scores, certainties = stacked([r for group in groups for r in group])
+            scores = scores.reshape(len(weighed), n, *scores.shape[1:])
+            certainties = certainties.reshape(scores.shape)
+            chain = weigh_experts(
+                scores,
+                certainties,
+                list(scenario.trust),
+                scenario.alpha,
+                scenario.beta,
+                scenario.gamma,
+                paper_literal=paper_literal,
+            )
+            # the models of the attributes no override takes over, built at once
+            solved = [
+                a for a, attr in enumerate(weighed)
+                if attr not in ov.priority_vectors and attr not in ov.expert_weight_vectors
+            ]
+            problems = consensus_forms(scores[solved], certainties[solved], chain.blended[solved])
+            forms = dict(zip(solved, problems))
+        index = {attr: a for a, attr in enumerate(weighed)}
         for attr in scenario.attributes:
-            relations = scenario.preferences.get(attr)
-            if relations is not None:
-                report.expert_weights[attr] = compute_expert_weights(
-                    list(relations),
-                    list(scenario.trust),
-                    scenario.alpha,
-                    scenario.beta,
-                    scenario.gamma,
-                    paper_literal=paper_literal,
-                    diag=diag,
-                )
+            a = index.get(attr)
+            if a is not None:
+                report.expert_weights[attr] = chain.report(a, diag)
             if attr in ov.priority_vectors:
                 record(diag, "override_applied", f"priority_vectors.{attr}")
                 _note_row_sums(
@@ -268,13 +287,18 @@ def run_pipeline(
                 )
                 report.priorities[attr] = np.array(ov.priority_vectors[attr], dtype=float)
                 continue
-            if relations is None:
+            if a is None:
                 raise ConfigError(
                     f"no preference relations for attribute {attr!r} and no priority override"
                 )
-            weights = _model_weights(scenario, attr, report.expert_weights[attr], diag)
+            if attr in ov.expert_weight_vectors:
+                weights = _override_weights(scenario, attr, diag)
+                problem = consensus_form(scores[a], certainties[a], weights)
+            else:
+                weights = chain.blended[a]
+                problem = forms[a]
             report.model_weights[attr] = weights
-            report.priorities[attr] = solve(model1_problem(list(relations), weights)).vector
+            report.priorities[attr] = solve(problem).vector
     if stage == "priorities":
         return report
 
@@ -289,22 +313,17 @@ def run_pipeline(
     return report
 
 
-def _model_weights(
-    scenario, attr: str, expert_weights: ExpertWeightReport, diag: Diagnostics
-) -> np.ndarray:
-    """The override's expert weights, normalised, or else the blended ones."""
-    ov = scenario.overrides
-    if attr in ov.expert_weight_vectors:
-        record(diag, "override_applied", f"expert_weight_vectors.{attr}")
-        w = np.array(ov.expert_weight_vectors[attr], dtype=float)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ConfigError(f"expert weight override for {attr} has zero mass")
-        if abs(total - 1.0) > 1e-9:
-            record(
-                diag, "override_normalized",
-                f"expert_weight_vectors.{attr} summed to {total:.6g}; normalized for the model",
-            )
-            w = w / total
-        return w
-    return expert_weights.blended
+def _override_weights(scenario, attr: str, diag: Diagnostics) -> np.ndarray:
+    """The override's expert weights for ``attr``, normalised."""
+    record(diag, "override_applied", f"expert_weight_vectors.{attr}")
+    w = np.array(scenario.overrides.expert_weight_vectors[attr], dtype=float)
+    total = float(w.sum())
+    if total <= 0.0:
+        raise ConfigError(f"expert weight override for {attr} has zero mass")
+    if abs(total - 1.0) > 1e-9:
+        record(
+            diag, "override_normalized",
+            f"expert_weight_vectors.{attr} summed to {total:.6g}; normalized for the model",
+        )
+        w = w / total
+    return w

@@ -26,9 +26,15 @@ H = (diag(S 1) - S)/4 with S = W + W^T, c = (G 1 - G^T 1)/2, and const
 the weighted sum of (E^k_ij - 1/2)^2 over i < j.
 
 A relation is a ``terms.TermMatrix``, so it derives its unit arrays
-once, when built. The weighting chain and the model builder run on one
-attribute's relations stacked into (n, m, m) score and certainty arrays
-(``stacked``).
+once, when built; the scenario decoder checks the reciprocity of every
+relation at once (``reciprocity_violations``). The weighting chain
+(``weigh_experts``) and the model builder (``consensus_forms``) run on
+every attribute's relations at once, stacked into (q, n, m, m) score and
+certainty arrays; their one-attribute forms (``compute_expert_weights``,
+``consensus_form``) are the same code on a stack of one. Where a step
+would pair every expert with every other, or route every pair through
+every third alternative, it loops over the experts or the alternatives,
+so no temporary grows past O(q n m^2).
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ ENTROPY_FLOOR = 1e-12
 class PreferenceRelation(TermMatrix):
     """m x m term matrix over m >= 2 alternatives.
 
-    Its own rule is reciprocity (``validate_relation``), which the
-    scenario decoder checks through ``violations``.
+    Its own rule is reciprocity (``reciprocity_violations``), which the
+    scenario decoder checks on a whole stack of relations at once.
     """
 
     minimum_size = 2
@@ -62,8 +68,11 @@ class PreferenceRelation(TermMatrix):
     def m(self) -> int:
         return len(self.fields)
 
-    def violations(self) -> list[Violation]:
-        return validate_relation(self)
+    @classmethod
+    def stack_violations(
+        cls, lower: np.ndarray, upper: np.ndarray, p: np.ndarray
+    ) -> dict[int, list[Violation]]:
+        return reciprocity_violations(lower, upper, p)
 
 
 @dataclass(frozen=True)
@@ -77,48 +86,73 @@ class Violation:
         return f"({self.i}, {self.j}) {self.rule}: {self.detail}"
 
 
-def validate_relation(relation: PreferenceRelation) -> list[Violation]:
-    """Collect every reciprocity violation; empty list means valid.
+def reciprocity_violations(
+    lower: np.ndarray, upper: np.ndarray, p: np.ndarray
+) -> dict[int, list[Violation]]:
+    """Every reciprocity violation of each relation in a stack.
 
-    Diagonal violations come first, then each pair i < j in row-major
-    order with its endpoint violation before its probability one.
+    Takes the (R, m, m) unit endpoints and certainties of R relations and
+    checks them all at once; only the relations found broken are worded.
+    The result maps each broken relation's index to its violations:
+    diagonal violations first, then each pair i < j in row-major order
+    with its endpoint violation before its probability one.
     """
-    out: list[Violation] = []
-    lo, hi, p = relation.lower, relation.upper, relation.p
     tol = _RECIP_TOL
-    bad_diagonal = (
-        (np.abs(lo.diagonal() - 0.5) > tol)
-        | (np.abs(hi.diagonal() - 0.5) > tol)
-        | (np.abs(p.diagonal() - 1.0) > tol)
-    )
-    for i in np.flatnonzero(bad_diagonal).tolist():
-        out.append(
-            Violation(
-                i, i, "diagonal",
-                f"expected the indifferent point (unit 0.5, p=1), got "
-                f"[{lo[i, i]:.6g}, {hi[i, i]:.6g}] p={p[i, i]:.6g}",
-            )
+    d = np.arange(lower.shape[-1])
+    # the pairs i < j in row-major order; only they are checked, so the
+    # temporaries hold half of each relation
+    rows, cols = np.triu_indices(lower.shape[-1], 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_diagonal = (
+            (np.abs(lower[:, d, d] - 0.5) > tol)
+            | (np.abs(upper[:, d, d] - 0.5) > tol)
+            | (np.abs(p[:, d, d] - 1.0) > tol)
         )
-    # lo_sum[i, j] = unit(lower_ij) + unit(upper_ji), hi_sum the other way
-    lo_sum = lo + hi.T
-    hi_sum = hi + lo.T
-    bad_endpoints = (np.abs(lo_sum - 1.0) > tol) | (np.abs(hi_sum - 1.0) > tol)
-    bad_p = np.abs(p - p.T) > tol
-    for i, j in np.argwhere(np.triu(bad_endpoints | bad_p, 1)).tolist():
-        if bad_endpoints[i, j]:
-            out.append(
-                Violation(
-                    i, j, "endpoint-reciprocity",
-                    f"unit sums ({lo_sum[i, j]:.6g}, {hi_sum[i, j]:.6g}) differ from 1",
-                )
+        bad_endpoints = _far_from(lower[:, rows, cols], upper[:, cols, rows], 1.0, tol)
+        bad_endpoints |= _far_from(upper[:, rows, cols], lower[:, cols, rows], 1.0, tol)
+        bad_p = _far_from(p[:, rows, cols], -p[:, cols, rows], 0.0, tol)
+    bad_pairs = bad_endpoints | bad_p
+    out: dict[int, list[Violation]] = {}
+    for r in np.flatnonzero(bad_diagonal.any(axis=1) | bad_pairs.any(axis=1)).tolist():
+        lo, hi, pr = lower[r], upper[r], p[r]
+        found = [
+            Violation(
+                k, k, "diagonal",
+                f"expected the indifferent point (unit 0.5, p=1), got "
+                f"[{lo[k, k]:.6g}, {hi[k, k]:.6g}] p={pr[k, k]:.6g}",
             )
-        if bad_p[i, j]:
-            out.append(
-                Violation(
-                    i, j, "probability-reciprocity", f"p={p[i, j]:.6g} vs p={p[j, i]:.6g}"
+            for k in np.flatnonzero(bad_diagonal[r]).tolist()
+        ]
+        for pair in np.flatnonzero(bad_pairs[r]).tolist():
+            i, j = rows[pair].item(), cols[pair].item()
+            if bad_endpoints[r, pair]:
+                found.append(
+                    Violation(
+                        i, j, "endpoint-reciprocity",
+                        f"unit sums ({lo[i, j] + hi[j, i]:.6g}, {hi[i, j] + lo[j, i]:.6g}) "
+                        f"differ from 1",
+                    )
                 )
-            )
+            if bad_p[r, pair]:
+                found.append(
+                    Violation(
+                        i, j, "probability-reciprocity", f"p={pr[i, j]:.6g} vs p={pr[j, i]:.6g}"
+                    )
+                )
+        out[r] = found
     return out
+
+
+def _far_from(a: np.ndarray, b: np.ndarray, target: float, tol: float) -> np.ndarray:
+    """|a + b - target| > tol, elementwise, reusing ``a`` for every step."""
+    a += b
+    a -= target
+    return np.abs(a, out=a) > tol
+
+
+def validate_relation(relation: PreferenceRelation) -> list[Violation]:
+    """Collect every reciprocity violation of one relation; empty list means valid."""
+    return relation.violations()
 
 
 def score_matrix(relation: PreferenceRelation) -> np.ndarray:
@@ -138,33 +172,39 @@ def stacked(relations: list[PreferenceRelation]) -> tuple[np.ndarray, np.ndarray
 
 
 def distances(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
-    """(n, n) root-mean differences of certainty-weighted scores over i < j.
+    """(..., n, n) root-mean differences of certainty-weighted scores over i < j.
 
-    The pair axis leads, so the reduction adds pairs one by one in
-    row-major order, and ``float_power`` squares through the C library's
-    ``pow``: the result keeps the last bit of a scalar loop over pairs.
+    Takes the (..., n, m, m) scores and certainties of one attribute's
+    relations, or of a stack of attributes. One pass per expert a gives
+    row a of every distance matrix, so no temporary holds more than one
+    expert's differences. The pair axis leads, so each reduction adds
+    pairs one by one in row-major order, and ``float_power`` squares
+    through the C library's ``pow``: the result keeps the last bit of a
+    scalar loop over pairs.
     """
-    m = scores.shape[1]
+    m = scores.shape[-1]
     i, j = np.triu_indices(m, 1)
-    weighted = (scores * certainties)[:, i, j].T
-    diff = weighted[:, :, None] - weighted[:, None, :]
-    total = np.float_power(diff, 2).sum(axis=0)
-    return np.sqrt(2.0 * total / (m * (m - 1)))
+    weighted = np.ascontiguousarray(np.moveaxis((scores * certainties)[..., i, j], -1, 0))
+    rows = [
+        np.float_power(weighted[..., a, None] - weighted, 2).sum(axis=0)
+        for a in range(scores.shape[-3])
+    ]
+    return np.sqrt(2.0 * np.stack(rows, axis=-2) / (m * (m - 1)))
 
 
 def outer_weights(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
     """Distance-mass weights across experts; uniform when all coincide.
 
-    Takes one attribute's stacked (n, m, m) scores and certainties.
+    Takes one attribute's stacked (n, m, m) scores and certainties, or a
+    (q, n, m, m) stack of attributes for (q, n) weights.
     """
-    n = scores.shape[0]
+    n = scores.shape[-3]
     if n < 2:
         raise ShapeError("outer weights need at least two experts")
-    sums = distances(scores, certainties).sum(axis=0)
-    total = sums.sum()
-    if total <= 1e-12:
-        return np.full(n, 1.0 / n)
-    return sums / total
+    sums = distances(scores, certainties).sum(axis=-2)
+    total = sums.sum(axis=-1, keepdims=True)
+    coincide = total <= 1e-12
+    return np.where(coincide, 1.0 / n, sums / np.where(coincide, 1.0, total))
 
 
 def indirect_score(E: np.ndarray, i: int, j: int, v: int) -> float:
@@ -175,6 +215,53 @@ def indirect_score(E: np.ndarray, i: int, j: int, v: int) -> float:
     if v == i or v == j or i >= j:
         raise IndexError(f"need i < j and v distinct from both, got ({i}, {j}, {v})")
     return E[i, v] - E[j, v] + 0.5
+
+
+def deviation_totals(scores: np.ndarray, paper_literal: bool = False) -> np.ndarray:
+    """``inner_deviation`` of every (m, m) score matrix in a (..., m, m) stack.
+
+    Returns the (...) totals and records nothing. One pass per third
+    alternative v routes every pair through v, so no temporary holds
+    more than the pairs of each matrix.
+    """
+    E = np.asarray(scores, dtype=float)
+    m = E.shape[-1]
+    if m < 3:
+        return np.zeros(E.shape[:-2])
+    i, j = np.triu_indices(m, 1)
+    direct = E[..., i, j]
+    total = None
+    for v in range(m):
+        # |E_ij - (E_iv - E_jv + 1/2)| for the pairs i < j that avoid v,
+        # in row-major order; see indirect_score
+        keep = (i != v) & (j != v)
+        through = E[..., :, v]
+        deviation = np.abs(direct[..., keep] - (through[..., i[keep]] - through[..., j[keep]] + 0.5))
+        if total is not None:
+            deviation = np.concatenate([total[..., None], deviation], axis=-1)
+        # a running sum adds the triples in (v, i, j) order, as the scalar
+        # definition does, so the total keeps its last bit
+        total = np.cumsum(deviation, axis=-1)[..., -1]
+    if paper_literal:
+        return total + 0.5 * _triple_count(m) - 0.5 * m * (m - 1)
+    return total
+
+
+def _triple_count(m: int) -> int:
+    """Triples (v, i < j) with v distinct from i and j."""
+    return m * (m - 1) * (m - 2) // 2
+
+
+def _note_deviation(diag: Diagnostics | None, m: int, paper_literal: bool) -> None:
+    """The event one expert's deviation records, if any."""
+    if m < 3:
+        record(diag, "no_indirect_path", f"m={m} has no third alternative to route through")
+    elif paper_literal:
+        record(
+            diag, "paper_literal",
+            f"printed constant m(m-1)*0.5 = {m * (m - 1) * 0.5:g} used in place of "
+            f"the triple count {_triple_count(m) * 0.5:g}",
+        )
 
 
 def inner_deviation(
@@ -190,28 +277,38 @@ def inner_deviation(
     only at m = 4; elsewhere it shifts the total (kept for reproduction).
     """
     E = np.asarray(scores, dtype=float)
-    m = E.shape[0]
-    if m < 3:
-        record(diag, "no_indirect_path", f"m={m} has no third alternative to route through")
-        return 0.0
-    # deviation[v, p] = |E_ij - (E_iv - E_jv + 1/2)| for the pair p = (i, j),
-    # see indirect_score; pairs i < j in row-major order
-    i, j = np.triu_indices(m, 1)
-    deviation = np.abs(E[i, j] - (E.T[:, i] - E.T[:, j] + 0.5))
-    v = np.arange(m)[:, None]
-    triples = deviation[(v != i) & (v != j)]
-    # a running sum adds the triples in (v, i, j) order, as the scalar
-    # definition does, so the total keeps its last bit
-    total = float(np.cumsum(triples)[-1])
-    count = triples.size
-    if paper_literal:
+    _note_deviation(diag, E.shape[-1], paper_literal)
+    return float(deviation_totals(E, paper_literal))
+
+
+def entropy_weights(deviations: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``inner_weights`` of each row of (..., n) nonnegative deviations.
+
+    Also returns the mask of the entropies that were floored. Records and
+    checks nothing; a row with a negative deviation gives a meaningless
+    row.
+    """
+    u = np.asarray(deviations, dtype=float)
+    total = u.sum(axis=-1, keepdims=True)
+    spread = total > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shares = u / total
+    positive = spread & (shares > 0.0)
+    le = np.zeros(u.shape)
+    # math.log2, one share at a time: numpy's log2 may differ in the last bit
+    log2m = math.log2(m)
+    le[positive] = [-(p * math.log2(p)) / log2m for p in shares[positive].tolist()]
+    floored = spread & (le < ENTROPY_FLOOR)
+    inv = 1.0 / np.maximum(le, ENTROPY_FLOOR)
+    return np.where(spread, inv / inv.sum(axis=-1, keepdims=True), 1.0 / u.shape[-1]), floored
+
+
+def _note_floor(diag: Diagnostics | None, floored: np.ndarray) -> None:
+    if floored.any():
         record(
-            diag, "paper_literal",
-            f"printed constant m(m-1)*0.5 = {m * (m - 1) * 0.5:g} used in place of "
-            f"the triple count {count * 0.5:g}",
+            diag, "entropy_floor",
+            f"entropy floored at {ENTROPY_FLOOR:g} for experts {np.flatnonzero(floored).tolist()}",
         )
-        return total + 0.5 * count - 0.5 * m * (m - 1)
-    return total
 
 
 def inner_weights(
@@ -226,30 +323,15 @@ def inner_weights(
     the resulting mass). All-zero deviations give the uniform vector.
     """
     u = np.asarray(deviations, dtype=float)
-    n = u.size
-    if n < 2:
+    if u.size < 2:
         raise ShapeError("inner weights need at least two experts")
     if m < 2:
         raise ShapeError(f"alternative count must be >= 2, got {m}")
     if np.any(u < 0.0):
         raise ConfigError("deviations must be nonnegative")
-    total = u.sum()
-    if total <= 0.0:
-        return np.full(n, 1.0 / n)
-    shares = u / total
-    le = np.zeros(n)
-    for k, p in enumerate(shares):
-        if p > 0.0:
-            le[k] = -(p * math.log2(p)) / math.log2(m)
-    floored = le < ENTROPY_FLOOR
-    if floored.any():
-        record(
-            diag, "entropy_floor",
-            f"entropy floored at {ENTROPY_FLOOR:g} for experts {np.flatnonzero(floored).tolist()}",
-        )
-        le = np.maximum(le, ENTROPY_FLOOR)
-    inv = 1.0 / le
-    return inv / inv.sum()
+    weights, floored = entropy_weights(u, m)
+    _note_floor(diag, floored)
+    return weights
 
 
 def trust_weights(psi: np.ndarray | list[float]) -> np.ndarray:
@@ -271,14 +353,20 @@ def blend_weights(
     beta: float,
     gamma: float,
 ) -> np.ndarray:
-    """Convex combination of the three weight views."""
+    """Convex combination of the three weight views.
+
+    Each view is an (n,) probability vector or a stack of them, one per
+    row; a stack of views blends row by row.
+    """
     vectors = [np.asarray(v, dtype=float) for v in (outer, inner, trust)]
-    n = vectors[0].size
+    n = vectors[0].shape[-1]
     for v in vectors:
-        if v.size != n:
+        if v.shape[-1] != n:
             raise ShapeError("weight vectors must share one length")
-        if abs(v.sum() - 1.0) > 1e-9 or np.any(v < -1e-12):
-            raise ConfigError(f"weight vector {v.tolist()} is not a probability vector")
+        bad = ((np.abs(v.sum(axis=-1) - 1.0) > 1e-9) | np.any(v < -1e-12, axis=-1)).ravel()
+        if bad.any():
+            row = v.reshape(-1, n)[np.argmax(bad)]
+            raise ConfigError(f"weight vector {row.tolist()} is not a probability vector")
     coeffs = (alpha, beta, gamma)
     if any(c < 0.0 or c > 1.0 for c in coeffs) or abs(sum(coeffs) - 1.0) > 1e-9:
         raise ConfigError(f"blend coefficients {coeffs} must be in [0,1] and sum to 1")
@@ -309,6 +397,58 @@ class ExpertWeightReport:
         }
 
 
+class ExpertWeightStack:
+    """The weighting chain of q attributes at once: one row per attribute.
+
+    ``outer``, ``deviations``, ``inner``, ``floored`` and ``blended`` are
+    read-only (q, n) arrays; ``trust`` is the one (n,) trust vector and
+    ``blend`` the coefficients (alpha, beta, gamma).
+    """
+
+    def __init__(self, outer, deviations, inner, floored, trust, blended, m, paper_literal, blend):
+        self.outer, self.deviations, self.inner, self.floored = outer, deviations, inner, floored
+        self.trust, self.blended, self.m, self.paper_literal = trust, blended, m, paper_literal
+        self.blend = blend
+
+    def report(self, a: int, diag: Diagnostics | None = None) -> ExpertWeightReport:
+        """Attribute a's weights, as the chain of that attribute alone gives them.
+
+        Records the attribute's diagnostics and raises its faults in the
+        order that chain meets them.
+        """
+        for _ in range(self.deviations.shape[1]):
+            _note_deviation(diag, self.m, self.paper_literal)
+        if np.any(self.deviations[a] < 0.0):
+            raise ConfigError("deviations must be nonnegative")
+        _note_floor(diag, self.floored[a])
+        return ExpertWeightReport(
+            self.outer[a], self.inner[a], self.trust, self.blended[a], *self.blend
+        )
+
+
+def weigh_experts(
+    scores: np.ndarray,
+    certainties: np.ndarray,
+    trust: np.ndarray | list[float],
+    alpha: float,
+    beta: float,
+    gamma: float,
+    paper_literal: bool = False,
+) -> ExpertWeightStack:
+    """The full weighting chain of (q, n, m, m) stacked relations, all attributes at once."""
+    m = scores.shape[-1]
+    outer = outer_weights(scores, certainties)
+    deviations = deviation_totals(scores, paper_literal)
+    inner, floored = entropy_weights(deviations, m)
+    tru = trust_weights(trust)
+    blended = blend_weights(outer, inner, tru, alpha, beta, gamma)
+    for array in (outer, deviations, inner, floored, tru, blended):
+        array.setflags(write=False)
+    return ExpertWeightStack(
+        outer, deviations, inner, floored, tru, blended, m, paper_literal, (alpha, beta, gamma)
+    )
+
+
 def compute_expert_weights(
     relations: list[PreferenceRelation],
     trust: np.ndarray | list[float],
@@ -320,12 +460,40 @@ def compute_expert_weights(
 ) -> ExpertWeightReport:
     """Full weighting chain for one attribute's relations."""
     scores, certainties = stacked(relations)
-    outer = outer_weights(scores, certainties)
-    deviations = [inner_deviation(E, paper_literal, diag) for E in scores]
-    inner = inner_weights(deviations, scores.shape[1], diag)
-    tru = trust_weights(trust)
-    blended = blend_weights(outer, inner, tru, alpha, beta, gamma)
-    return ExpertWeightReport(outer, inner, tru, blended, alpha, beta, gamma)
+    chain = weigh_experts(scores[None], certainties[None], trust, alpha, beta, gamma, paper_literal)
+    return chain.report(0, diag)
+
+
+def consensus_forms(
+    scores: np.ndarray,
+    certainties: np.ndarray,
+    weights: np.ndarray,
+) -> list[SimplexWLSProblem]:
+    """The collective-priority quadratic forms of q attributes at once.
+
+    Takes (q, n, m, m) stacked scores and certainties and (q, n) expert
+    weights, one probability vector per attribute (``consensus_form``
+    checks one). Only pairs i < j enter: the model reads each relation's
+    upper triangle.
+    """
+    q, n, m = scores.shape[:3]
+    w = np.ascontiguousarray(weights, dtype=float)[:, None, :]
+
+    def pair_sum(a: np.ndarray) -> np.ndarray:
+        """sum_k omega_k a^k over the pairs i < j of each attribute; zero elsewhere."""
+        return np.triu(np.matmul(w, a.reshape(q, n, m * m)).reshape(q, m, m), 1)
+
+    weighted_target = certainties * (scores - 0.5)
+    W = pair_sum(certainties)
+    G = pair_sum(weighted_target)
+    S = W + W.swapaxes(1, 2)
+    diagonal = np.zeros_like(S)
+    d = np.arange(m)
+    diagonal[:, d, d] = S.sum(axis=2)
+    H = 0.25 * (diagonal - S)
+    c = 0.5 * (G.sum(axis=2) - G.sum(axis=1))
+    const = pair_sum(weighted_target * (scores - 0.5)).reshape(q, m * m).sum(axis=1)
+    return [SimplexWLSProblem(H=H[a], c=c[a], const=const[a]) for a in range(q)]
 
 
 def consensus_form(
@@ -343,20 +511,7 @@ def consensus_form(
         raise ShapeError(f"{n} relations but {w.size} expert weights")
     if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
         raise ConfigError("expert weights must form a probability vector")
-
-    def pair_sum(a: np.ndarray) -> np.ndarray:
-        """sum_k omega_k a^k over the pairs i < j; zero elsewhere."""
-        return np.triu(np.tensordot(w, a, 1), 1)
-
-    weighted_target = certainties * (scores - 0.5)
-    W = pair_sum(certainties)
-    G = pair_sum(weighted_target)
-    S = W + W.T
-    return SimplexWLSProblem(
-        H=0.25 * (np.diag(S.sum(axis=1)) - S),
-        c=0.5 * (G.sum(axis=1) - G.sum(axis=0)),
-        const=float(pair_sum(weighted_target * (scores - 0.5)).sum()),
-    )
+    return consensus_forms(scores[None], certainties[None], w[None])[0]
 
 
 def model1_problem(

@@ -82,16 +82,20 @@ def coord_fault(scale: LinguisticScale, t: float, k: float) -> str | None:
     return None
 
 
-def off_scale(scale: LinguisticScale, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Elementwise mask of the coordinates (t, k) that ``coord_fault`` rejects."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        gamma = unit_value(scale, t, k)
-        return ~(
-            (np.abs(t) <= scale.tau + _EDGE)
-            & (np.abs(k) <= scale.zeta + _EDGE)
-            & (gamma >= -_EDGE)
-            & (gamma <= 1.0 + _EDGE)
-        )
+def off_scale(
+    scale: LinguisticScale, t: np.ndarray, k: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """Elementwise mask of the coordinates (t, k) that ``coord_fault`` rejects.
+
+    ``gamma`` holds their unit values (``unit_value``), which the caller
+    has at hand. Two-sided bounds in place of ``abs`` keep every
+    temporary boolean.
+    """
+    tau, zeta = scale.tau + _EDGE, scale.zeta + _EDGE
+    on = (t >= -tau) & (t <= tau)
+    on &= (k >= -zeta) & (k <= zeta)
+    on &= (gamma >= -_EDGE) & (gamma <= 1.0 + _EDGE)
+    return ~on
 
 
 def unit_value(scale: LinguisticScale, t, k):

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RangeError, ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
 from .scale import LinguisticScale, parse_term
-from .terms import TermMatrix, field_faults
+from .terms import TermMatrix, field_faults, unit_arrays
 
 FORMAT_VERSION = 1
 
@@ -84,15 +84,34 @@ class Scenario:
 
 
 class _Collector:
+    """Violations in the order they are found, or in a place kept for them."""
+
     def __init__(self):
-        self.violations: list[str] = []
+        self._found: list[str | _Collector] = []
 
     def add(self, where: str, message: str):
-        self.violations.append(f"{where}: {message}")
+        self._found.append(f"{where}: {message}")
+
+    def later(self) -> "_Collector":
+        """A collector whose violations take this place, however late they come."""
+        part = _Collector()
+        self._found.append(part)
+        return part
+
+    @property
+    def violations(self) -> list[str]:
+        out: list[str] = []
+        for item in self._found:
+            if isinstance(item, _Collector):
+                out += item.violations
+            else:
+                out.append(item)
+        return out
 
     def raise_if_any(self):
-        if self.violations:
-            raise ScenarioValidationError(self.violations)
+        violations = self.violations
+        if violations:
+            raise ScenarioValidationError(violations)
 
 
 def _expect_mapping(data, where: str, col: _Collector) -> dict | None:
@@ -243,70 +262,101 @@ def _read_cells(
     return np.array(values, dtype=float).reshape(size, size, 5), faults
 
 
-def _decode_term_matrix(
-    kind: type[TermMatrix],
-    scale: LinguisticScale,
-    raw,
-    size: int,
-    where: str,
-    col: _Collector,
-) -> TermMatrix | None:
-    """One size x size term matrix, built as ``kind``.
+class _MatrixStack:
+    """Term matrices of one kind and size, read one by one and checked together.
 
-    The cells become a (size, size, 5) fields array in one of two ways.
-    ``_bulk_fields`` first tries one pass over the whole matrix that
-    takes only JSON numbers in exact containers, which is how generated
-    and hand-written numeric files spell every cell. When it declines,
-    ``_read_cells`` reads cell by cell: it reads term literals and keeps
-    the faults only the JSON types show, so it locates every such fault.
-    Building the matrix from the array then checks the numeric rules on
-    all cells at once, and ``field_faults`` locates the cells that break
-    them. A cell reports its faults in the order a cell built on its own
-    checks them: the cell's form, its coordinates, then its endpoint
-    order or p. None when any cell is faulty or the matrix breaks its
-    type's own rules (``violations``); every fault is collected.
+    ``read`` turns each JSON matrix into a (size, size, 5) fields array in
+    one of two ways. ``_bulk_fields`` first tries one pass over the whole
+    matrix that takes only JSON numbers in exact containers, which is how
+    generated and hand-written numeric files spell every cell. When it
+    declines, ``_read_cells`` reads cell by cell: it reads term literals
+    and keeps the faults only the JSON types show, so it locates every
+    such fault. Either way the array goes straight into its place in one
+    (R, size, size, 5) stack. ``build`` then, once over the stack, derives
+    the unit arrays and checks the numeric rules of all cells
+    (``field_faults``) and the kind's own rules (``stack_violations``).
+    Only what those passes flag is worded: each matrix reports its faults
+    in the place it was read, and a cell reports its faults in the order
+    a cell built on its own checks them: the cell's form, its
+    coordinates, then its endpoint order or p.
     """
-    if not isinstance(raw, list) or len(raw) != size:
-        col.add(where, f"expected {size} rows")
-        return None
-    fields = _bulk_fields(raw, size)
-    faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
-    if fields is None:
-        fields, faults = _read_cells(raw, size)
-    try:
-        matrix = kind.from_fields(scale, fields)
-    except RangeError:
-        # a cell breaks a numeric rule: find every cell that does
-        matrix = None
-        for i, j, slot, message in field_faults(scale, fields):
-            point = "point" in raw[i][j]
+
+    def __init__(self, kind: type[TermMatrix], scale: LinguisticScale, size: int, capacity: int):
+        """A stack for at most ``capacity`` matrices of ``size`` rows."""
+        self.kind = kind
+        self.scale = scale
+        self.size = size
+        # each matrix read goes straight into its place, so the stack is
+        # never held twice
+        self._fields = np.empty((capacity, size, size, 5))
+        self._read: list[tuple[list, dict, str, _Collector]] = []
+
+    def read(self, raw, where: str, col: _Collector) -> int | None:
+        """Queue one JSON matrix; its place in ``build``'s result.
+
+        None, with the fault collected, when it is not ``size`` rows.
+        """
+        if not isinstance(raw, list) or len(raw) != self.size:
+            col.add(where, f"expected {self.size} rows")
+            return None
+        fields = _bulk_fields(raw, self.size)
+        faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
+        if fields is None:
+            fields, faults = _read_cells(raw, self.size)
+        self._fields[len(self._read)] = fields
+        self._read.append((raw, faults, where, col.later()))
+        return len(self._read) - 1
+
+    def build(self) -> list[TermMatrix | None]:
+        """Every matrix read, as a read-only view of one stack.
+
+        None in place of each matrix with a faulty cell or a broken rule of
+        its kind; every fault is collected.
+        """
+        if not self._read:
+            return []
+        self._fields.setflags(write=False)
+        fields = self._fields[: len(self._read)]
+        arrays = unit_arrays(self.scale, fields)
+        faults = [found for _, found, _, _ in self._read]
+        for r, i, j, slot, message in field_faults(self.scale, *arrays[:3]):
+            point = "point" in self._read[r][0][i][j]
             if slot == 1 and point:
                 continue
             suffix = "" if slot == 2 else ".point" if point else f".interval[{slot}]"
-            faults.setdefault((i, j), {}).setdefault(slot, (suffix, message))
-    for (i, j), slots in sorted(faults.items()):
-        here = f"{where}[{i}]" if j < 0 else f"{where}[{i}][{j}]"
-        shown = [slots[s] for s in (-1, 0, 1) if s in slots] or [slots[2]]
-        for suffix, message in shown:
-            col.add(here + suffix, message)
-    if faults:
-        return None
-    broken = matrix.violations()
-    for v in broken:
-        col.add(where, str(v))
-    return None if broken else matrix
+            faults[r].setdefault((i, j), {}).setdefault(slot, (suffix, message))
+        broken = self.kind.stack_violations(*arrays[1:4])
+        clean = []
+        for r, (_, _, where, col) in enumerate(self._read):
+            for (i, j), slots in sorted(faults[r].items()):
+                here = f"{where}[{i}]" if j < 0 else f"{where}[{i}][{j}]"
+                shown = [slots[s] for s in (-1, 0, 1) if s in slots] or [slots[2]]
+                for suffix, message in shown:
+                    col.add(here + suffix, message)
+            if faults[r]:
+                continue
+            for v in broken.get(r, ()):
+                col.add(where, str(v))
+            if r not in broken:
+                clean.append(r)
+        out: list[TermMatrix | None] = [None] * len(self._read)
+        for r, matrix in zip(clean, self.kind.stack(self.scale, arrays, clean)):
+            out[r] = matrix
+        return out
 
 
-def _decode_expert_matrices(
-    kind: type[TermMatrix],
-    scale: LinguisticScale,
+def _read_expert_matrices(
+    stack: _MatrixStack,
     raw,
     experts: tuple[str, ...],
-    size: int,
     where: str,
     col: _Collector,
-) -> tuple[TermMatrix, ...] | None:
-    """Each expert's term matrix under ``where``; None when any fails."""
+) -> list[int | None] | None:
+    """Queue each expert's term matrix under ``where`` on ``stack``.
+
+    Returns their places in the stack, in expert order; None when the
+    experts do not match.
+    """
     sub = _expect_mapping(raw, where, col)
     if sub is None:
         return None
@@ -318,10 +368,15 @@ def _decode_expert_matrices(
         col.add(where, f"unknown experts {unknown}")
     if missing or unknown:
         return None
-    matrices = [
-        _decode_term_matrix(kind, scale, sub[e], size, f"{where}.{e}", col) for e in experts
-    ]
-    return None if None in matrices else tuple(matrices)
+    return [stack.read(sub[e], f"{where}.{e}", col) for e in experts]
+
+
+def _built(places: list[int | None] | None, matrices: list[TermMatrix | None]) -> tuple | None:
+    """The matrices at ``places`` of a built stack; None when any is absent."""
+    if places is None or None in places:
+        return None
+    out = tuple(matrices[r] for r in places)
+    return None if any(matrix is None for matrix in out) else out
 
 
 def _numbers_only(raw) -> bool:
@@ -488,14 +543,20 @@ def scenario_from_dict(data: dict) -> Scenario:
         data.get("preferences"), scale, attributes, experts, m, overrides, col
     )
     raw_preferences = data.get("preferences")
-    if n < 2 and isinstance(raw_preferences, dict):
-        weighed = [a for a in attributes if a in raw_preferences]
-        if weighed:
-            col.add(
-                "experts",
-                f"preference relations for {weighed} need at least two experts to weigh, "
-                f"got {n}; cover those attributes with overrides.priority_vectors instead",
-            )
+    weighed = [a for a in attributes if a in raw_preferences] if isinstance(raw_preferences, dict) else []
+    if weighed and n < 2:
+        col.add(
+            "experts",
+            f"preference relations for {weighed} need at least two experts to weigh, "
+            f"got {n}; cover those attributes with overrides.priority_vectors instead",
+        )
+    if weighed and not any(trust):
+        col.add(
+            "experts",
+            f"preference relations for {weighed} cannot be weighed: every trust degree is 0; "
+            f"give an expert positive trust or cover those attributes with "
+            f"overrides.priority_vectors instead",
+        )
 
     col.raise_if_any()
     return Scenario(
@@ -628,10 +689,9 @@ def _decode_markov(
     assessments = None
     raw_assessments = obj.get("assessments")
     if raw_assessments is not None:
-        assessments = _decode_expert_matrices(
-            LinguisticMarkovAssessment, scale, raw_assessments, experts, q,
-            "markov.assessments", col,
-        )
+        stack = _MatrixStack(LinguisticMarkovAssessment, scale, q, len(experts))
+        places = _read_expert_matrices(stack, raw_assessments, experts, "markov.assessments", col)
+        assessments = _built(places, stack.build())
     elif overrides.transition_matrix is None:
         col.add("markov.assessments", "required unless overrides.transition_matrix is present")
 
@@ -654,13 +714,15 @@ def _decode_preferences(
     overrides: Overrides,
     col: _Collector,
 ) -> dict[str, tuple[PreferenceRelation, ...]]:
-    out: dict[str, tuple[PreferenceRelation, ...]] = {}
+    """Every attribute's relations, decoded as one stack over all attributes."""
     obj = {} if raw is None else _expect_mapping(raw, "preferences", col)
     if obj is None:
         obj = {}
     unknown = [a for a in obj if a not in attributes]
     if unknown:
         col.add("preferences", f"unknown attributes {unknown}")
+    stack = _MatrixStack(PreferenceRelation, scale, m, len(attributes) * len(experts))
+    places = {}
     for attr in attributes:
         if attr not in obj:
             if attr not in overrides.priority_vectors:
@@ -669,11 +731,13 @@ def _decode_preferences(
                     "required unless overrides.priority_vectors covers this attribute",
                 )
             continue
-        relations = _decode_expert_matrices(
-            PreferenceRelation, scale, obj[attr], experts, m, f"preferences.{attr}", col
-        )
-        if relations is not None:
-            out[attr] = relations
+        places[attr] = _read_expert_matrices(stack, obj[attr], experts, f"preferences.{attr}", col)
+    relations = stack.build()
+    out: dict[str, tuple[PreferenceRelation, ...]] = {}
+    for attr, found in places.items():
+        group = _built(found, relations)
+        if group is not None:
+            out[attr] = group
     return out
 
 

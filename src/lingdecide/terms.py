@@ -10,7 +10,10 @@ Both kinds of matrix evidence, preference relations and Markov
 assessments, are square ``TermMatrix`` grids of peak intervals. A
 matrix is held as one array of subscripts and certainties, from which
 it derives the unit arrays the numerics run on; ``field_faults`` checks
-such an array against the rules each cell keeps.
+such an array against the rules each cell keeps. Both work on a stack
+of matrices as on one, so a decoder checks and derives many matrices in
+one pass and hands out each as a read-only view of the stack
+(``TermMatrix.stack``).
 """
 
 from __future__ import annotations
@@ -128,6 +131,29 @@ class PeakIntervalTerm(LinguisticInterval):
         return cls(scale, coord, coord, p)
 
 
+#: the arrays a term matrix holds, in the order ``unit_arrays`` gives them
+_ARRAYS = ("fields", "lower", "upper", "p", "scores")
+
+
+def unit_arrays(scale: LinguisticScale, fields: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``fields`` and the unit arrays derived from it, all made read-only.
+
+    ``fields`` is a (..., size, size, 5) array of t_lo, k_lo, t_hi, k_hi,
+    p per cell, one matrix or a stack of them; it is frozen in place. The
+    derived arrays are the endpoints ``lower`` and ``upper``, the
+    certainties ``p`` and the midpoint scores ``scores``, each of shape
+    (..., size, size). Cells that break a rule give meaningless entries
+    but no floating-point warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = unit_value(scale, fields[..., 0], fields[..., 1])
+        upper = unit_value(scale, fields[..., 2], fields[..., 3])
+        arrays = (fields, lower, upper, fields[..., 4].copy(), (lower + upper) / 2.0)
+    for value in arrays:
+        value.setflags(write=False)
+    return arrays
+
+
 class TermMatrix:
     """Square matrix of peak intervals over one scale, held as arrays.
 
@@ -137,7 +163,8 @@ class TermMatrix:
     the numerics run on: endpoints ``lower`` and ``upper``, certainties
     ``p`` and midpoint scores ``scores``. Each array entry equals its
     cell's ``unit_lower``, ``unit_upper``, ``p`` or ``score`` exactly: the
-    arithmetic is the scalar one, applied elementwise. The cells
+    arithmetic is the scalar one, applied elementwise. The arrays may be
+    views of a stack shared with other matrices (``stack``). The cells
     themselves (``entries``, ``entry``) are built on first use.
     """
 
@@ -159,7 +186,7 @@ class TermMatrix:
             [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in entries],
             dtype=float,
         ).reshape(size, size, 5)
-        self._derive(scale, fields)
+        self._hold(scale, unit_arrays(scale, fields))
         # the given cells are the ones ``entries`` would build; keep them
         self.__dict__["entries"] = entries
 
@@ -174,13 +201,31 @@ class TermMatrix:
         if fields.ndim != 3 or fields.shape[0] != fields.shape[1] or fields.shape[2] != 5:
             raise ShapeError(f"fields need shape (size, size, 5), got {fields.shape}")
         cls._check_size(fields.shape[0])
-        faults = field_faults(scale, fields)
+        arrays = unit_arrays(scale, fields)
+        faults = field_faults(scale, *arrays[:3])
         if faults:
             i, j, _, message = faults[0]
             raise RangeError(f"cell ({i}, {j}): {message}")
         matrix = cls.__new__(cls)
-        matrix._derive(scale, fields)
+        matrix._hold(scale, arrays)
         return matrix
+
+    @classmethod
+    def stack(
+        cls, scale: LinguisticScale, arrays: tuple[np.ndarray, ...], indices: Iterable[int]
+    ) -> list["TermMatrix"]:
+        """Matrices that are read-only views of a stack of ``unit_arrays``.
+
+        ``arrays`` are ``unit_arrays`` of an (R, size, size, 5) fields
+        stack; matrix r of the result views entry ``indices[r]`` of each.
+        The caller has checked those entries' cells (``field_faults``).
+        """
+        out = []
+        for r in indices:
+            matrix = cls.__new__(cls)
+            matrix._hold(scale, [a[r] for a in arrays])
+            out.append(matrix)
+        return out
 
     @classmethod
     def _check_size(cls, size: int) -> None:
@@ -189,13 +234,9 @@ class TermMatrix:
                 f"a {cls.__name__} needs at least {cls.minimum_size} rows, got {size}"
             )
 
-    def _derive(self, scale: LinguisticScale, fields: np.ndarray) -> None:
-        lower = unit_value(scale, fields[..., 0], fields[..., 1])
-        upper = unit_value(scale, fields[..., 2], fields[..., 3])
-        arrays = (fields, lower, upper, fields[..., 4].copy(), (lower + upper) / 2.0)
+    def _hold(self, scale: LinguisticScale, arrays) -> None:
         object.__setattr__(self, "scale", scale)
-        for name, value in zip(("fields", "lower", "upper", "p", "scores"), arrays):
-            value.setflags(write=False)
+        for name, value in zip(_ARRAYS, arrays):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -205,7 +246,8 @@ class TermMatrix:
         raise AttributeError(f"{type(self).__name__} is read-only")
 
     def __reduce__(self):
-        # copies and unpickled matrices go through from_fields, read-only again
+        # copies and unpickled matrices go through from_fields: read-only
+        # again, and owning their arrays rather than viewing a stack
         return type(self).from_fields, (self.scale, self.fields)
 
     def __eq__(self, other):
@@ -233,40 +275,63 @@ class TermMatrix:
     def entry(self, i: int, j: int) -> PeakIntervalTerm:
         return self.entries[i][j]
 
+    @classmethod
+    def stack_violations(
+        cls, lower: np.ndarray, upper: np.ndarray, p: np.ndarray
+    ) -> dict[int, list]:
+        """Breaks of the type's own rules, beyond shape and cells, per matrix.
+
+        Takes the (R, size, size) unit arrays of a stack and maps the
+        index of each matrix that breaks a rule to its breaks, in the
+        order ``violations`` lists them. A plain matrix has no such rule.
+        """
+        return {}
+
     def violations(self) -> list:
-        """Breaks of rules beyond shape and cells; a plain matrix has none."""
-        return []
+        """Breaks of rules beyond shape and cells: the one-matrix ``stack_violations``."""
+        return self.stack_violations(self.lower[None], self.upper[None], self.p[None]).get(0, [])
 
 
-def field_faults(scale: LinguisticScale, fields: np.ndarray) -> list[tuple[int, int, int, str]]:
+def field_faults(
+    scale: LinguisticScale, fields: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> list[tuple]:
     """Every peak-interval rule the cells of a fields array break.
 
-    The rules are the ones a cell checks when built: each coordinate lies
-    on the scale (``coord_fault``); then, where both do, the endpoints are
-    in unit order and, where they are, p lies in [0, 1]. They are applied
-    to all cells of the (size, size, 5) array at once. Each fault is
-    ``(i, j, slot, message)``, slot 0 and 1 for the lower and upper
-    coordinate and 2 for the cell's own rules, in row-major cell order.
+    ``lower`` and ``upper`` are the array's unit endpoints, as
+    ``unit_arrays`` derives them; where a coordinate is off the scale they
+    mean nothing. The rules are the ones a cell checks when built: each
+    coordinate lies on the scale (``coord_fault``); then, where both do,
+    the endpoints are in unit order and, where they are, p lies in
+    [0, 1]. They are applied to all cells of the (..., size, size, 5)
+    array at once, one matrix or a stack. Each fault is the cell's index
+    followed by ``(slot, message)``: ``(i, j, slot, message)`` for one
+    matrix and ``(r, i, j, slot, message)`` for a stack, slot 0 and 1 for
+    the lower and upper coordinate and 2 for the cell's own rules, in
+    index order.
     """
-    t, k = fields[..., 0:4:2], fields[..., 1:4:2]
-    off = off_scale(scale, t, k)
-    on_scale = ~off.any(axis=-1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        units = unit_value(scale, t, k)
-        reversed_ = on_scale & (units[..., 0] > units[..., 1] + _TOL)
-        p = fields[..., 4]
+    t, k, p = fields[..., 0:4:2], fields[..., 1:4:2], fields[..., 4]
+    with np.errstate(invalid="ignore"):
+        off = np.stack(
+            [
+                off_scale(scale, t[..., 0], k[..., 0], lower),
+                off_scale(scale, t[..., 1], k[..., 1], upper),
+            ],
+            axis=-1,
+        )
+        on_scale = ~off.any(axis=-1)
+        reversed_ = on_scale & (lower > upper + _TOL)
         uncertain = on_scale & ~reversed_ & ~((p >= 0.0) & (p <= 1.0))
     if not (off.any() or reversed_.any() or uncertain.any()):
         return []
     faults = [
-        (i, j, s, coord_fault(scale, t[i, j, s].item(), k[i, j, s].item()))
-        for i, j, s in np.argwhere(off).tolist()
+        (*at, coord_fault(scale, t[tuple(at)].item(), k[tuple(at)].item()))
+        for at in np.argwhere(off).tolist()
     ]
     faults += [
-        (i, j, 2, _order_fault(units[i, j, 0].item(), units[i, j, 1].item()))
-        for i, j in np.argwhere(reversed_).tolist()
+        (*at, 2, _order_fault(lower[tuple(at)].item(), upper[tuple(at)].item()))
+        for at in np.argwhere(reversed_).tolist()
     ]
-    faults += [(i, j, 2, _certainty_fault(p[i, j].item())) for i, j in np.argwhere(uncertain).tolist()]
+    faults += [(*at, 2, _certainty_fault(p[tuple(at)].item())) for at in np.argwhere(uncertain).tolist()]
     return sorted(faults)
 
 

@@ -9,6 +9,14 @@ estimate as a general active-set solve per row, against which the
 closed-form projection is checked. ``problem_from_rows`` turns design
 rows into the quadratic form the solver takes; it is the reference
 builder for the solver tests and for ``reference_transition``.
+
+The ``per_attribute_*`` functions are the array code the package ran
+before it stacked every attribute's relations: the weighting chain and
+the model builder on one attribute at a time, and step 3 of the
+pipeline as a loop over attributes. ``per_matrix_decode_preferences``
+is the scenario decoder as it was before it stacked the relations: one
+term matrix at a time, each checked on its own. The stacked code must
+give their results bit for bit, and their messages in their order.
 """
 
 import itertools
@@ -16,12 +24,20 @@ import math
 
 import numpy as np
 
-from lingdecide.diagnostics import record
-from lingdecide.errors import ShapeError
-from lingdecide.prefs import PreferenceRelation, indirect_score
+from lingdecide.diagnostics import Diagnostics, record
+from lingdecide.errors import ConfigError, RangeError, ShapeError
+from lingdecide.prefs import (
+    ExpertWeightReport,
+    PreferenceRelation,
+    Violation,
+    indirect_score,
+    stacked,
+    trust_weights,
+)
+from lingdecide.scenario import _bulk_fields, _read_cells
 from lingdecide.scale import LinguisticScale, TermCoord, parse_term, to_unit
 from lingdecide.solver import SimplexWLSProblem, solve
-from lingdecide.terms import PeakIntervalTerm, score
+from lingdecide.terms import PeakIntervalTerm, field_faults, score, unit_arrays
 
 SCALE = LinguisticScale(4, 4)
 
@@ -352,3 +368,282 @@ def reference_transition(assessments, certainties=None, diag=None):
             record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
         M[i, free] = sol.vector
     return M
+
+
+def per_attribute_distances(scores, certainties):
+    """(n, n) distances of one attribute's (n, m, m) stacked arrays."""
+    m = scores.shape[1]
+    i, j = np.triu_indices(m, 1)
+    weighted = (scores * certainties)[:, i, j].T
+    diff = weighted[:, :, None] - weighted[:, None, :]
+    total = np.float_power(diff, 2).sum(axis=0)
+    return np.sqrt(2.0 * total / (m * (m - 1)))
+
+
+def per_attribute_outer_weights(scores, certainties):
+    n = scores.shape[0]
+    if n < 2:
+        raise ShapeError("outer weights need at least two experts")
+    sums = per_attribute_distances(scores, certainties).sum(axis=0)
+    total = sums.sum()
+    if total <= 1e-12:
+        return np.full(n, 1.0 / n)
+    return sums / total
+
+
+def per_attribute_inner_deviation(scores, paper_literal=False, diag=None):
+    E = np.asarray(scores, dtype=float)
+    m = E.shape[0]
+    if m < 3:
+        record(diag, "no_indirect_path", f"m={m} has no third alternative to route through")
+        return 0.0
+    i, j = np.triu_indices(m, 1)
+    deviation = np.abs(E[i, j] - (E.T[:, i] - E.T[:, j] + 0.5))
+    v = np.arange(m)[:, None]
+    triples = deviation[(v != i) & (v != j)]
+    total = float(np.cumsum(triples)[-1])
+    count = triples.size
+    if paper_literal:
+        record(
+            diag, "paper_literal",
+            f"printed constant m(m-1)*0.5 = {m * (m - 1) * 0.5:g} used in place of "
+            f"the triple count {count * 0.5:g}",
+        )
+        return total + 0.5 * count - 0.5 * m * (m - 1)
+    return total
+
+
+def per_attribute_inner_weights(deviations, m, diag=None):
+    u = np.asarray(deviations, dtype=float)
+    n = u.size
+    if n < 2:
+        raise ShapeError("inner weights need at least two experts")
+    if m < 2:
+        raise ShapeError(f"alternative count must be >= 2, got {m}")
+    if np.any(u < 0.0):
+        raise ConfigError("deviations must be nonnegative")
+    total = u.sum()
+    if total <= 0.0:
+        return np.full(n, 1.0 / n)
+    shares = u / total
+    le = np.zeros(n)
+    for k, p in enumerate(shares):
+        if p > 0.0:
+            le[k] = -(p * math.log2(p)) / math.log2(m)
+    floored = le < 1e-12
+    if floored.any():
+        record(
+            diag, "entropy_floor",
+            f"entropy floored at {1e-12:g} for experts {np.flatnonzero(floored).tolist()}",
+        )
+        le = np.maximum(le, 1e-12)
+    inv = 1.0 / le
+    return inv / inv.sum()
+
+
+def per_attribute_blend_weights(outer, inner, trust, alpha, beta, gamma):
+    vectors = [np.asarray(v, dtype=float) for v in (outer, inner, trust)]
+    n = vectors[0].size
+    for v in vectors:
+        if v.size != n:
+            raise ShapeError("weight vectors must share one length")
+        if abs(v.sum() - 1.0) > 1e-9 or np.any(v < -1e-12):
+            raise ConfigError(f"weight vector {v.tolist()} is not a probability vector")
+    coeffs = (alpha, beta, gamma)
+    if any(c < 0.0 or c > 1.0 for c in coeffs) or abs(sum(coeffs) - 1.0) > 1e-9:
+        raise ConfigError(f"blend coefficients {coeffs} must be in [0,1] and sum to 1")
+    return alpha * vectors[0] + beta * vectors[1] + gamma * vectors[2]
+
+
+def per_attribute_expert_weights(
+    relations, trust, alpha, beta, gamma, paper_literal=False, diag=None
+):
+    """The full weighting chain of one attribute's relations."""
+    scores, certainties = stacked(relations)
+    outer = per_attribute_outer_weights(scores, certainties)
+    deviations = [per_attribute_inner_deviation(E, paper_literal, diag) for E in scores]
+    inner = per_attribute_inner_weights(deviations, scores.shape[1], diag)
+    tru = trust_weights(trust)
+    blended = per_attribute_blend_weights(outer, inner, tru, alpha, beta, gamma)
+    return ExpertWeightReport(outer, inner, tru, blended, alpha, beta, gamma)
+
+
+def per_attribute_consensus_form(scores, certainties, weights):
+    """The collective-priority form of one attribute's (n, m, m) stacked arrays."""
+    n = scores.shape[0]
+    w = np.asarray(weights, dtype=float)
+    if w.size != n:
+        raise ShapeError(f"{n} relations but {w.size} expert weights")
+    if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
+        raise ConfigError("expert weights must form a probability vector")
+
+    def pair_sum(a):
+        return np.triu(np.tensordot(w, a, 1), 1)
+
+    weighted_target = certainties * (scores - 0.5)
+    W = pair_sum(certainties)
+    G = pair_sum(weighted_target)
+    S = W + W.T
+    return SimplexWLSProblem(
+        H=0.25 * (np.diag(S.sum(axis=1)) - S),
+        c=0.5 * (G.sum(axis=1) - G.sum(axis=0)),
+        const=float(pair_sum(weighted_target * (scores - 0.5)).sum()),
+    )
+
+
+def per_attribute_step3(scenario, paper_literal=False):
+    """Step 3 of the pipeline, one attribute at a time.
+
+    Returns the expert weight reports, model weights, forms and
+    priorities by attribute and the diagnostics, or raises what the loop
+    meets first.
+    """
+    diag = Diagnostics()
+    ov = scenario.overrides
+    reports, model_weights, forms, priorities = {}, {}, {}, {}
+    for attr in scenario.attributes:
+        relations = scenario.preferences.get(attr)
+        if relations is not None:
+            reports[attr] = per_attribute_expert_weights(
+                list(relations), list(scenario.trust), scenario.alpha, scenario.beta,
+                scenario.gamma, paper_literal=paper_literal, diag=diag,
+            )
+        if attr in ov.priority_vectors:
+            record(diag, "override_applied", f"priority_vectors.{attr}")
+            total = float(np.sum(ov.priority_vectors[attr]))
+            if abs(total - 1.0) > 1e-6:
+                record(
+                    diag, "override_vector_sum",
+                    f"priorities {attr} sums to {total:.6g}, not 1 (kept verbatim)",
+                )
+            priorities[attr] = np.array(ov.priority_vectors[attr], dtype=float)
+            continue
+        if relations is None:
+            raise ConfigError(
+                f"no preference relations for attribute {attr!r} and no priority override"
+            )
+        if attr in ov.expert_weight_vectors:
+            record(diag, "override_applied", f"expert_weight_vectors.{attr}")
+            w = np.array(ov.expert_weight_vectors[attr], dtype=float)
+            total = float(w.sum())
+            if total <= 0.0:
+                raise ConfigError(f"expert weight override for {attr} has zero mass")
+            if abs(total - 1.0) > 1e-9:
+                record(
+                    diag, "override_normalized",
+                    f"expert_weight_vectors.{attr} summed to {total:.6g}; normalized for the model",
+                )
+                w = w / total
+        else:
+            w = reports[attr].blended
+        model_weights[attr] = w
+        forms[attr] = per_attribute_consensus_form(*stacked(list(relations)), w)
+        priorities[attr] = solve(forms[attr]).vector
+    return reports, model_weights, forms, priorities, diag
+
+
+def per_matrix_validate_relation(relation):
+    """Every reciprocity violation of one relation, checked on its own."""
+    out = []
+    lo, hi, p = relation.lower, relation.upper, relation.p
+    tol = 1e-9
+    bad_diagonal = (
+        (np.abs(lo.diagonal() - 0.5) > tol)
+        | (np.abs(hi.diagonal() - 0.5) > tol)
+        | (np.abs(p.diagonal() - 1.0) > tol)
+    )
+    for i in np.flatnonzero(bad_diagonal).tolist():
+        out.append(
+            Violation(
+                i, i, "diagonal",
+                f"expected the indifferent point (unit 0.5, p=1), got "
+                f"[{lo[i, i]:.6g}, {hi[i, i]:.6g}] p={p[i, i]:.6g}",
+            )
+        )
+    lo_sum = lo + hi.T
+    hi_sum = hi + lo.T
+    bad_endpoints = (np.abs(lo_sum - 1.0) > tol) | (np.abs(hi_sum - 1.0) > tol)
+    bad_p = np.abs(p - p.T) > tol
+    for i, j in np.argwhere(np.triu(bad_endpoints | bad_p, 1)).tolist():
+        if bad_endpoints[i, j]:
+            out.append(
+                Violation(
+                    i, j, "endpoint-reciprocity",
+                    f"unit sums ({lo_sum[i, j]:.6g}, {hi_sum[i, j]:.6g}) differ from 1",
+                )
+            )
+        if bad_p[i, j]:
+            out.append(
+                Violation(
+                    i, j, "probability-reciprocity", f"p={p[i, j]:.6g} vs p={p[j, i]:.6g}"
+                )
+            )
+    return out
+
+
+def per_matrix_decode_relation(scale, raw, size, where, faults):
+    """One JSON relation, decoded and checked on its own; None when faulty."""
+    if not isinstance(raw, list) or len(raw) != size:
+        faults.append(f"{where}: expected {size} rows")
+        return None
+    fields = _bulk_fields(raw, size)
+    found = {}
+    if fields is None:
+        fields, found = _read_cells(raw, size)
+    try:
+        matrix = PreferenceRelation.from_fields(scale, fields)
+    except RangeError:
+        matrix = None
+        for i, j, slot, message in field_faults(scale, *unit_arrays(scale, fields)[:3]):
+            point = "point" in raw[i][j]
+            if slot == 1 and point:
+                continue
+            suffix = "" if slot == 2 else ".point" if point else f".interval[{slot}]"
+            found.setdefault((i, j), {}).setdefault(slot, (suffix, message))
+    for (i, j), slots in sorted(found.items()):
+        here = f"{where}[{i}]" if j < 0 else f"{where}[{i}][{j}]"
+        shown = [slots[s] for s in (-1, 0, 1) if s in slots] or [slots[2]]
+        for suffix, message in shown:
+            faults.append(f"{here}{suffix}: {message}")
+    if found:
+        return None
+    broken = per_matrix_validate_relation(matrix)
+    faults += [f"{where}: {v}" for v in broken]
+    return None if broken else matrix
+
+
+def per_matrix_decode_preferences(raw, scale, attributes, experts, m, covered=()):
+    """(faults, relations by attribute) of a ``preferences`` block, one matrix at a time.
+
+    ``covered`` names the attributes a priority override covers.
+    """
+    faults, out = [], {}
+    unknown = [a for a in raw if a not in attributes]
+    if unknown:
+        faults.append(f"preferences: unknown attributes {unknown}")
+    for attr in attributes:
+        where = f"preferences.{attr}"
+        if attr not in raw:
+            if attr not in covered:
+                faults.append(
+                    f"{where}: required unless overrides.priority_vectors covers this attribute"
+                )
+            continue
+        sub = raw[attr]
+        if not isinstance(sub, dict):
+            faults.append(f"{where}: expected an object, got {type(sub).__name__}")
+            continue
+        missing = [e for e in experts if e not in sub]
+        extra = [e for e in sub if e not in experts]
+        if missing:
+            faults.append(f"{where}: missing experts {missing}")
+        if extra:
+            faults.append(f"{where}: unknown experts {extra}")
+        if missing or extra:
+            continue
+        relations = [
+            per_matrix_decode_relation(scale, sub[e], m, f"{where}.{e}", faults) for e in experts
+        ]
+        if all(r is not None for r in relations):
+            out[attr] = tuple(relations)
+    return faults, out

@@ -220,13 +220,31 @@ class TestFailureExitCodes:
         _, err = capsys.readouterr()
         assert "step 2" in err
 
-    def test_zero_trust_is_numerical_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stage", ["markov", "all"])
+    def test_zero_trust_is_a_located_validation_error(self, tmp_path, capsys, stage):
+        # no stage can weigh relations without trust, so loading rejects it
         data = uniform_scenario_dict()
         for expert in data["experts"]:
             expert["trust"] = 0.0
-        assert main([write_scenario(tmp_path, data)]) == 3
+        assert main([write_scenario(tmp_path, data), "--stage", stage]) == 1
         _, err = capsys.readouterr()
-        assert "trust" in err
+        assert err == (
+            "validation error:\n"
+            "  experts: preference relations for ['Q1', 'Q2'] cannot be weighed: every trust "
+            "degree is 0; give an expert positive trust or cover those attributes with "
+            "overrides.priority_vectors instead\n"
+        )
+
+    def test_zero_trust_without_relations_to_weigh_runs(self, tmp_path, capsys):
+        data = uniform_scenario_dict(m=3, q=2)
+        for expert in data["experts"]:
+            expert["trust"] = 0.0
+        del data["preferences"]
+        data["overrides"] = {"priority_vectors": {"Q1": [0.5, 0.3, 0.2], "Q2": [0.2, 0.3, 0.5]}}
+        assert main([write_scenario(tmp_path, data)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "ranking:" in out
 
     def test_unwritable_dot_path_is_validation_error(self, crisis_path, tmp_path, capsys):
         target = tmp_path / "missing" / "net.dot"

@@ -1,0 +1,75 @@
+"""Every generated valid scenario runs to a report that passes the benchmark's checks.
+
+The scenarios come from the benchmark's seeded generator
+(``perfbench/generate.py``) over small sizes, both period-weight schemes
+and shares of pinned transitions, and ``decide`` runs in-process with and
+without ``--paper-literal``. Each report must pass the benchmark's own
+report checks (``perfbench/checks.py``), which use numpy alone. Both
+modules are loaded from their files and left as they are.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lingdecide import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+generate = load("generate")
+checks = load("checks")
+
+
+@st.composite
+def generated_scenarios(draw):
+    sizes = {
+        "m": draw(st.integers(2, 6)),
+        "q": draw(st.integers(1, 6)),
+        "n": draw(st.integers(2, 4)),
+        "periods": draw(st.integers(1, 3)),
+        "scheme": draw(st.sampled_from(["power", "reshape"])),
+        "pin_share": draw(st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 0.5)),
+    }
+    return generate.scenario_text(draw(st.integers(0, 2**31 - 1)), **sizes), sizes
+
+
+def decide(path, *flags):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(path), "--report", "json", *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(drawn=generated_scenarios(), paper_literal=st.booleans())
+def test_generated_scenarios_run_to_checked_reports(tmp_path_factory, drawn, paper_literal):
+    text, sizes = drawn
+    path = tmp_path_factory.mktemp("generated") / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = decide(path, *(["--paper-literal"] if paper_literal else []))
+    if paper_literal and sizes["m"] == 3:
+        # the printed constant m(m-1)*0.5 = 3 exceeds the 3 triples' 1.5, so
+        # every near-consistent expert's deviation is negative
+        assert (code, out) == (1, "")
+        assert err == (
+            "validation error: step 3 (expert weights and priorities): "
+            "deviations must be nonnegative\n"
+        )
+        return
+    assert (code, err) == (0, "")
+    problems, _ = checks.check_report(out, checks.expected_for(json.loads(text)))
+    assert problems == []

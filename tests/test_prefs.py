@@ -1,20 +1,24 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lingdecide.diagnostics import Diagnostics
-from lingdecide.errors import ConfigError, EmptyTrustError, ShapeError
+from lingdecide.errors import ConfigError, EmptyTrustError, EngineError, ShapeError
+from lingdecide.pipeline import run_pipeline
 from lingdecide.prefs import (
     PreferenceRelation,
     blend_weights,
     collective_priorities,
     compute_expert_weights,
     consensus_form,
+    consensus_forms,
     consistent_relation,
     distances,
+    entropy_weights,
     indirect_score,
     inner_deviation,
     inner_weights,
@@ -26,11 +30,19 @@ from lingdecide.prefs import (
     validate_relation,
 )
 from lingdecide.scale import LinguisticScale, from_unit
+from lingdecide.scenario import MarkovSpec, Overrides, Scenario
 from lingdecide.solver import solve
 from lingdecide.terms import PeakIntervalTerm
 from helpers import (
     SCALE,
     iv,
+    per_attribute_consensus_form,
+    per_attribute_distances,
+    per_attribute_expert_weights,
+    per_attribute_inner_deviation,
+    per_attribute_inner_weights,
+    per_attribute_outer_weights,
+    per_attribute_step3,
     problem_from_terms,
     pt,
     reference_certainty_matrix,
@@ -379,3 +391,185 @@ def test_model_form_matches_design_rows_at_panel_size(m, n, seed):
     certainties = np.select([kind == 0, kind == 1], [0.0, 1.0], rng.uniform(0.0, 1.0, (n, m, m)))
     w = rng.dirichlet(np.ones(n))
     assert_matches_design_rows(consensus_form(scores, certainties, w), scores, certainties, w)
+
+
+def drawn_relation(rng, m):
+    """A reciprocal relation; each certainty is 0, 1 or uniform.
+
+    One in four is consistent, with a deviation of zero or nearly so.
+    """
+    if rng.random() < 0.25:
+        w = rng.dirichlet(np.ones(m))
+        return consistent_relation(SCALE, w, p=float(rng.uniform()), half_gradient=True)
+    upper = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
+            if rng.random() < 0.5:
+                hi = lo
+            p = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+            upper[(i, j)] = PeakIntervalTerm(SCALE, from_unit(SCALE, lo), from_unit(SCALE, hi), p)
+    return relation(upper, m)
+
+
+@st.composite
+def weighing_scenarios(draw):
+    """A scenario for step 3 alone: q <= 8 attributes, n in 2..6 experts, m in 2..8.
+
+    Attributes may repeat one relation across experts or copy another
+    attribute's relations, and may carry a priority override (with or
+    without relations) or an expert-weight override (summing to 1, to
+    another total, or to 0).
+    """
+    q = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 6))
+    m = draw(st.sampled_from([2, 3, 4, 2, 3, 4, 5, 6, 7, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    attributes = tuple(f"Q{a + 1}" for a in range(q))
+    preferences, priority, expert_weights = {}, {}, {}
+    for attr in attributes:
+        kind = draw(st.sampled_from(["independent", "identical", "copied", "repeated", "none"]))
+        if kind == "none" or (kind == "copied" and not preferences):
+            kind = "none" if kind == "none" else "independent"
+        if kind == "independent":
+            preferences[attr] = tuple(drawn_relation(rng, m) for _ in range(n))
+        elif kind == "identical":
+            preferences[attr] = (drawn_relation(rng, m),) * n
+        elif kind == "copied":
+            preferences[attr] = preferences[draw(st.sampled_from(sorted(preferences)))]
+        elif kind == "repeated":
+            first = drawn_relation(rng, m)
+            preferences[attr] = tuple(
+                first if draw(st.booleans()) else drawn_relation(rng, m) for _ in range(n)
+            )
+        if kind == "none" or not draw(st.integers(0, 4)):
+            priority[attr] = rng.dirichlet(np.ones(m))
+        elif not draw(st.integers(0, 3)):
+            w = draw(st.sampled_from(["unit", "scaled", "zero"]))
+            vector = rng.dirichlet(np.ones(n))
+            expert_weights[attr] = {"unit": vector, "scaled": 0.5 * vector, "zero": np.zeros(n)}[w]
+    trust = tuple(float(x) for x in rng.choice([0.0, 1.0, 0.5, rng.uniform()], n))
+    if not any(trust):
+        trust = (1.0,) + trust[1:]
+    alpha, beta = sorted(rng.uniform(0.0, 1.0, 2))
+    return Scenario(
+        scale=SCALE,
+        attributes=attributes,
+        alternatives=tuple(f"A{x + 1}" for x in range(m)),
+        experts=tuple(f"e{k + 1}" for k in range(n)),
+        trust=trust,
+        alpha=float(alpha),
+        beta=float(beta - alpha),
+        gamma=float(1.0 - beta),
+        markov=MarkovSpec(1, 1, 0, "power", None, None),
+        preferences=preferences,
+        overrides=Overrides(
+            transition_matrix=np.eye(q),
+            priority_vectors=priority,
+            expert_weight_vectors=expert_weights,
+        ),
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150)
+@given(scenario=weighing_scenarios(), paper_literal=st.booleans())
+def test_stacked_chain_matches_the_per_attribute_chain(scenario, paper_literal):
+    try:
+        want = per_attribute_step3(scenario, paper_literal)
+    except EngineError as exc:
+        event(type(exc).__name__)
+        with pytest.raises(type(exc)) as err:
+            run_pipeline(scenario, stage="priorities", paper_literal=paper_literal)
+        assert str(err.value) == f"step 3 (expert weights and priorities): {exc}"
+        return
+    reports, model_weights, forms, priorities, diag = want
+    event("runs")
+    before = run_pipeline(scenario, stage="weights").diagnostics.events
+    got = run_pipeline(scenario, stage="priorities", paper_literal=paper_literal)
+    assert got.diagnostics.events == before + diag.events
+    assert list(got.expert_weights) == list(reports)
+    for attr, report in reports.items():
+        for view in ("outer", "inner", "trust", "blended"):
+            assert same_bits(getattr(got.expert_weights[attr], view), getattr(report, view)), view
+    assert list(got.model_weights) == list(model_weights)
+    for attr, w in model_weights.items():
+        assert same_bits(got.model_weights[attr], w)
+    assert list(got.priorities) == list(priorities)
+    for attr, vector in priorities.items():
+        assert same_bits(got.priorities[attr], vector)
+
+    # the stacked forms of every attribute with relations, under its model weights
+    solved = [a for a in scenario.attributes if a in forms]
+    if not solved:
+        return
+    scores, certainties = stacked([r for a in solved for r in scenario.preferences[a]])
+    scores = scores.reshape(len(solved), -1, *scores.shape[1:])
+    certainties = certainties.reshape(scores.shape)
+    weights = np.array([model_weights[a] for a in solved])
+    for a, problem in enumerate(consensus_forms(scores, certainties, weights)):
+        for one in (forms[solved[a]], consensus_form(scores[a], certainties[a], weights[a])):
+            assert same_bits(problem.H, one.H)
+            assert same_bits(problem.c, one.c)
+            assert same_bits(problem.const, one.const)
+
+
+@given(
+    m=st.integers(2, 12),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    paper_literal=st.booleans(),
+)
+@settings(max_examples=80)
+def test_one_attribute_functions_match_the_per_attribute_code(m, n, seed, paper_literal):
+    rng = np.random.default_rng(seed)
+    rels = [drawn_relation(rng, m) for _ in range(n)]
+    scores, certainties = stacked(rels)
+    assert same_bits(distances(scores, certainties), per_attribute_distances(scores, certainties))
+    assert same_bits(
+        outer_weights(scores, certainties), per_attribute_outer_weights(scores, certainties)
+    )
+    for E in scores:
+        got, want = Diagnostics(), Diagnostics()
+        assert same_bits(
+            inner_deviation(E, paper_literal, got),
+            per_attribute_inner_deviation(E, paper_literal, want),
+        )
+        assert got.events == want.events
+    trust = rng.uniform(0.1, 1.0, n)
+    got, want = Diagnostics(), Diagnostics()
+    try:
+        expected = per_attribute_expert_weights(rels, trust, 0.5, 0.3, 0.2, paper_literal, want)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            compute_expert_weights(rels, trust, 0.5, 0.3, 0.2, paper_literal, got)
+    else:
+        report = compute_expert_weights(rels, trust, 0.5, 0.3, 0.2, paper_literal, got)
+        for view in ("outer", "inner", "trust", "blended"):
+            assert same_bits(getattr(report, view), getattr(expected, view)), view
+        assert got.events == want.events
+    w = rng.dirichlet(np.ones(n))
+    problem, expected = model1_problem(rels, w), per_attribute_consensus_form(scores, certainties, w)
+    for part in ("H", "c", "const"):
+        assert same_bits(getattr(problem, part), getattr(expected, part)), part
+
+
+# shares whose numpy log2 differs from math.log2 in the last bit, so that
+# entropy weights computed with numpy's log2 would differ from the
+# per-attribute code
+@pytest.mark.parametrize(
+    "deviations",
+    [[1.588, 3.122, 1.353, 3.345], [2.359, 1.125, 0.181, 2.318], [0.872, 3.281]],
+)
+def test_entropy_weights_keep_the_scalar_log(deviations):
+    want = per_attribute_inner_weights(deviations, 4)
+    assert same_bits(inner_weights(deviations, 4), want)
+    stack = np.array([deviations, deviations[::-1]])
+    weights, floored = entropy_weights(stack, 4)
+    assert same_bits(weights[0], want)
+    assert same_bits(weights[1], per_attribute_inner_weights(deviations[::-1], 4))
+    assert not floored.any()

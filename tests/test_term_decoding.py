@@ -5,14 +5,16 @@ the cell-by-cell reference decoder in ``helpers``; cells are built only
 when a caller reads them.
 """
 
+import copy
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lingdecide.errors import ScenarioValidationError
@@ -21,7 +23,12 @@ from lingdecide.prefs import PreferenceRelation
 from lingdecide.scale import LinguisticScale, TermCoord, to_unit, unit_value
 from lingdecide.scenario import _bulk_fields, _read_cells, scenario_from_dict
 from lingdecide.terms import PeakIntervalTerm, score
-from helpers import SCALE, reference_decode_matrix, uniform_scenario_dict
+from helpers import (
+    SCALE,
+    per_matrix_decode_preferences,
+    reference_decode_matrix,
+    uniform_scenario_dict,
+)
 
 DATA = Path(__file__).parent / "data"
 #: SCALE as a scenario declares it, with the default labels filled in
@@ -473,3 +480,120 @@ def test_thirty_by_thirty_matrix_takes_the_bulk_pass(kind):
     reference, faults = _read_cells(raw, size)
     assert faults == {} and fields.tobytes() == reference.tobytes()
     assert_decodes_like_the_reference(kind, raw, size)
+
+
+@st.composite
+def preference_blocks(draw):
+    """A preferences block of q attributes and n experts, with faults injected anywhere.
+
+    Returns the alternatives' count, the attribute and expert names, the
+    block and the attributes a priority override covers.
+    """
+    q, n, m = draw(st.integers(1, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    attributes = [f"Q{a + 1}" for a in range(q)]
+    experts = [f"e{k + 1}" for k in range(n)]
+    # a few valid relations, each copied into many places, keep the draw cheap
+    pool = draw(st.lists(valid_matrices(PreferenceRelation, m), min_size=1, max_size=3))
+    block = {
+        a: {e: copy.deepcopy(draw(st.sampled_from(pool))) for e in experts} for a in attributes
+    }
+    covered = set()
+    index = st.integers(0, m - 1)
+    faults = ["cell", "cell", "cell", "reciprocity", "row", "rows", "experts", "attribute"]
+    for _ in range(draw(st.integers(0, 4))):
+        attr, expert = draw(st.sampled_from(attributes)), draw(st.sampled_from(experts))
+        fault = draw(st.sampled_from(faults))
+        sub = block.get(attr)
+        rows = sub.get(expert) if isinstance(sub, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            continue
+        i, j = draw(index), draw(index)
+        if i >= len(rows):
+            continue
+        if fault == "cell" and j < len(rows[i]):
+            rows[i][j] = draw(any_cells())
+        elif fault == "reciprocity" and j < len(rows[i]):
+            a, b = sorted((draw(on_scale), draw(on_scale)), key=lambda c: unit_value(SCALE, *c))
+            rows[i][j] = draw(valid_cells(a, b, draw(certainties)))
+        elif fault == "row":
+            rows[i] = draw(st.sampled_from([rows[i][1:], rows[i] + [NEUTRAL], None]))
+        elif fault == "rows":
+            block[attr][expert] = draw(st.sampled_from([rows[1:], rows + [rows[0]], None]))
+        elif fault == "experts":
+            change = draw(st.sampled_from(["missing", "unknown", "not an object"]))
+            if change == "missing":
+                del block[attr][expert]
+            elif change == "unknown":
+                block[attr]["e9"] = rows
+            else:
+                block[attr] = [rows]
+        elif fault == "attribute":
+            change = draw(st.sampled_from(["covered", "uncovered", "unknown"]))
+            if change == "unknown":
+                block["Q9"] = block.pop(attr)
+            else:
+                del block[attr]
+            if change == "covered":
+                covered.add(attr)
+    return m, attributes, experts, block, covered
+
+
+def scenario_of_block(m, attributes, experts, block, covered):
+    q = len(attributes)
+    return {
+        "format": 1,
+        "scale": {"tau": SCALE.tau, "zeta": SCALE.zeta},
+        "attributes": attributes,
+        "alternatives": [f"A{x + 1}" for x in range(m)],
+        "experts": [{"name": e, "trust": 0.5} for e in experts],
+        "overrides": {
+            "transition_matrix": np.eye(q).tolist(),
+            "priority_vectors": {a: [1.0 / m] * m for a in sorted(covered)},
+        },
+        "preferences": block,
+    }
+
+
+@settings(max_examples=200)
+@given(drawn=preference_blocks())
+def test_stacked_decoder_matches_the_per_matrix_decoder(drawn):
+    m, attributes, experts, block, covered = drawn
+    faults, reference = per_matrix_decode_preferences(
+        block, LABELLED, attributes, experts, m, covered
+    )
+    scenario = scenario_of_block(*drawn)
+    event("faulty" if faults else "clean")
+    if faults:
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(scenario)
+        assert err.value.violations == faults
+        return
+    decoded_relations = scenario_from_dict(scenario).preferences
+    assert list(decoded_relations) == list(reference)
+    relations = [r for group in decoded_relations.values() for r in group]
+    # every relation is a view of one stack
+    assert len({id(r.fields.base) for r in relations}) <= 1
+    for group, want in zip(decoded_relations.values(), reference.values()):
+        for relation, expected in zip(group, want):
+            assert type(relation) is PreferenceRelation
+            for name in ("fields", "lower", "upper", "p", "scores"):
+                assert getattr(relation, name).tobytes() == getattr(expected, name).tobytes()
+            assert_read_only(relation)
+            for name in ("fields", "lower", "upper", "p", "scores"):
+                # a view of a read-only stack cannot be made writeable again
+                with pytest.raises(ValueError):
+                    getattr(relation, name).setflags(write=True)
+            for duplicate in (pickle.loads(pickle.dumps(relation)), copy.deepcopy(relation)):
+                assert type(duplicate) is PreferenceRelation
+                assert duplicate == relation
+                assert_read_only(duplicate)
+                assert not np.shares_memory(duplicate.fields, relation.fields)
+                assert not np.shares_memory(duplicate.scores, relation.scores)
+
+
+def assert_read_only(matrix):
+    for name in ("fields", "lower", "upper", "p", "scores"):
+        array = getattr(matrix, name)
+        assert not array.flags.writeable, name
+    with pytest.raises(AttributeError):
+        matrix.fields = None
