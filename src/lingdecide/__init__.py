@@ -46,12 +46,10 @@ from .prefs import (
     outer_weights,
     stacked,
     trust_weights,
-    validate_relation,
 )
 from .scale import (
     LinguisticScale,
     TermCoord,
-    format_term,
     from_unit,
     parse_term,
     to_unit,
@@ -113,10 +111,8 @@ __all__ = [
     "outer_weights",
     "stacked",
     "trust_weights",
-    "validate_relation",
     "LinguisticScale",
     "TermCoord",
-    "format_term",
     "from_unit",
     "parse_term",
     "to_unit",

@@ -39,9 +39,10 @@ class LinguisticMarkovAssessment(TermMatrix):
         return len(self.fields)
 
 
-def check_transition_matrix(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> list[str]:
-    """Violations of row-stochasticity; empty list means valid."""
+def check_transition_matrix(M: np.ndarray) -> list[str]:
+    """Violations of row-stochasticity, each up to 1e-9; empty list means valid."""
     M = np.asarray(M, dtype=float)
+    tol = _STOCHASTIC_TOL
     out: list[str] = []
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         out.append(f"matrix shape {M.shape} is not square")
@@ -56,9 +57,9 @@ def check_transition_matrix(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> list
     return out
 
 
-def require_stochastic(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> np.ndarray:
+def require_stochastic(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    problems = check_transition_matrix(M, tol)
+    problems = check_transition_matrix(M)
     if problems:
         raise ConfigError("transition matrix invalid: " + "; ".join(problems))
     return M
@@ -66,7 +67,6 @@ def require_stochastic(M: np.ndarray, tol: float = _STOCHASTIC_TOL) -> np.ndarra
 
 def estimate_transition(
     assessments: list[LinguisticMarkovAssessment],
-    certainties: list[np.ndarray] | None = None,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
     """Row-wise certainty-weighted transition matrix from expert assessments.
@@ -77,8 +77,7 @@ def estimate_transition(
     c_j = sum_k p_ij^k E_ij^k and lam making the row sum to 1. Columns with
     d_j = 0 split what the others leave at lam = 0 equally, or sit at the
     floor when the others need the whole row; two or more sharing mass
-    record ``degenerate_row``. ``certainties`` optionally replaces the
-    per-entry certainty of each assessment (one q x q array per expert).
+    record ``degenerate_row``.
     """
     if not assessments:
         raise ShapeError("need at least one assessment")
@@ -86,18 +85,7 @@ def estimate_transition(
     for a in assessments:
         if a.q != q:
             raise ShapeError("assessments must share one attribute count")
-    if certainties is None:
-        P = np.stack([a.p for a in assessments])
-    else:
-        if len(certainties) != len(assessments):
-            raise ShapeError("one certainty matrix per assessment required")
-        given = [np.asarray(c, dtype=float) for c in certainties]
-        for c in given:
-            if c.shape != (q, q):
-                raise ShapeError(f"certainty matrix shape {c.shape}, expected {(q, q)}")
-        P = np.stack(given)
-        if np.any(P < 0.0):
-            raise ShapeError(f"negative certainty {P.min()}")
+    P = np.stack([a.p for a in assessments])
     E = np.stack([a.scores for a in assessments])
     # a column is pinned when every expert rates it the floor point at p = 1
     pinned_cells = (

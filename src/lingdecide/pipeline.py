@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
-from .prefs import consensus_form, consensus_forms, stacked, weigh_experts
+from .prefs import ExpertWeightReport, consensus_form, consensus_forms, stacked, weigh_experts
 from .solver import solve
 
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")

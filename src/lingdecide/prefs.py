@@ -48,7 +48,7 @@ from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EmptyTrustError, ShapeError
 from .scale import LinguisticScale
 from .solver import SimplexWLSProblem, solve
-from .terms import PeakIntervalTerm, TermMatrix
+from .terms import TermMatrix
 
 _RECIP_TOL = 1e-9
 
@@ -150,11 +150,6 @@ def _far_from(a: np.ndarray, b: np.ndarray, target: float, tol: float) -> np.nda
     return np.abs(a, out=a) > tol
 
 
-def validate_relation(relation: PreferenceRelation) -> list[Violation]:
-    """Collect every reciprocity violation of one relation; empty list means valid."""
-    return relation.violations()
-
-
 def score_matrix(relation: PreferenceRelation) -> np.ndarray:
     """Midpoint scores of every entry (read-only, derived at construction)."""
     return relation.scores
@@ -207,16 +202,6 @@ def outer_weights(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
     return np.where(coincide, 1.0 / n, sums / np.where(coincide, 1.0, total))
 
 
-def indirect_score(E: np.ndarray, i: int, j: int, v: int) -> float:
-    """Score of (i, j) routed through a third alternative v."""
-    m = E.shape[0]
-    if not (0 <= i < m and 0 <= j < m and 0 <= v < m):
-        raise IndexError(f"indices ({i}, {j}, {v}) outside a {m}-alternative relation")
-    if v == i or v == j or i >= j:
-        raise IndexError(f"need i < j and v distinct from both, got ({i}, {j}, {v})")
-    return E[i, v] - E[j, v] + 0.5
-
-
 def deviation_totals(scores: np.ndarray, paper_literal: bool = False) -> np.ndarray:
     """``inner_deviation`` of every (m, m) score matrix in a (..., m, m) stack.
 
@@ -233,7 +218,7 @@ def deviation_totals(scores: np.ndarray, paper_literal: bool = False) -> np.ndar
     total = None
     for v in range(m):
         # |E_ij - (E_iv - E_jv + 1/2)| for the pairs i < j that avoid v,
-        # in row-major order; see indirect_score
+        # in row-major order: E_ij against its score routed through v
         keep = (i != v) & (j != v)
         through = E[..., :, v]
         deviation = np.abs(direct[..., keep] - (through[..., i[keep]] - through[..., j[keep]] + 0.5))
@@ -540,21 +525,19 @@ def consistent_relation(
 
     E_ij = w_i - w_j + 0.5 by default (the additive-consistency identity);
     ``half_gradient`` uses E_ij = (w_i - w_j)/2 + 0.5, the convention the
-    collective-priority model recovers exactly.
+    collective-priority model recovers exactly. Each point takes
+    ``scale.from_unit``'s canonical coordinate; the diagonal has p = 1.
     """
     w = np.asarray(priorities, dtype=float)
-    m = w.size
-    from .scale import from_unit
-
-    factor = 0.5 if half_gradient else 1.0
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            e = factor * (w[i] - w[j]) + 0.5
-            if not (0.0 <= e <= 1.0):
-                raise ConfigError(f"score {e:.6g} for pair ({i},{j}) leaves [0, 1]")
-            coord = from_unit(scale, e)
-            row.append(PeakIntervalTerm(scale, coord, coord, 1.0 if i == j else p))
-        rows.append(tuple(row))
-    return PreferenceRelation(scale, tuple(rows))
+    e = (0.5 if half_gradient else 1.0) * (w[:, None] - w[None, :]) + 0.5
+    outside = np.argwhere(~((e >= 0.0) & (e <= 1.0))).tolist()
+    if outside:
+        i, j = outside[0]
+        raise ConfigError(f"score {e[i, j]:.6g} for pair ({i},{j}) leaves [0, 1]")
+    # from_unit, elementwise: the floor branch, with gamma = 1 at (tau, 0)
+    x = 2.0 * scale.tau * e - scale.tau
+    t = np.where(e >= 1.0, scale.tau, np.floor(x))
+    k = np.where(e >= 1.0, 0.0, scale.zeta * (x - t))
+    certainty = np.full(e.shape, p, dtype=float)
+    np.fill_diagonal(certainty, 1.0)
+    return PreferenceRelation.from_fields(scale, np.stack([t, k, t, k, certainty], axis=-1))

@@ -60,10 +60,6 @@ class TermCoord:
     t: float
     k: float
 
-    def __iter__(self):
-        yield self.t
-        yield self.k
-
 
 def coord_fault(scale: LinguisticScale, t: float, k: float) -> str | None:
     """The first rule the coordinate (t, k) breaks, as a message; None if none.
@@ -131,11 +127,6 @@ def from_unit(scale: LinguisticScale, gamma: float) -> TermCoord:
 
 
 _TERM_RE = re.compile(r"^s(-?\d+(?:\.\d+)?)\(o(-?\d+(?:\.\d+)?)\)$")
-
-
-def format_term(term: TermCoord) -> str:
-    """Render a coordinate as the literal ``s<t>(o<k>)``."""
-    return f"s{term.t:g}(o{term.k:g})"
 
 
 def parse_term(text: str) -> TermCoord:

@@ -70,18 +70,6 @@ class Scenario:
     preferences: dict[str, tuple[PreferenceRelation, ...]]
     overrides: Overrides
 
-    @property
-    def q(self) -> int:
-        return len(self.attributes)
-
-    @property
-    def m(self) -> int:
-        return len(self.alternatives)
-
-    @property
-    def n(self) -> int:
-        return len(self.experts)
-
 
 class _Collector:
     """Violations in the order they are found, or in a place kept for them."""

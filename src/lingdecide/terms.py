@@ -9,18 +9,20 @@ interval scores as its unit midpoint (g_l + g_r) / 2.
 Both kinds of matrix evidence, preference relations and Markov
 assessments, are square ``TermMatrix`` grids of peak intervals. A
 matrix is held as one array of subscripts and certainties, from which
-it derives the unit arrays the numerics run on; ``field_faults`` checks
-such an array against the rules each cell keeps. Both work on a stack
-of matrices as on one, so a decoder checks and derives many matrices in
-one pass and hands out each as a read-only view of the stack
+it derives the unit arrays the numerics run on. ``field_faults`` states
+a cell's rules once, on arrays: a lone cell checks itself with it on its
+own fields, and a matrix built from cells or fields goes through one
+checked build (``TermMatrix.from_fields``). Both work on a stack of
+matrices as on one, so a decoder checks and derives many matrices in one
+pass and hands out each as a read-only view of the stack
 (``TermMatrix.stack``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Iterable
 
 import numpy as np
@@ -40,14 +42,6 @@ from .scale import (
 _TOL = 1e-12
 
 
-def _order_fault(gl: float, gr: float) -> str:
-    return f"interval endpoints out of order: unit {gl} > {gr}"
-
-
-def _certainty_fault(p: float) -> str:
-    return f"certainty p={p} outside [0, 1]"
-
-
 @dataclass(frozen=True)
 class LinguisticInterval:
     """A linguistic interval [lower, upper] whose endpoints are in unit order."""
@@ -57,18 +51,15 @@ class LinguisticInterval:
     upper: TermCoord
 
     def __post_init__(self):
-        gl = to_unit(self.scale, self.lower)
-        gr = to_unit(self.scale, self.upper)
-        if gl > gr + _TOL:
-            raise RangeError(_order_fault(gl, gr))
+        _check_cell(self.scale, self.lower, self.upper, 1.0)
 
     @property
     def unit_lower(self) -> float:
-        return to_unit(self.scale, self.lower)
+        return unit_value(self.scale, self.lower.t, self.lower.k)
 
     @property
     def unit_upper(self) -> float:
-        return to_unit(self.scale, self.upper)
+        return unit_value(self.scale, self.upper.t, self.upper.k)
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,6 @@ class FuzzyIntervalSet:
         if total > 1.0 + 1e-9:
             raise RangeError(f"fuzzy degrees sum to {total} > 1")
 
-    @property
-    def scale(self) -> LinguisticScale:
-        return self.intervals[0].scale
-
 
 @dataclass(frozen=True)
 class PeakIntervalTerm(LinguisticInterval):
@@ -116,19 +103,13 @@ class PeakIntervalTerm(LinguisticInterval):
     p: float
 
     def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 <= self.p <= 1.0):
-            raise RangeError(_certainty_fault(self.p))
+        _check_cell(self.scale, self.lower, self.upper, self.p)
 
     @classmethod
     def from_units(
         cls, scale: LinguisticScale, gl: float, gr: float, p: float
     ) -> "PeakIntervalTerm":
         return cls(scale, from_unit(scale, gl), from_unit(scale, gr), p)
-
-    @classmethod
-    def point(cls, scale: LinguisticScale, coord: TermCoord, p: float) -> "PeakIntervalTerm":
-        return cls(scale, coord, coord, p)
 
 
 #: the arrays a term matrix holds, in the order ``unit_arrays`` gives them
@@ -164,31 +145,26 @@ class TermMatrix:
     ``p`` and midpoint scores ``scores``. Each array entry equals its
     cell's ``unit_lower``, ``unit_upper``, ``p`` or ``score`` exactly: the
     arithmetic is the scalar one, applied elementwise. The arrays may be
-    views of a stack shared with other matrices (``stack``). The cells
-    themselves (``entries``, ``entry``) are built on first use.
+    views of a stack shared with other matrices (``stack``).
     """
 
     #: the fewest rows (and columns) a matrix of this type may have
     minimum_size: ClassVar[int] = 1
 
-    def __init__(self, scale: LinguisticScale, entries):
-        """A matrix from rows of ``PeakIntervalTerm`` cells on ``scale``."""
-        entries = tuple(tuple(row) for row in entries)
-        size = len(entries)
-        self._check_size(size)
-        for i, row in enumerate(entries):
-            if len(row) != size:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {size}")
-            for term in row:
-                if term.scale is not scale and term.scale != scale:
-                    raise ShapeError("all entries must use the matrix's scale")
-        fields = np.array(
-            [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in entries],
-            dtype=float,
-        ).reshape(size, size, 5)
-        self._hold(scale, unit_arrays(scale, fields))
-        # the given cells are the ones ``entries`` would build; keep them
-        self.__dict__["entries"] = entries
+    def __init__(self, scale: LinguisticScale, cells):
+        """A matrix from rows of ``PeakIntervalTerm`` cells on ``scale``.
+
+        The cells' fields are built and checked as ``from_fields`` does.
+        """
+        rows = tuple(tuple(row) for row in cells)
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise ShapeError(f"row {i} has {len(row)} entries, expected {len(rows)}")
+            if any(cell.scale != scale for cell in row):
+                raise ShapeError("all entries must use the matrix's scale")
+        fields = [[(c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p) for c in row] for row in rows]
+        built = self.from_fields(scale, np.reshape(fields, (len(rows), len(rows), 5)))
+        self.__dict__.update(vars(built))
 
     @classmethod
     def from_fields(cls, scale: LinguisticScale, fields) -> "TermMatrix":
@@ -200,7 +176,10 @@ class TermMatrix:
         fields = np.array(fields, dtype=float)
         if fields.ndim != 3 or fields.shape[0] != fields.shape[1] or fields.shape[2] != 5:
             raise ShapeError(f"fields need shape (size, size, 5), got {fields.shape}")
-        cls._check_size(fields.shape[0])
+        if len(fields) < cls.minimum_size:
+            raise ShapeError(
+                f"a {cls.__name__} needs at least {cls.minimum_size} rows, got {len(fields)}"
+            )
         arrays = unit_arrays(scale, fields)
         faults = field_faults(scale, *arrays[:3])
         if faults:
@@ -226,13 +205,6 @@ class TermMatrix:
             matrix._hold(scale, [a[r] for a in arrays])
             out.append(matrix)
         return out
-
-    @classmethod
-    def _check_size(cls, size: int) -> None:
-        if size < cls.minimum_size:
-            raise ShapeError(
-                f"a {cls.__name__} needs at least {cls.minimum_size} rows, got {size}"
-            )
 
     def _hold(self, scale: LinguisticScale, arrays) -> None:
         object.__setattr__(self, "scale", scale)
@@ -261,20 +233,6 @@ class TermMatrix:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(scale={self.scale!r}, size={len(self.fields)})"
 
-    @cached_property
-    def entries(self) -> tuple[tuple[PeakIntervalTerm, ...], ...]:
-        """The cells, built from ``fields`` on first use."""
-        return tuple(
-            tuple(
-                PeakIntervalTerm(self.scale, TermCoord(tl, kl), TermCoord(th, kh), p)
-                for tl, kl, th, kh, p in row
-            )
-            for row in self.fields.tolist()
-        )
-
-    def entry(self, i: int, j: int) -> PeakIntervalTerm:
-        return self.entries[i][j]
-
     @classmethod
     def stack_violations(
         cls, lower: np.ndarray, upper: np.ndarray, p: np.ndarray
@@ -282,14 +240,10 @@ class TermMatrix:
         """Breaks of the type's own rules, beyond shape and cells, per matrix.
 
         Takes the (R, size, size) unit arrays of a stack and maps the
-        index of each matrix that breaks a rule to its breaks, in the
-        order ``violations`` lists them. A plain matrix has no such rule.
+        index of each matrix that breaks a rule to its breaks. A plain
+        matrix has no such rule.
         """
         return {}
-
-    def violations(self) -> list:
-        """Breaks of rules beyond shape and cells: the one-matrix ``stack_violations``."""
-        return self.stack_violations(self.lower[None], self.upper[None], self.p[None]).get(0, [])
 
 
 def field_faults(
@@ -299,12 +253,12 @@ def field_faults(
 
     ``lower`` and ``upper`` are the array's unit endpoints, as
     ``unit_arrays`` derives them; where a coordinate is off the scale they
-    mean nothing. The rules are the ones a cell checks when built: each
-    coordinate lies on the scale (``coord_fault``); then, where both do,
-    the endpoints are in unit order and, where they are, p lies in
-    [0, 1]. They are applied to all cells of the (..., size, size, 5)
-    array at once, one matrix or a stack. Each fault is the cell's index
-    followed by ``(slot, message)``: ``(i, j, slot, message)`` for one
+    mean nothing. The rules: each coordinate lies on the scale
+    (``coord_fault``); then, where both do, the endpoints are in unit
+    order and, where they are, p lies in [0, 1]. They are applied to all
+    cells of the (..., 5) array at once: one lone cell, one matrix or a
+    stack. Each fault is the cell's index followed by ``(slot, message)``:
+    ``(slot, message)`` for a lone cell, ``(i, j, slot, message)`` for one
     matrix and ``(r, i, j, slot, message)`` for a stack, slot 0 and 1 for
     the lower and upper coordinate and 2 for the cell's own rules, in
     index order.
@@ -328,11 +282,31 @@ def field_faults(
         for at in np.argwhere(off).tolist()
     ]
     faults += [
-        (*at, 2, _order_fault(lower[tuple(at)].item(), upper[tuple(at)].item()))
+        (*at, 2, f"interval endpoints out of order: unit {lower[tuple(at)].item()} > "
+         f"{upper[tuple(at)].item()}")
         for at in np.argwhere(reversed_).tolist()
     ]
-    faults += [(*at, 2, _certainty_fault(p[tuple(at)].item())) for at in np.argwhere(uncertain).tolist()]
+    faults += [
+        (*at, 2, f"certainty p={p[tuple(at)].item()} outside [0, 1]")
+        for at in np.argwhere(uncertain).tolist()
+    ]
     return sorted(faults)
+
+
+def _check_cell(scale: LinguisticScale, lower: TermCoord, upper: TermCoord, p: float) -> None:
+    """Raise ``RangeError`` with the first rule of ``field_faults`` a lone cell breaks.
+
+    A field that is no real number raises ``TypeError``.
+    """
+    values = (lower.t, lower.k, upper.t, upper.k, p)
+    for value in values:
+        # the array would take a numeric string, or None as nan
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"must be real number, not {type(value).__name__}")
+    fields = np.array(values, dtype=float)
+    faults = field_faults(scale, *unit_arrays(scale, fields)[:3])
+    if faults:
+        raise RangeError(faults[0][-1])
 
 
 def peak(evidence: FuzzyIntervalSet, diag: Diagnostics | None = None) -> PeakIntervalTerm:

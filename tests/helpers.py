@@ -9,6 +9,9 @@ estimate as a general active-set solve per row, against which the
 closed-form projection is checked. ``problem_from_rows`` turns design
 rows into the quadratic form the solver takes; it is the reference
 builder for the solver tests and for ``reference_transition``.
+``reference_consistent_relation`` builds a consistent relation one
+``PeakIntervalTerm`` cell at a time, as ``prefs.consistent_relation``
+did before it computed the fields array at once.
 
 The ``per_attribute_*`` functions are the array code the package ran
 before it stacked every attribute's relations: the weighting chain and
@@ -30,20 +33,30 @@ from lingdecide.prefs import (
     ExpertWeightReport,
     PreferenceRelation,
     Violation,
-    indirect_score,
     stacked,
     trust_weights,
 )
 from lingdecide.scenario import _bulk_fields, _read_cells
-from lingdecide.scale import LinguisticScale, TermCoord, parse_term, to_unit
+from lingdecide.scale import LinguisticScale, TermCoord, from_unit, parse_term, to_unit
 from lingdecide.solver import SimplexWLSProblem, solve
 from lingdecide.terms import PeakIntervalTerm, field_faults, score, unit_arrays
 
 SCALE = LinguisticScale(4, 4)
 
 
+def cell_at(matrix, i, j):
+    """Cell (i, j) of a term matrix, built from its fields."""
+    tl, kl, th, kh, p = matrix.fields[i, j].tolist()
+    return PeakIntervalTerm(matrix.scale, TermCoord(tl, kl), TermCoord(th, kh), p)
+
+
+def violations(matrix):
+    """Breaks of the matrix type's own rules: its ``stack_violations`` on a stack of one."""
+    return matrix.stack_violations(matrix.lower[None], matrix.upper[None], matrix.p[None]).get(0, [])
+
+
 def pt(t, k, p, scale=SCALE):
-    return PeakIntervalTerm.point(scale, TermCoord(t, k), p)
+    return PeakIntervalTerm(scale, TermCoord(t, k), TermCoord(t, k), p)
 
 
 def iv(lo, hi, p, scale=SCALE):
@@ -165,7 +178,7 @@ def reference_score_matrix(relation):
     E = np.empty((m, m))
     for i in range(m):
         for j in range(m):
-            E[i, j] = score(relation.entry(i, j))
+            E[i, j] = score(cell_at(relation, i, j))
     return E
 
 
@@ -174,7 +187,7 @@ def reference_certainty_matrix(relation):
     P = np.empty((m, m))
     for i in range(m):
         for j in range(m):
-            P[i, j] = relation.entry(i, j).p
+            P[i, j] = cell_at(relation, i, j).p
     return P
 
 
@@ -206,6 +219,11 @@ def reference_outer_weights(relations):
     if total <= 1e-12:
         return np.full(n, 1.0 / n)
     return sums / total
+
+
+def indirect_score(E, i, j, v):
+    """Score of (i, j) routed through a third alternative v."""
+    return E[i, v] - E[j, v] + 0.5
 
 
 def reference_inner_deviation(E, paper_literal=False, diag=None):
@@ -331,11 +349,11 @@ def reference_decode_matrix(kind, scale, raw, size, where):
     if len(rows) < size or any(term is None for row in rows for term in row):
         return faults, None
     matrix = kind(scale, tuple(rows))
-    faults += [f"{where}: {v}" for v in matrix.violations()]
+    faults += [f"{where}: {v}" for v in violations(matrix)]
     return faults, None if faults else matrix
 
 
-def reference_transition(assessments, certainties=None, diag=None):
+def reference_transition(assessments, diag=None):
     """Transition matrix with one ``solver.solve`` per row.
 
     Row i is the weighted least-squares problem with one identity design
@@ -344,10 +362,7 @@ def reference_transition(assessments, certainties=None, diag=None):
     """
     q = assessments[0].q
     n = len(assessments)
-    if certainties is None:
-        P = np.stack([a.p for a in assessments])
-    else:
-        P = np.stack([np.asarray(c, dtype=float) for c in certainties])
+    P = np.stack([a.p for a in assessments])
     E = np.stack([a.scores for a in assessments])
     pinned_cells = (
         (np.stack([a.lower for a in assessments]) <= 1e-12)
@@ -647,3 +662,21 @@ def per_matrix_decode_preferences(raw, scale, attributes, experts, m, covered=()
         if all(r is not None for r in relations):
             out[attr] = tuple(relations)
     return faults, out
+
+
+def reference_consistent_relation(scale, priorities, p=1.0, half_gradient=False):
+    """``consistent_relation``, built from one checked cell at a time."""
+    w = np.asarray(priorities, dtype=float)
+    m = w.size
+    factor = 0.5 if half_gradient else 1.0
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            e = factor * (w[i] - w[j]) + 0.5
+            if not (0.0 <= e <= 1.0):
+                raise ConfigError(f"score {e:.6g} for pair ({i},{j}) leaves [0, 1]")
+            coord = from_unit(scale, e)
+            row.append(PeakIntervalTerm(scale, coord, coord, 1.0 if i == j else p))
+        rows.append(tuple(row))
+    return PreferenceRelation(scale, tuple(rows))

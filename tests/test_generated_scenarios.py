@@ -6,6 +6,9 @@ and shares of pinned transitions, and ``decide`` runs in-process with and
 without ``--paper-literal``. Each report must pass the benchmark's own
 report checks (``perfbench/checks.py``), which use numpy alone. Both
 modules are loaded from their files and left as they are.
+
+The same generator feeds two metamorphic properties: listing the experts,
+or the attributes, in another order leaves every result where it was.
 """
 
 import contextlib
@@ -15,10 +18,14 @@ import json
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lingdecide import cli
+from lingdecide.errors import EngineError
+from lingdecide.pipeline import run_pipeline
+from lingdecide.scenario import scenario_from_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -73,3 +80,61 @@ def test_generated_scenarios_run_to_checked_reports(tmp_path_factory, drawn, pap
     assert (code, err) == (0, "")
     problems, _ = checks.check_report(out, checks.expected_for(json.loads(text)))
     assert problems == []
+
+
+def outcome(data, paper_literal):
+    """The report of a scenario dict, or the error it ends in."""
+    try:
+        return run_pipeline(scenario_from_dict(data), paper_literal=paper_literal)
+    except EngineError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reordered_experts(data, order):
+    out = json.loads(json.dumps(data))
+    out["experts"] = [data["experts"][k] for k in order]
+    return out
+
+
+def reordered_attributes(data, order):
+    """Attributes listed in ``order``, each assessment's rows and columns with them.
+
+    The generator names the origin, so it follows its attribute.
+    """
+    out = json.loads(json.dumps(data))
+    out["attributes"] = [data["attributes"][a] for a in order]
+    out["markov"]["assessments"] = {
+        e: [[rows[a][b] for b in order] for a in order]
+        for e, rows in data["markov"]["assessments"].items()
+    }
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(2, 7),
+    q=st.integers(1, 5),
+    n=st.integers(2, 5),
+    scheme=st.sampled_from(["power", "reshape"]),
+    paper_literal=st.booleans(),
+    data=st.data(),
+)
+def test_reordering_experts_or_attributes_changes_no_result(seed, m, q, n, scheme, paper_literal, data):
+    scenario = json.loads(generate.scenario_text(seed, m=m, q=q, n=n, periods=2, scheme=scheme))
+    base = outcome(scenario, paper_literal)
+    event("error" if isinstance(base, str) else "report")
+    experts = data.draw(st.permutations(range(n)), label="experts")
+    attributes = data.draw(st.permutations(range(q)), label="attributes")
+    for reordered in (
+        reordered_experts(scenario, experts),
+        reordered_attributes(scenario, attributes),
+    ):
+        got = outcome(reordered, paper_literal)
+        if isinstance(base, str):
+            assert got == base
+            continue
+        assert got.ranked_names() == base.ranked_names()
+        assert np.max(np.abs(got.comparables - base.comparables)) <= 1e-12
+        assert set(got.priorities) == set(base.priorities)
+        for attribute, vector in base.priorities.items():
+            assert np.max(np.abs(got.priorities[attribute] - vector)) <= 1e-12

@@ -31,10 +31,14 @@ CRISIS_M = np.array(
 
 
 def units_assessment(units, p=1.0):
-    """Point assessment whose entry (i, j) sits at unit score units[i][j]."""
+    """Point assessment whose entry (i, j) sits at unit score units[i][j].
+
+    ``p`` is every entry's certainty, or a matrix of them.
+    """
+    certainties = np.broadcast_to(np.asarray(p, dtype=float), np.shape(units)).tolist()
     rows = [
-        tuple(PeakIntervalTerm.from_units(SCALE, u, u, p) for u in row)
-        for row in units
+        tuple(PeakIntervalTerm.from_units(SCALE, u, u, pu) for u, pu in zip(row, prow))
+        for row, prow in zip(units, certainties)
     ]
     return LinguisticMarkovAssessment(SCALE, tuple(rows))
 
@@ -106,7 +110,7 @@ class TestEstimate:
         scn = load_bundled_scenario()
         diag = Diagnostics()
         got = estimate_transition(scn.markov.assessments, diag=diag)
-        assert check_transition_matrix(got, tol=1e-6) == []
+        assert check_transition_matrix(got) == []
         for i, j in [(1, 0), (1, 2), (2, 0), (2, 1), (3, 1), (3, 2)]:
             assert got[i, j] == 0.0
         # those six positions are the whole zero pattern, one diag per row
@@ -123,17 +127,10 @@ class TestEstimate:
         Mp = estimate_transition([permuted])
         assert Mp == pytest.approx(M[np.ix_(sigma, sigma)], abs=1e-9)
 
-    def test_certainty_override_shapes(self):
-        a = units_assessment([[0.3, 0.7], [0.6, 0.4]])
-        with pytest.raises(ShapeError):
-            estimate_transition([a], certainties=[np.ones((2, 2)), np.ones((2, 2))])
-        with pytest.raises(ShapeError):
-            estimate_transition([a], certainties=[np.ones((3, 3))])
-
-    def test_certainty_override_applies(self):
+    def test_certainty_zero_expert_is_ignored(self):
         a = units_assessment([[0.2, 0.8], [0.5, 0.5]])
-        b = units_assessment([[0.8, 0.2], [0.5, 0.5]])
-        tilted = estimate_transition([a, b], certainties=[np.ones((2, 2)), np.zeros((2, 2))])
+        b = units_assessment([[0.8, 0.2], [0.5, 0.5]], p=0.0)
+        tilted = estimate_transition([a, b])
         assert tilted[0] == pytest.approx([0.2, 0.8], abs=1e-9)
 
     def test_fully_pinned_row_rejected(self):
@@ -173,11 +170,10 @@ class TestFlatColumns:
     def test_matches_the_active_set_solve(self, case):
         targets, weights, want, degenerate = FLAT_COLUMN_CASES[case]
         q = len(targets)
-        a = units_assessment([targets] * q)
-        certainties = [np.array([weights] * q, dtype=float)]
+        a = units_assessment([targets] * q, p=[weights] * q)
         diag, ref_diag = Diagnostics(), Diagnostics()
-        got = estimate_transition([a], certainties, diag=diag)
-        ref = reference_transition([a], certainties, diag=ref_diag)
+        got = estimate_transition([a], diag=diag)
+        ref = reference_transition([a], diag=ref_diag)
         assert np.max(np.abs(got - ref)) <= 1e-12
         assert diag.events == ref_diag.events
         for row in got:
@@ -202,9 +198,8 @@ def fields_from_units(units, p, scale=SCALE):
     q=st.integers(1, 60),
     n=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
-    with_certainties=st.booleans(),
 )
-def test_closed_form_rows_match_the_active_set_reference(q, n, seed, with_certainties):
+def test_closed_form_rows_match_the_active_set_reference(q, n, seed):
     rng = np.random.default_rng(seed)
 
     def mixed(shape):
@@ -214,23 +209,21 @@ def test_closed_form_rows_match_the_active_set_reference(q, n, seed, with_certai
 
     units = np.sort(mixed((n, q, q, 2)), axis=-1)
     p = mixed((n, q, q))
-    certainties = mixed((n, q, q)) if with_certainties else p
     pinned = rng.random((q, q)) < rng.uniform(0.0, 0.9)
     rows, kept = np.arange(q), rng.integers(0, q, size=q)
     pinned[rows, kept] = False
     units[:, pinned] = 0.0
-    certainties[:, pinned] = 1.0
+    p[:, pinned] = 1.0
     # one cell per row stays off the floor point, so no row is fully pinned
     units[0, rows, kept, 1] = np.maximum(units[0, rows, kept, 1], 0.25)
     assessments = [
         LinguisticMarkovAssessment.from_fields(SCALE, fields_from_units(u, pk))
         for u, pk in zip(units, p)
     ]
-    given_certainties = list(certainties) if with_certainties else None
 
     diag, ref_diag = Diagnostics(), Diagnostics()
-    got = estimate_transition(assessments, given_certainties, diag=diag)
-    ref = reference_transition(assessments, given_certainties, diag=ref_diag)
+    got = estimate_transition(assessments, diag=diag)
+    ref = reference_transition(assessments, diag=ref_diag)
     assert np.max(np.abs(got - ref)) <= 1e-12
     assert diag.events == ref_diag.events
     assert np.all(got[pinned] == 0.0)

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -256,3 +259,12 @@ class TestReportRendering:
         )
         with pytest.raises(ConfigError):
             empty.export_dot()
+
+
+@pytest.mark.parametrize("module", ["pipeline", "prefs", "scenario", "solver", "terms", "diagnostics"])
+def test_dataclass_annotations_resolve(module):
+    namespace = vars(importlib.import_module(f"lingdecide.{module}"))
+    classes = [c for c in namespace.values() if dataclasses.is_dataclass(c) and c.__module__ == f"lingdecide.{module}"]
+    assert classes
+    for cls in classes:
+        typing.get_type_hints(cls)

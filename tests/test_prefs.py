@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lingdecide.diagnostics import Diagnostics
-from lingdecide.errors import ConfigError, EmptyTrustError, EngineError, ShapeError
+from lingdecide.errors import ConfigError, EmptyTrustError, EngineError, RangeError, ShapeError
 from lingdecide.pipeline import run_pipeline
 from lingdecide.prefs import (
     PreferenceRelation,
@@ -19,15 +19,14 @@ from lingdecide.prefs import (
     consistent_relation,
     distances,
     entropy_weights,
-    indirect_score,
     inner_deviation,
     inner_weights,
     model1_problem,
     outer_weights,
+    reciprocity_violations,
     score_matrix,
     stacked,
     trust_weights,
-    validate_relation,
 )
 from lingdecide.scale import LinguisticScale, from_unit
 from lingdecide.scenario import MarkovSpec, Overrides, Scenario
@@ -35,6 +34,8 @@ from lingdecide.solver import solve
 from lingdecide.terms import PeakIntervalTerm
 from helpers import (
     SCALE,
+    cell_at,
+    indirect_score,
     iv,
     per_attribute_consensus_form,
     per_attribute_distances,
@@ -46,6 +47,7 @@ from helpers import (
     problem_from_terms,
     pt,
     reference_certainty_matrix,
+    reference_consistent_relation,
     reference_inner_deviation,
     reference_model_terms,
     reference_outer_weights,
@@ -69,19 +71,30 @@ def sample_relation(p12=0.4):
     )
 
 
+def validate_relation(relation):
+    """Every reciprocity violation of one relation, as a stack of one."""
+    return reciprocity_violations(relation.lower[None], relation.upper[None], relation.p[None]).get(0, [])
+
+
+def sample_rows():
+    """The cells of ``sample_relation``, as mutable rows."""
+    r = sample_relation()
+    return [[cell_at(r, i, j) for j in range(r.m)] for i in range(r.m)]
+
+
 class TestValidation:
     def test_valid_relation_clean(self):
         assert validate_relation(sample_relation()) == []
 
     def test_broken_diagonal(self):
-        rows = [list(r) for r in sample_relation().entries]
+        rows = sample_rows()
         rows[1][1] = pt(1, 0, 1.0)
         bad = PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
         rules = [v.rule for v in validate_relation(bad)]
         assert "diagonal" in rules
 
     def test_broken_probability_reciprocity(self):
-        rows = [list(r) for r in sample_relation().entries]
+        rows = sample_rows()
         entry = rows[1][0]
         rows[1][0] = PeakIntervalTerm(SCALE, entry.lower, entry.upper, 0.9)
         bad = PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
@@ -90,13 +103,13 @@ class TestValidation:
         assert any((v.i, v.j) == (0, 1) for v in violations)
 
     def test_broken_endpoint_reciprocity(self):
-        rows = [list(r) for r in sample_relation().entries]
+        rows = sample_rows()
         rows[1][0] = pt(2, 0, 0.4)
         bad = PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
         assert any(v.rule == "endpoint-reciprocity" for v in validate_relation(bad))
 
     def test_all_violations_collected(self):
-        rows = [list(r) for r in sample_relation().entries]
+        rows = sample_rows()
         rows[0][0] = pt(1, 0, 1.0)
         rows[1][0] = pt(2, 0, 0.9)
         bad = PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
@@ -104,7 +117,7 @@ class TestValidation:
         assert {"diagonal", "endpoint-reciprocity", "probability-reciprocity"} <= rules
 
     def test_messages_and_their_order(self):
-        rows = [list(r) for r in sample_relation().entries]
+        rows = sample_rows()
         rows[0][0] = pt(1, 0, 1.0)
         rows[2][2] = pt(0, 0, 0.5)
         rows[1][0] = pt(2, 0, 0.9)
@@ -119,7 +132,7 @@ class TestValidation:
         ]
 
     def test_cells_on_another_scale_rejected(self):
-        rows = [list(r) for r in sample_relation().entries]
+        rows = sample_rows()
         rows[0][1] = pt(1, 0, 0.4, scale=LinguisticScale(3, 2))
         with pytest.raises(ShapeError):
             PreferenceRelation(SCALE, tuple(tuple(r) for r in rows))
@@ -168,15 +181,6 @@ class TestConsistency:
     def test_indirect_score_formula(self):
         E = np.array([[0.5, 0.7, 0.6], [0.3, 0.5, 0.4], [0.4, 0.6, 0.5]])
         assert indirect_score(E, 0, 1, 2) == pytest.approx(0.6 - 0.4 + 0.5)
-
-    def test_indirect_score_preconditions(self):
-        E = np.full((3, 3), 0.5)
-        with pytest.raises(IndexError):
-            indirect_score(E, 0, 1, 1)
-        with pytest.raises(IndexError):
-            indirect_score(E, 1, 0, 2)
-        with pytest.raises(IndexError):
-            indirect_score(E, 0, 1, 3)
 
     def test_consistent_relation_has_zero_deviation(self):
         w = np.array([0.5, 0.3, 0.2])
@@ -312,6 +316,41 @@ def test_recovery_property(seed, m):
     n = int(rng.integers(1, 4))
     got = collective_priorities([rel] * n, rng.dirichlet(np.ones(n)))
     assert got == pytest.approx(w, abs=1e-6)
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-0.2, 1.2)), min_size=1, max_size=9),
+    st.sampled_from(["raw", "normalised", "normalised"]),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(-0.5, 1.5)),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_consistent_relation_fields_match_the_per_cell_build(w, form, p, tau, zeta, half_gradient):
+    """Bit-equal fields as the per-cell build, and its errors.
+
+    With a valid p an error keeps its type and wording. An invalid p is
+    reported as from_fields locates a bad cell, and only once every score
+    is found in [0, 1], where the per-cell build stopped at the first
+    faulty cell in row-major order.
+    """
+    scale = LinguisticScale(tau, zeta)
+    if form == "normalised" and sum(w) > 0.0:
+        w = [abs(x) / sum(map(abs, w)) for x in w]
+    try:
+        want = reference_consistent_relation(scale, w, p, half_gradient).fields
+    except EngineError as exc:
+        event(type(exc).__name__)
+        with pytest.raises(EngineError) as raised:
+            consistent_relation(scale, w, p, half_gradient)
+        if 0.0 <= p <= 1.0:
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        elif isinstance(raised.value, RangeError):
+            assert str(raised.value) == f"cell (0, 1): {exc}"
+        return
+    got = consistent_relation(scale, w, p, half_gradient)
+    assert got.fields.tobytes() == want.tobytes()
 
 
 def test_compute_expert_weights_end_to_end():

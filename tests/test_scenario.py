@@ -7,7 +7,6 @@ import pytest
 from lingdecide.errors import ScenarioParseError, ScenarioValidationError
 from lingdecide.markov import check_transition_matrix
 from lingdecide import scenario
-from lingdecide.scale import TermCoord
 from lingdecide.scenario import (
     Overrides,
     bundled_scenario_text,
@@ -33,7 +32,7 @@ class TestBundled:
         assert scn.attributes == ("IRR", "ALR", "FLR", "CR")
         assert scn.alternatives == ("A1", "A2", "A3", "A4")
         assert scn.experts == ("e1", "e2", "e3", "e4")
-        assert (scn.q, scn.m, scn.n) == (4, 4, 4)
+        assert (len(scn.attributes), len(scn.alternatives), len(scn.experts)) == (4, 4, 4)
         assert scn.trust == (0.8, 0.9, 0.7, 0.8)
         assert (scn.alpha, scn.beta, scn.gamma) == (0.5, 0.3, 0.2)
 
@@ -57,7 +56,7 @@ class TestBundled:
     def test_overrides_present(self):
         scn = load_bundled_scenario()
         assert scn.overrides.transition_matrix.shape == (4, 4)
-        assert check_transition_matrix(scn.overrides.transition_matrix, tol=1e-6) == []
+        assert check_transition_matrix(scn.overrides.transition_matrix) == []
         assert scn.overrides.period_weights.shape == (3, 4)
         assert set(scn.overrides.priority_vectors) == {"IRR", "ALR", "FLR", "CR"}
 
@@ -93,7 +92,7 @@ class TestParseErrors:
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(uniform_scenario_dict()))
         scn = load_scenario(str(path))
-        assert scn.m == 3 and scn.q == 2 and scn.n == 2
+        assert (len(scn.attributes), len(scn.alternatives), len(scn.experts)) == (2, 3, 2)
 
 
 def violations_of(data):
@@ -135,7 +134,7 @@ class TestValidation:
         data["preferences"]["Q1"]["e1"][0][1] = {"point": "s1(o-2)", "p": 1.0}
         data["preferences"]["Q1"]["e1"][1][0] = {"point": "s-1(o2)", "p": 1.0}
         scn = scenario_from_dict(data)
-        assert scn.preferences["Q1"][0].entry(0, 1).lower == TermCoord(1.0, -2.0)
+        assert scn.preferences["Q1"][0].fields[0, 1, :2].tolist() == [1.0, -2.0]
 
     def test_bad_literal_is_located(self):
         data = fresh(uniform_scenario_dict())

@@ -1,8 +1,8 @@
 """The scenario decoder reads term matrices straight into arrays.
 
 Its violations, and the arrays of every matrix that decodes, must match
-the cell-by-cell reference decoder in ``helpers``; cells are built only
-when a caller reads them.
+the cell-by-cell reference decoder in ``helpers``; decoding builds no
+cells.
 """
 
 import copy
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lingdecide.errors import ScenarioValidationError
+from lingdecide.errors import RangeError, ScenarioValidationError
 from lingdecide.markov import LinguisticMarkovAssessment
 from lingdecide.prefs import PreferenceRelation
 from lingdecide.scale import LinguisticScale, TermCoord, to_unit, unit_value
@@ -25,6 +25,7 @@ from lingdecide.scenario import _bulk_fields, _read_cells, scenario_from_dict
 from lingdecide.terms import PeakIntervalTerm, score
 from helpers import (
     SCALE,
+    cell_at,
     per_matrix_decode_preferences,
     reference_decode_matrix,
     uniform_scenario_dict,
@@ -210,7 +211,7 @@ def assert_decodes_like_the_reference(kind, raw, size):
         return
     matrix = decoded(scenario_from_dict(scenario), kind)
     assert type(matrix) is kind
-    cells = reference.entries
+    cells = [[cell_at(reference, i, j) for j in range(size)] for i in range(size)]
     for name, value in (
         ("lower", lambda c: to_unit(LABELLED, c.lower)),
         ("upper", lambda c: to_unit(LABELLED, c.upper)),
@@ -220,7 +221,6 @@ def assert_decodes_like_the_reference(kind, raw, size):
         want = np.array([[value(c) for c in row] for row in cells])
         assert getattr(matrix, name).tobytes() == want.tobytes(), name
     assert matrix == reference
-    assert matrix.entries == cells
 
 
 @settings(max_examples=200)
@@ -256,6 +256,28 @@ def test_cells_at_the_rule_edges_decode_like_the_reference(kind, cell):
     assert_decodes_like_the_reference(kind, raw, 2)
 
 
+@pytest.mark.parametrize(
+    "lower, upper, p",
+    [
+        ([9, 0], [0, 0], 0.5),
+        ([0, 0], [0, -9], 0.5),
+        ([-4, -1], [0, 0], 0.5),
+        ([2, 0], [-2, 0], 0.5),
+        ([0, 0], [1, 0], 1.5),
+        ([0, 0], [1, 0], float("nan")),
+    ],
+    ids=["t off the scale", "k off the scale", "unit value off [0, 1]", "reversed endpoints", "p > 1", "p = nan"],
+)
+def test_a_lone_cell_and_the_decoder_word_a_fault_alike(lower, upper, p):
+    with pytest.raises(RangeError) as lone:
+        PeakIntervalTerm(SCALE, TermCoord(*lower), TermCoord(*upper), p)
+    raw = [[NEUTRAL, {"interval": [lower, upper], "p": p}], [NEUTRAL, NEUTRAL]]
+    scenario, where = scenario_around(LinguisticMarkovAssessment, raw, 2)
+    with pytest.raises(ScenarioValidationError) as decoding:
+        scenario_from_dict(scenario)
+    assert [v.split(": ", 1)[1] for v in decoding.value.violations] == [str(lone.value)]
+
+
 def counting_cells(monkeypatch):
     built = []
     check = PeakIntervalTerm.__post_init__
@@ -268,7 +290,7 @@ def counting_cells(monkeypatch):
     return built
 
 
-def test_decoding_builds_no_cells_until_they_are_read(monkeypatch):
+def test_decoding_builds_no_cells(monkeypatch):
     raw = json.loads((DATA / "solver_paths.json").read_text(encoding="utf-8"))
     built = counting_cells(monkeypatch)
     scenario = scenario_from_dict(raw)
@@ -285,30 +307,21 @@ def test_decoding_builds_no_cells_until_they_are_read(monkeypatch):
             for r, e in zip(relations, experts)
         ]
     for matrix, rows, where in pairs:
-        cells = matrix.entries
-        assert len(built) == len(rows) ** 2
-        built.clear()
         _, reference = reference_decode_matrix(type(matrix), LABELLED, rows, len(rows), where)
-        assert cells == reference.entries
-        built.clear()
+        assert matrix == reference
 
 
-def test_cells_built_on_read_keep_the_written_coordinates(monkeypatch):
+def test_fields_keep_the_written_coordinates():
     data = json.loads(json.dumps(uniform_scenario_dict()))
     data["preferences"]["Q1"]["e1"][0][1] = {"point": "s1(o-2)", "p": 1.0}
     data["preferences"]["Q1"]["e1"][1][0] = {"point": [-1, 2], "p": 1.0}
     data["preferences"]["Q1"]["e1"][0][2] = {"interval": ["s-0.5(o-2)", "s0(o0)"], "p": 0.5}
     data["preferences"]["Q1"]["e1"][2][0] = {"interval": [[0, 0], [0.5, 2]], "p": 0.5}
-    built = counting_cells(monkeypatch)
     relation = scenario_from_dict(data).preferences["Q1"][0]
-    assert built == []
-    assert relation.entry(0, 1).lower == TermCoord(1.0, -2.0)
-    assert relation.entry(1, 0).upper == TermCoord(-1.0, 2.0)
-    assert relation.entry(0, 2).lower == TermCoord(-0.5, -2.0)
-    assert relation.entry(2, 0).upper == TermCoord(0.5, 2.0)
-    assert len(built) == 9
-    relation.entry(2, 2)
-    assert len(built) == 9
+    assert relation.fields[0, 1, :2].tolist() == [1.0, -2.0]
+    assert relation.fields[1, 0, 2:4].tolist() == [-1.0, 2.0]
+    assert relation.fields[0, 2, :2].tolist() == [-0.5, -2.0]
+    assert relation.fields[2, 0, 2:4].tolist() == [0.5, 2.0]
 
 
 # leaves the bulk pass converts, and leaves it must leave to the cell reader

@@ -20,7 +20,7 @@ from lingdecide.terms import (
     plts_score,
     score,
 )
-from helpers import SCALE, iv, pt
+from helpers import SCALE, iv, pt, violations
 
 
 def fiv(lo, hi, fd, scale):
@@ -37,6 +37,23 @@ class TestValidation:
             pt(0, 0, 1.5)
         with pytest.raises(RangeError):
             pt(0, 0, -0.1)
+
+    def test_the_first_broken_rule_is_raised(self, scale):
+        # the lower coordinate, the upper one, then the cell's own rules
+        with pytest.raises(RangeError, match=r"^first-hierarchy subscript t=9.0 "):
+            PeakIntervalTerm(scale, TermCoord(9, 0), TermCoord(0, 9), 2.0)
+        with pytest.raises(RangeError, match=r"^second-hierarchy subscript k=9.0 "):
+            PeakIntervalTerm(scale, TermCoord(1, 0), TermCoord(0, 9), 2.0)
+        with pytest.raises(RangeError, match=r"^interval endpoints out of order"):
+            PeakIntervalTerm(scale, TermCoord(1, 0), TermCoord(0, 0), 2.0)
+        with pytest.raises(RangeError, match=r"^first-hierarchy subscript t=-9.0 "):
+            fiv((-9, 0), (0, 0), 2.0, scale)
+
+    def test_non_real_fields_are_a_type_error(self, scale):
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            PeakIntervalTerm(scale, TermCoord("1", 0), TermCoord(1, 0), 0.5)
+        with pytest.raises(TypeError, match="must be real number, not NoneType"):
+            pt(0, 0, None)
 
     def test_fd_sum_capped(self, scale):
         with pytest.raises(RangeError):
@@ -143,7 +160,7 @@ def peak_cells(draw):
     p = draw(st.floats(0.0, 1.0))
     a = draw(coords)
     if draw(st.booleans()):
-        return PeakIntervalTerm.point(SCALE, a, p)
+        return PeakIntervalTerm(SCALE, a, a, p)
     lower, upper = sorted((a, draw(coords)), key=lambda c: to_unit(SCALE, c))
     return PeakIntervalTerm(SCALE, lower, upper, p)
 
@@ -184,8 +201,8 @@ class TestTermMatrix:
 
     def test_only_relations_have_their_own_rule(self):
         rows = ((pt(0, 0, 1.0), pt(1, 0, 0.5)), (pt(1, 0, 0.5), pt(0, 0, 1.0)))
-        assert LinguisticMarkovAssessment(SCALE, rows).violations() == []
-        rules = [v.rule for v in PreferenceRelation(SCALE, rows).violations()]
+        assert violations(LinguisticMarkovAssessment(SCALE, rows)) == []
+        rules = [v.rule for v in violations(PreferenceRelation(SCALE, rows))]
         assert rules == ["endpoint-reciprocity"]
 
     def test_cells_and_fields_build_equal_matrices(self):
@@ -193,7 +210,9 @@ class TestTermMatrix:
         from_cells = PreferenceRelation(SCALE, rows)
         from_fields = PreferenceRelation.from_fields(SCALE, from_cells.fields)
         assert from_fields == from_cells
-        assert from_fields.entries == rows
+        assert from_fields.fields.tolist() == [
+            [[c.lower.t, c.lower.k, c.upper.t, c.upper.k, c.p] for c in row] for row in rows
+        ]
         assert from_fields.scores.tobytes() == from_cells.scores.tobytes()
         assert from_fields != LinguisticMarkovAssessment(SCALE, rows)
 
@@ -223,7 +242,7 @@ class TestTermMatrix:
         rows = ((pt(0, 0, 1.0), iv((1, -2), (2, 0), 0.5)), (iv((-2, 0), (-1, 2), 0.5), pt(0, 0, 1.0)))
         matrix = kind(SCALE, rows)
         twin = duplicate(matrix)
-        assert type(twin) is kind and twin == matrix and twin.entries == rows
+        assert type(twin) is kind and twin == matrix
         for name in ("fields", "lower", "upper", "p", "scores"):
             array = getattr(twin, name)
             assert array.tobytes() == getattr(matrix, name).tobytes()
