@@ -2,11 +2,11 @@
 
 Steps: (1) estimate the transition matrix from the linguistic Markov
 assessments, (2) propagate per-period attribute weights, (3) blend
-expert weights and build the collective-priority models of all
-attributes at once, then solve each attribute's model, (4) aggregate
-comparable values U, (5) rank. Any stage override in the
-scenario bypasses exactly its stage and is echoed in the diagnostics, so
-intermediate results can be injected and the remainder re-run.
+expert weights, then build and solve the collective-priority models of
+all attributes at once, (4) aggregate comparable values U, (5) rank.
+Any stage override in the scenario bypasses exactly its stage and is
+echoed in the diagnostics, so intermediate results can be injected and
+the remainder re-run.
 
 Reports render to deterministic JSON or plain text.
 """
@@ -22,8 +22,8 @@ import numpy as np
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
-from .prefs import ExpertWeightReport, consensus_form, consensus_forms, stacked, weigh_experts
-from .solver import solve
+from .prefs import ExpertWeightReport, consensus_forms, stacked, weigh_experts, weight_vector
+from .solver import solve_stack
 
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")
 
@@ -268,13 +268,6 @@ def run_pipeline(
                 scenario.gamma,
                 paper_literal=paper_literal,
             )
-            # the models of the attributes no override takes over, built at once
-            solved = [
-                a for a, attr in enumerate(weighed)
-                if attr not in ov.priority_vectors and attr not in ov.expert_weight_vectors
-            ]
-            problems = consensus_forms(scores[solved], certainties[solved], chain.blended[solved])
-            forms = dict(zip(solved, problems))
         index = {attr: a for a, attr in enumerate(weighed)}
         for attr in scenario.attributes:
             a = index.get(attr)
@@ -292,13 +285,16 @@ def run_pipeline(
                     f"no preference relations for attribute {attr!r} and no priority override"
                 )
             if attr in ov.expert_weight_vectors:
-                weights = _override_weights(scenario, attr, diag)
-                problem = consensus_form(scores[a], certainties[a], weights)
+                report.model_weights[attr] = _override_weights(scenario, attr, n, diag)
             else:
-                weights = chain.blended[a]
-                problem = forms[a]
-            report.model_weights[attr] = weights
-            report.priorities[attr] = solve(problem).vector
+                report.model_weights[attr] = chain.blended[a]
+        # the models of every attribute no priority override takes over, built and solved at once
+        if report.model_weights:
+            rows = [index[attr] for attr in report.model_weights]
+            weights = np.array(list(report.model_weights.values()))
+            H, c, _ = consensus_forms(scores[rows], certainties[rows], weights)
+            report.priorities.update(zip(report.model_weights, solve_stack(H, c)[0]))
+            report.priorities = {attr: report.priorities[attr] for attr in scenario.attributes}
     if stage == "priorities":
         return report
 
@@ -313,8 +309,8 @@ def run_pipeline(
     return report
 
 
-def _override_weights(scenario, attr: str, diag: Diagnostics) -> np.ndarray:
-    """The override's expert weights for ``attr``, normalised."""
+def _override_weights(scenario, attr: str, n: int, diag: Diagnostics) -> np.ndarray:
+    """The override's weights of the n experts for ``attr``, normalised."""
     record(diag, "override_applied", f"expert_weight_vectors.{attr}")
     w = np.array(scenario.overrides.expert_weight_vectors[attr], dtype=float)
     total = float(w.sum())
@@ -326,4 +322,4 @@ def _override_weights(scenario, attr: str, diag: Diagnostics) -> np.ndarray:
             f"expert_weight_vectors.{attr} summed to {total:.6g}; normalized for the model",
         )
         w = w / total
-    return w
+    return weight_vector(w, n)

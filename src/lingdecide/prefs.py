@@ -28,10 +28,11 @@ the weighted sum of (E^k_ij - 1/2)^2 over i < j.
 A relation is a ``terms.TermMatrix``, so it derives its unit arrays
 once, when built; the scenario decoder checks the reciprocity of every
 relation at once (``reciprocity_violations``). The weighting chain
-(``weigh_experts``) and the model builder (``consensus_forms``) run on
-every attribute's relations at once, stacked into (q, n, m, m) score and
+(``weigh_experts``) and the model builder (``consensus_forms``, which
+returns the (H, c, const) arrays of every attribute) run on every
+attribute's relations at once, stacked into (q, n, m, m) score and
 certainty arrays; their one-attribute forms (``compute_expert_weights``,
-``consensus_form``) are the same code on a stack of one. Where a step
+``model1_problem``) are the same code on a stack of one. Where a step
 would pair every expert with every other, or route every pair through
 every third alternative, it loops over the experts or the alternatives,
 so no temporary grows past O(q n m^2).
@@ -453,13 +454,13 @@ def consensus_forms(
     scores: np.ndarray,
     certainties: np.ndarray,
     weights: np.ndarray,
-) -> list[SimplexWLSProblem]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The collective-priority quadratic forms of q attributes at once.
 
     Takes (q, n, m, m) stacked scores and certainties and (q, n) expert
-    weights, one probability vector per attribute (``consensus_form``
-    checks one). Only pairs i < j enter: the model reads each relation's
-    upper triangle.
+    weights, one probability vector per attribute (``weight_vector``
+    checks one). Returns the (q, m, m) H, (q, m) c and (q,) const. Only
+    pairs i < j enter: the model reads each relation's upper triangle.
     """
     q, n, m = scores.shape[:3]
     w = np.ascontiguousarray(weights, dtype=float)[:, None, :]
@@ -478,25 +479,17 @@ def consensus_forms(
     H = 0.25 * (diagonal - S)
     c = 0.5 * (G.sum(axis=2) - G.sum(axis=1))
     const = pair_sum(weighted_target * (scores - 0.5)).reshape(q, m * m).sum(axis=1)
-    return [SimplexWLSProblem(H=H[a], c=c[a], const=const[a]) for a in range(q)]
+    return H, c, const
 
 
-def consensus_form(
-    scores: np.ndarray,
-    certainties: np.ndarray,
-    weights: np.ndarray | list[float],
-) -> SimplexWLSProblem:
-    """The collective-priority quadratic form from (n, m, m) stacked arrays.
-
-    Only pairs i < j enter: the model reads each relation's upper triangle.
-    """
-    n = scores.shape[0]
+def weight_vector(weights: np.ndarray | list[float], n: int) -> np.ndarray:
+    """``weights`` as an (n,) float array, checked to be a probability vector."""
     w = np.asarray(weights, dtype=float)
     if w.size != n:
         raise ShapeError(f"{n} relations but {w.size} expert weights")
     if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
         raise ConfigError("expert weights must form a probability vector")
-    return consensus_forms(scores[None], certainties[None], w[None])[0]
+    return w
 
 
 def model1_problem(
@@ -504,7 +497,10 @@ def model1_problem(
     weights: np.ndarray | list[float],
 ) -> SimplexWLSProblem:
     """Assemble the collective-priority problem of one attribute's relations."""
-    return consensus_form(*stacked(relations), weights)
+    scores, certainties = stacked(relations)
+    w = weight_vector(weights, len(relations))
+    H, c, const = consensus_forms(scores[None], certainties[None], w[None])
+    return SimplexWLSProblem(H=H[0], c=c[0], const=const[0])
 
 
 def collective_priorities(

@@ -9,6 +9,11 @@ estimate as a general active-set solve per row, against which the
 closed-form projection is checked. ``problem_from_rows`` turns design
 rows into the quadratic form the solver takes; it is the reference
 builder for the solver tests and for ``reference_transition``.
+``reference_solve`` is the solver as it was before it ran on stacks:
+one problem at a time, each subproblem solved with ``lstsq`` in an
+orthonormal basis of the sum constraint's nullspace
+(``sum_zero_basis``). ``projected_gradient`` is an independent
+reference that shares no step with either.
 ``reference_consistent_relation`` builds a consistent relation one
 ``PeakIntervalTerm`` cell at a time, as ``prefs.consistent_relation``
 did before it computed the fields array at once.
@@ -28,7 +33,7 @@ import math
 import numpy as np
 
 from lingdecide.diagnostics import Diagnostics, record
-from lingdecide.errors import ConfigError, RangeError, ShapeError
+from lingdecide.errors import ConfigError, NumericalError, RangeError, ShapeError
 from lingdecide.prefs import (
     ExpertWeightReport,
     PreferenceRelation,
@@ -38,7 +43,7 @@ from lingdecide.prefs import (
 )
 from lingdecide.scenario import _bulk_fields, _read_cells
 from lingdecide.scale import LinguisticScale, TermCoord, from_unit, parse_term, to_unit
-from lingdecide.solver import SimplexWLSProblem, solve
+from lingdecide.solver import STRICT_FLOOR, SimplexSolution, SimplexWLSProblem, solve
 from lingdecide.terms import PeakIntervalTerm, field_faults, score, unit_arrays
 
 SCALE = LinguisticScale(4, 4)
@@ -99,6 +104,118 @@ def problem_from_rows(rows, targets, weights):
     b = np.asarray(targets, dtype=float)
     w = np.asarray(weights, dtype=float)
     return SimplexWLSProblem(H=(A * w[:, None]).T @ A, c=A.T @ (w * b), const=math.fsum(w * b * b))
+
+
+def sum_zero_basis(f):
+    """Orthonormal basis of {z : sum(z) = 0} as the columns of an (f, f-1) array.
+
+    They are the last f-1 columns of the Householder reflector that maps
+    ones / sqrt(f) to e_1, so they are orthogonal to the ones vector.
+    """
+    r = math.sqrt(f)
+    return np.vstack([np.full((1, f - 1), 1.0 / r), np.eye(f - 1) - 1.0 / (f - r)])
+
+
+def reference_equality_solve(H, c, free, active):
+    """Minimise over the free coordinates with the active ones at the floor.
+
+    Returns the free-coordinate vector and a degeneracy flag. Ties resolve
+    to the minimum-norm point: the base point is the centroid of the
+    constraint flat and lstsq returns the minimum-norm nullspace step.
+    """
+    f = len(free)
+    s = 1.0 - STRICT_FLOOR * len(active)
+    if f == 1:
+        return np.array([s]), False
+    Hff = H[np.ix_(free, free)]
+    shift = np.zeros(f)
+    if active:
+        shift = H[np.ix_(free, active)] @ np.full(len(active), STRICT_FLOOR)
+    x0 = np.full(f, s / f)
+    N = sum_zero_basis(f)
+    G = N.T @ Hff @ N
+    g = N.T @ (Hff @ x0 + shift - c[free])
+    z, _, rank, _ = np.linalg.lstsq(G, -g, rcond=None)
+    return x0 + N @ z, rank < G.shape[0]
+
+
+def reference_solve(problem):
+    """The solver one problem at a time, in the nullspace of the sum constraint.
+
+    Each iteration solves the subproblem on the current flat in an
+    orthonormal nullspace basis and jumps to its minimiser; a coordinate
+    that lands below the floor is fixed there, the lowest first. It cycles
+    on some general PSD problems (``test_solver.test_the_cycling_case_settles``)
+    but never on the priority model's Laplacian forms.
+    """
+    m = problem.m
+    H, c = problem.H, problem.c
+    active = []
+    degenerate = False
+    for _ in range(4 * m + 16):
+        free = [i for i in range(m) if i not in active]
+        xf, degenerate = reference_equality_solve(H, c, free, active)
+        x = np.full(m, STRICT_FLOOR)
+        x[free] = xf
+        below = [i for i in free if x[i] < STRICT_FLOOR - 1e-12]
+        if below:
+            active.append(min(below, key=lambda i: x[i]))
+            continue
+        grad = 2.0 * (H @ x - c)
+        mu = -float(np.mean(grad[free]))
+        if active:
+            nu = grad[active] + mu
+            j = int(np.argmin(nu))
+            if nu[j] < -1e-10:
+                active.pop(j)
+                continue
+        break
+    else:
+        raise NumericalError("active-set method did not settle")
+    x = np.maximum(x, STRICT_FLOOR)
+    return SimplexSolution(
+        vector=x,
+        objective=problem.objective(x),
+        active_bounds=tuple(sorted(active)),
+        status="degenerate" if degenerate else "optimal",
+    )
+
+
+def simplex_projection(v, floor=STRICT_FLOOR):
+    """Euclidean projection of v onto {x : sum(x) = 1, x >= floor}, by sorting.
+
+    The simplex shifted by the floor (Duchi et al. 2008; Condat 2016).
+    """
+    m = v.size
+    u = np.sort(v - floor)[::-1]
+    total = 1.0 - m * floor
+    cumulative = np.cumsum(u) - total
+    k = np.flatnonzero(u - cumulative / np.arange(1, m + 1) > 0.0)[-1]
+    return np.maximum(v - floor - cumulative[k] / (k + 1), 0.0) + floor
+
+
+def projected_gradient(problem, iterations=50000):
+    """Minimiser over the floored simplex by accelerated projected gradient.
+
+    An independent reference for the solver: no active set and no linear
+    solve. Steps of 1/L (L = 2 max eig H) from the centroid, with Nesterov
+    momentum that restarts whenever it points uphill (O'Donoghue and
+    Candes 2015); it stops once an iterate no longer moves.
+    """
+    H, c = problem.H, problem.c
+    step = 0.5 / max(float(np.linalg.eigvalsh(H)[-1]), 1e-300)
+    x = y = np.full(problem.m, 1.0 / problem.m)
+    t = 1.0
+    for _ in range(iterations):
+        x_next = simplex_projection(y - step * 2.0 * (H @ y - c))
+        if np.abs(x_next - x).max() <= 1e-15:
+            return x_next
+        if np.dot(y - x_next, x_next - x) > 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+    return x
 
 
 def terms_arrays(m, terms):

@@ -14,7 +14,6 @@ from lingdecide.prefs import (
     blend_weights,
     collective_priorities,
     compute_expert_weights,
-    consensus_form,
     consensus_forms,
     consistent_relation,
     distances,
@@ -30,7 +29,7 @@ from lingdecide.prefs import (
 )
 from lingdecide.scale import LinguisticScale, from_unit
 from lingdecide.scenario import MarkovSpec, Overrides, Scenario
-from lingdecide.solver import solve
+from lingdecide.solver import SimplexWLSProblem, solve
 from lingdecide.terms import PeakIntervalTerm
 from helpers import (
     SCALE,
@@ -58,6 +57,12 @@ from helpers import (
 
 def distance(p, q):
     return distances(*stacked([p, q]))[0, 1]
+
+
+def form(scores, certainties, w):
+    """The quadratic form of one attribute's (n, m, m) arrays: ``consensus_forms`` of one."""
+    H, c, const = consensus_forms(scores[None], certainties[None], np.asarray(w)[None])
+    return SimplexWLSProblem(H[0], c[0], const[0])
 
 
 def sample_relation(p12=0.4):
@@ -429,7 +434,7 @@ def test_model_form_matches_design_rows_at_panel_size(m, n, seed):
     kind = rng.integers(3, size=(n, m, m))
     certainties = np.select([kind == 0, kind == 1], [0.0, 1.0], rng.uniform(0.0, 1.0, (n, m, m)))
     w = rng.dirichlet(np.ones(n))
-    assert_matches_design_rows(consensus_form(scores, certainties, w), scores, certainties, w)
+    assert_matches_design_rows(form(scores, certainties, w), scores, certainties, w)
 
 
 def drawn_relation(rng, m):
@@ -550,11 +555,12 @@ def test_stacked_chain_matches_the_per_attribute_chain(scenario, paper_literal):
     scores = scores.reshape(len(solved), -1, *scores.shape[1:])
     certainties = certainties.reshape(scores.shape)
     weights = np.array([model_weights[a] for a in solved])
-    for a, problem in enumerate(consensus_forms(scores, certainties, weights)):
-        for one in (forms[solved[a]], consensus_form(scores[a], certainties[a], weights[a])):
-            assert same_bits(problem.H, one.H)
-            assert same_bits(problem.c, one.c)
-            assert same_bits(problem.const, one.const)
+    H, c, const = consensus_forms(scores, certainties, weights)
+    for a, attr in enumerate(solved):
+        for one in (forms[attr], form(scores[a], certainties[a], weights[a])):
+            assert same_bits(H[a], one.H)
+            assert same_bits(c[a], one.c)
+            assert same_bits(const[a], one.const)
 
 
 @given(

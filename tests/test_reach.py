@@ -37,6 +37,10 @@ KEPT = {
     "prefs.collective_priorities": "acceptance criterion 5",
     "prefs.consistent_relation": "acceptance criterion 5",
     "prefs.model1_problem": "acceptance criterion 5; perfbench import",
+    "solver.solve": "acceptance criterion 5",
+    "solver.SimplexWLSProblem.__post_init__": "acceptance criterion 5",
+    "solver.SimplexWLSProblem.m": "acceptance criterion 5",
+    "solver.SimplexWLSProblem.objective": "acceptance criterion 5",
     "solver.brute_force_oracle": "the grid oracle (acceptance criterion 5)",
     "solver.brute_force_oracle.<locals>.consider": "the grid oracle (acceptance criterion 5)",
     "solver._fiber_batch_min": "the grid oracle (acceptance criterion 5)",

@@ -1,28 +1,33 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lingdecide.errors import OracleScopeError, ShapeError
+from lingdecide.errors import NumericalError
+from lingdecide.prefs import consensus_forms
 from lingdecide.solver import (
     STRICT_FLOOR,
     SimplexWLSProblem,
-    _sum_zero_basis,
     brute_force_oracle,
     solve,
+    solve_stack,
     stationarity_residual,
 )
 from helpers import (
     naive_grid_min,
     problem_from_rows,
     problem_from_terms,
+    projected_gradient,
     random_problem,
     random_terms,
+    reference_solve,
+    sum_zero_basis,
 )
 
 
 class TestBasics:
-    def test_m1_shortcut(self):
+    def test_m1_is_the_whole_simplex(self):
         sol = solve(problem_from_terms(1, []))
         assert sol.vector.tolist() == [1.0]
         assert sol.status == "optimal"
@@ -178,7 +183,7 @@ def test_solution_beats_random_feasible_points(seed):
 
 def test_sum_zero_basis_is_orthonormal():
     for f in range(2, 65):
-        N = _sum_zero_basis(f)
+        N = sum_zero_basis(f)
         assert N.shape == (f, f - 1)
         assert np.abs(N.T @ N - np.eye(f - 1)).max() <= 1e-13, f
         assert np.abs(np.ones(f) @ N).max() <= 1e-13, f
@@ -225,3 +230,99 @@ def test_solution_optimal_at_model_sizes(m, seed):
         x = np.maximum(rng.dirichlet(np.ones(m)), STRICT_FLOOR)
         x = x / x.sum()
         assert sol.objective <= problem.objective(x) + 1e-9
+
+
+def cycling_problem():
+    """The first draw of the seeded sweep on which the nullspace reference cycles.
+
+    A rank-3 general PSD problem at m = 17: jumping to each flat's
+    minimiser and fixing its lowest coordinate repeats itself every 8
+    iterations.
+    """
+    rng = np.random.default_rng(7)
+    for m in range(1, 25):
+        for _ in range(150):
+            problem = random_problem(rng, m, n_terms=int(rng.integers(0, 3 * m + 2)))
+            if m == 17:
+                return problem
+
+
+def test_the_cycling_case_settles():
+    problem = cycling_problem()
+    with pytest.raises(NumericalError, match="did not settle"):
+        reference_solve(problem)
+    sol = solve(problem)
+    assert sol.vector.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(sol.vector >= STRICT_FLOOR)
+    assert stationarity_residual(problem, sol.vector) <= 1e-9
+    assert sol.objective <= problem.objective(projected_gradient(problem)) + 1e-9
+
+
+@st.composite
+def form_stacks(draw, max_m=40):
+    """(H, c, const, S) of q in 1..8 priority models over one m in 2..max_m.
+
+    Each certainty is 0, 1 or uniform, so some pairs go unweighed and
+    some comparison graphs fall apart; S holds each model's edge weights.
+    """
+    q = draw(st.integers(1, 8))
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    priorities = rng.dirichlet(np.ones(m), (q, n))
+    spread = rng.uniform(0.0, 0.5, (q, n, 1, 1))
+    scores = np.clip(
+        0.5 + (priorities[..., :, None] - priorities[..., None, :]) / 2
+        + spread * rng.uniform(-1.0, 1.0, (q, n, m, m)),
+        0.0, 1.0,
+    )
+    kind = rng.integers(3, size=(q, n, m, m))
+    certainties = np.select([kind == 0, kind == 1], [0.0, 1.0], rng.uniform(0.0, 1.0, kind.shape))
+    weights = rng.dirichlet(np.ones(n), q)
+    H, c, const = consensus_forms(scores, certainties, weights)
+    S = np.einsum("qk,qkij->qij", weights, np.triu(certainties, 1))
+    return H, c, const, S + S.swapaxes(1, 2)
+
+
+def connected(S):
+    """Whether the graph with edge weights S links every vertex to vertex 0."""
+    reach = np.zeros(len(S), dtype=bool)
+    reach[0] = True
+    for _ in range(len(S)):
+        reach = reach | (S[reach] > 0.0).any(axis=0)
+    return bool(reach.all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_stacks())
+def test_stacked_solve_matches_the_nullspace_reference(stack):
+    H, c, const, S = stack
+    x, floored, degenerate = solve_stack(H, c)
+    for a in range(len(c)):
+        problem = SimplexWLSProblem(H[a], c[a], const[a])
+        alone = solve(problem)
+        assert alone.vector.tobytes() == x[a].tobytes()
+        assert alone.active_bounds == tuple(np.flatnonzero(floored[a]))
+        assert (alone.status == "degenerate") == degenerate[a]
+        want = reference_solve(problem)
+        event("some bound active" if floored[a].any() else "interior")
+        if connected(S[a]):
+            assert np.abs(alone.vector - want.vector).max() <= 1e-12
+            assert alone.active_bounds == want.active_bounds
+            assert alone.status == want.status == "optimal"
+        else:
+            event("disconnected")
+            assert alone.objective == pytest.approx(want.objective, rel=0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(form_stacks(max_m=60))
+def test_solver_objective_matches_projected_gradient(stack):
+    H, c, const, _ = stack
+    x = solve_stack(H, c)[0]
+    for a in range(len(c)):
+        problem = SimplexWLSProblem(H[a], c[a], const[a])
+        reference = projected_gradient(problem)
+        assert reference.sum() == pytest.approx(1.0, abs=1e-12)
+        assert reference.min() >= STRICT_FLOOR
+        assert problem.objective(x[a]) == pytest.approx(problem.objective(reference), rel=0, abs=1e-9)
