@@ -405,7 +405,12 @@ class ExpertWeightStack:
         for _ in range(self.deviations.shape[1]):
             _note_deviation(diag, self.m, self.paper_literal)
         if np.any(self.deviations[a] < 0.0):
-            raise ConfigError("deviations must be nonnegative")
+            # only the printed constant can make a total of absolute values negative
+            raise ConfigError(
+                f"deviations must be nonnegative: the printed constant m(m-1)*0.5 = "
+                f"{self.m * (self.m - 1) * 0.5:g} exceeds the {_triple_count(self.m) * 0.5:g} "
+                f"that the triples add"
+            )
         _note_floor(diag, self.floored[a])
         return ExpertWeightReport(
             self.outer[a], self.inner[a], self.trust, self.blended[a], *self.blend

@@ -594,7 +594,14 @@ def per_attribute_expert_weights(
     scores, certainties = stacked(relations)
     outer = per_attribute_outer_weights(scores, certainties)
     deviations = [per_attribute_inner_deviation(E, paper_literal, diag) for E in scores]
-    inner = per_attribute_inner_weights(deviations, scores.shape[1], diag)
+    m = scores.shape[1]
+    if min(deviations) < 0.0:
+        raise ConfigError(
+            f"deviations must be nonnegative: the printed constant m(m-1)*0.5 = "
+            f"{m * (m - 1) * 0.5:g} exceeds the {m * (m - 1) * (m - 2) // 2 * 0.5:g} "
+            f"that the triples add"
+        )
+    inner = per_attribute_inner_weights(deviations, m, diag)
     tru = trust_weights(trust)
     blended = per_attribute_blend_weights(outer, inner, tru, alpha, beta, gamma)
     return ExpertWeightReport(outer, inner, tru, blended, alpha, beta, gamma)

@@ -74,7 +74,8 @@ def test_generated_scenarios_run_to_checked_reports(tmp_path_factory, drawn, pap
         assert (code, out) == (1, "")
         assert err == (
             "validation error: step 3 (expert weights and priorities): "
-            "deviations must be nonnegative\n"
+            "deviations must be nonnegative: the printed constant m(m-1)*0.5 = 3 "
+            "exceeds the 1.5 that the triples add\n"
         )
         return
     assert (code, err) == (0, "")
