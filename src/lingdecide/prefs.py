@@ -8,7 +8,8 @@ midpoints, so E_ij + E_ji = 1.
 
 Expert weights blend three normalised views:
 
-* outer: pairwise relation distances, each expert weighted by its summed
+* outer: pairwise relation distances between the certainty-weighted,
+  centred scores p (E - 1/2), each expert weighted by its summed
   distance to the others (kept verbatim from the source formulation, so
   outliers weigh more; all-zero distances fall back to uniform),
 * inner: consistency entropy of the deviation between direct scores and
@@ -168,10 +169,12 @@ def stacked(relations: list[PreferenceRelation]) -> tuple[np.ndarray, np.ndarray
 
 
 def distances(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
-    """(..., n, n) root-mean differences of certainty-weighted scores over i < j.
+    """(..., n, n) root-mean differences of p (E - 1/2) over the pairs i < j.
 
     Takes the (..., n, m, m) scores and certainties of one attribute's
-    relations, or of a stack of attributes. One pass per expert a gives
+    relations, or of a stack of attributes. Centred on 1/2, a pair reads
+    the same up to sign from either side of the diagonal, so relabelling
+    the alternatives moves no distance. One pass per expert a gives
     row a of every distance matrix, so no temporary holds more than one
     expert's differences. The pair axis leads, so each reduction adds
     pairs one by one in row-major order, and ``float_power`` squares
@@ -180,7 +183,7 @@ def distances(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
     """
     m = scores.shape[-1]
     i, j = np.triu_indices(m, 1)
-    weighted = np.ascontiguousarray(np.moveaxis((scores * certainties)[..., i, j], -1, 0))
+    weighted = np.ascontiguousarray(np.moveaxis((certainties * (scores - 0.5))[..., i, j], -1, 0))
     rows = [
         np.float_power(weighted[..., a, None] - weighted, 2).sum(axis=0)
         for a in range(scores.shape[-3])

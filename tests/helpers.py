@@ -309,7 +309,7 @@ def reference_certainty_matrix(relation):
 
 
 def reference_distance(p, q):
-    """Root-mean difference of certainty-weighted scores over i < j."""
+    """Root-mean difference of p (E - 1/2) over i < j."""
     if p.m != q.m:
         raise ShapeError(f"relation sizes differ: {p.m} vs {q.m}")
     m = p.m
@@ -318,7 +318,7 @@ def reference_distance(p, q):
     total = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            total += (Ep[i, j] * Pp[i, j] - Eq[i, j] * Pq[i, j]) ** 2
+            total += (Pp[i, j] * (Ep[i, j] - 0.5) - Pq[i, j] * (Eq[i, j] - 0.5)) ** 2
     return math.sqrt(2.0 * total / (m * (m - 1)))
 
 
@@ -506,7 +506,7 @@ def per_attribute_distances(scores, certainties):
     """(n, n) distances of one attribute's (n, m, m) stacked arrays."""
     m = scores.shape[1]
     i, j = np.triu_indices(m, 1)
-    weighted = (scores * certainties)[:, i, j].T
+    weighted = (certainties * (scores - 0.5))[:, i, j].T
     diff = weighted[:, :, None] - weighted[:, None, :]
     total = np.float_power(diff, 2).sum(axis=0)
     return np.sqrt(2.0 * total / (m * (m - 1)))

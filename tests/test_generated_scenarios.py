@@ -7,8 +7,9 @@ without ``--paper-literal``. Each report must pass the benchmark's own
 report checks (``perfbench/checks.py``), which use numpy alone. Both
 modules are loaded from their files and left as they are.
 
-The same generator feeds two metamorphic properties: listing the experts,
-or the attributes, in another order leaves every result where it was.
+The same generator feeds metamorphic properties: listing the experts,
+or the attributes, in another order leaves every result where it was,
+and relabelling the alternatives permutes every result with them.
 """
 
 import contextlib
@@ -139,3 +140,44 @@ def test_reordering_experts_or_attributes_changes_no_result(seed, m, q, n, schem
         assert set(got.priorities) == set(base.priorities)
         for attribute, vector in base.priorities.items():
             assert np.max(np.abs(got.priorities[attribute] - vector)) <= 1e-12
+
+
+def relabelled_alternatives(data, order):
+    """Alternatives listed in ``order``, each relation's rows and columns with them."""
+    out = json.loads(json.dumps(data))
+    out["alternatives"] = [data["alternatives"][x] for x in order]
+    out["preferences"] = {
+        attribute: {e: [[rows[a][b] for b in order] for a in order] for e, rows in by_expert.items()}
+        for attribute, by_expert in data["preferences"].items()
+    }
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(2, 7),
+    q=st.integers(1, 5),
+    n=st.integers(2, 5),
+    scheme=st.sampled_from(["power", "reshape"]),
+    paper_literal=st.booleans(),
+    data=st.data(),
+)
+def test_relabelling_alternatives_permutes_every_result(seed, m, q, n, scheme, paper_literal, data):
+    scenario = json.loads(generate.scenario_text(seed, m=m, q=q, n=n, periods=2, scheme=scheme))
+    base = outcome(scenario, paper_literal)
+    event("error" if isinstance(base, str) else "report")
+    order = data.draw(st.permutations(range(m)), label="alternatives")
+    got = outcome(relabelled_alternatives(scenario, order), paper_literal)
+    if isinstance(base, str):
+        assert got == base
+        return
+    assert np.max(np.abs(got.comparables - base.comparables[order])) <= 1e-12
+    assert set(got.priorities) == set(base.priorities)
+    for attribute, vector in base.priorities.items():
+        assert np.max(np.abs(got.priorities[attribute] - vector[order])) <= 1e-12
+    # the ranking follows, but for alternatives whose values tie within 1e-12
+    position = {name: k for k, name in enumerate(got.ranked_names())}
+    names, values = base.ranked_names(), np.sort(base.comparables)[::-1]
+    for k in range(m - 1):
+        if values[k] - values[k + 1] > 1e-12:
+            assert position[names[k]] < position[names[k + 1]]

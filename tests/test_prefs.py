@@ -161,7 +161,7 @@ class TestScoresAndDistance:
         a = relation({(0, 1): pt(2, 0, 1.0)}, m=2)
         b = relation({(0, 1): pt(2, 0, 0.5)}, m=2)
         Ea = 0.75
-        want = math.sqrt(2.0 / 2.0 * (Ea * 1.0 - Ea * 0.5) ** 2)
+        want = math.sqrt(2.0 / 2.0 * ((Ea - 0.5) * 1.0 - (Ea - 0.5) * 0.5) ** 2)
         assert distance(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_distance_shape_mismatch(self):
