@@ -3,16 +3,25 @@
 Usage: decide SCENARIO [--stage S] [--report text|json] [--export-dot P]
 [--paper-literal] [--scheme power|reshape]. Exit codes: 0 success,
 1 validation failure, 2 parse failure, 3 numerical failure.
+
+BLAS runs on one thread: the engine's largest BLAS/LAPACK calls (batched
+31 x 31 solves) are too small for a thread pool to help, and OpenBLAS
+starting its pool while numpy loads cost up to about 65 ms of each start
+on a 2-vCPU host. A user-set ``OPENBLAS_NUM_THREADS`` wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-import numpy as np
+# before numpy's first import; ``import lingdecide`` loads no numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import (
+import numpy as np  # noqa: E402
+
+from .errors import (  # noqa: E402
     ConfigError,
     EngineError,
     NumericalError,
@@ -20,8 +29,8 @@ from .errors import (
     ScenarioValidationError,
     ShapeError,
 )
-from .pipeline import STAGES, run_pipeline
-from .scenario import load_scenario
+from .pipeline import STAGES, run_pipeline  # noqa: E402
+from .scenario import load_scenario  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

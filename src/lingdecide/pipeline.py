@@ -22,7 +22,14 @@ import numpy as np
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
-from .prefs import ExpertWeightReport, consensus_forms, stacked, weigh_experts, weight_vector
+from .prefs import (
+    ExpertWeightReport,
+    comparison_groups,
+    consensus_forms,
+    stacked,
+    weigh_experts,
+    weight_vector,
+)
 from .solver import solve_stack
 
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")
@@ -293,7 +300,20 @@ def run_pipeline(
             rows = [index[attr] for attr in report.model_weights]
             weights = np.array(list(report.model_weights.values()))
             H, c, _ = consensus_forms(scores[rows], certainties[rows], weights)
-            report.priorities.update(zip(report.model_weights, solve_stack(H, c)[0]))
+            x, _, degenerate = solve_stack(H, c)
+            report.priorities.update(zip(report.model_weights, x))
+            names = list(report.model_weights)
+            for a in np.flatnonzero(degenerate):
+                groups = " ".join(
+                    "[" + ", ".join(scenario.alternatives[i] for i in group) + "]"
+                    for group in comparison_groups(H[a])
+                )
+                record(
+                    diag, "degenerate_priorities",
+                    f"{names[a]}: comparisons at certainty above 0 leave the alternatives "
+                    f"in unlinked groups {groups}; the priorities are the minimum-norm "
+                    "optimum, one of many",
+                )
             report.priorities = {attr: report.priorities[attr] for attr in scenario.attributes}
     if stage == "priorities":
         return report

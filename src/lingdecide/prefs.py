@@ -490,6 +490,21 @@ def consensus_forms(
     return H, c, const
 
 
+def comparison_groups(H: np.ndarray) -> list[list[int]]:
+    """The connected components of one attribute's comparison graph, S_ij > 0.
+
+    ``H`` is the attribute's (m, m) quadratic term from ``consensus_forms``,
+    a quarter of the graph's weighted Laplacian, so H_ij = -S_ij / 4 off the
+    diagonal. Components are listed by their first alternative.
+    """
+    m = len(H)
+    reach = (H < 0) | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):  # each boolean square doubles the path length covered
+        reach = reach @ reach
+    groups = dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach)
+    return [list(group) for group in groups]
+
+
 def weight_vector(weights: np.ndarray | list[float], n: int) -> np.ndarray:
     """``weights`` as an (n,) float array, checked to be a probability vector."""
     w = np.asarray(weights, dtype=float)

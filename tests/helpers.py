@@ -639,7 +639,7 @@ def per_attribute_step3(scenario, paper_literal=False):
     """
     diag = Diagnostics()
     ov = scenario.overrides
-    reports, model_weights, forms, priorities = {}, {}, {}, {}
+    reports, model_weights, forms, priorities, degenerate = {}, {}, {}, {}, []
     for attr in scenario.attributes:
         relations = scenario.preferences.get(attr)
         if relations is not None:
@@ -677,8 +677,39 @@ def per_attribute_step3(scenario, paper_literal=False):
             w = reports[attr].blended
         model_weights[attr] = w
         forms[attr] = per_attribute_consensus_form(*stacked(list(relations)), w)
-        priorities[attr] = solve(forms[attr]).vector
+        solution = solve(forms[attr])
+        priorities[attr] = solution.vector
+        if solution.status == "degenerate":
+            degenerate.append(attr)
+    for attr in degenerate:
+        certainties = stacked(list(scenario.preferences[attr]))[1]
+        groups = searched_groups(np.einsum("k,kij->ij", model_weights[attr], certainties))
+        record(
+            diag, "degenerate_priorities",
+            f"{attr}: comparisons at certainty above 0 leave the alternatives in unlinked groups "
+            + " ".join("[" + ", ".join(scenario.alternatives[i] for i in g) + "]" for g in groups)
+            + "; the priorities are the minimum-norm optimum, one of many",
+        )
     return reports, model_weights, forms, priorities, diag
+
+
+def searched_groups(S):
+    """The components of the graph S_ij > 0, by depth-first search from each unseen vertex."""
+    groups, seen = [], set()
+    for start in range(len(S)):
+        if start in seen:
+            continue
+        group, todo = [], [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            group.append(i)
+            for j in range(len(S)):
+                if j not in seen and (S[i, j] > 0 or S[j, i] > 0):
+                    seen.add(j)
+                    todo.append(j)
+        groups.append(sorted(group))
+    return groups
 
 
 def per_matrix_validate_relation(relation):

@@ -300,6 +300,62 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def fresh_python(code, **env):
+    """What ``code`` prints, read as JSON, run in a new interpreter.
+
+    OPENBLAS_NUM_THREADS is unset there unless ``env`` sets it.
+    """
+    base = src_env()
+    base.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**base, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_package_import_loads_nothing_and_leaves_the_environment():
+    got = fresh_python(
+        "import json, os, sys; before = dict(os.environ); import lingdecide; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('numpy', 'lingdecide')), dict(os.environ) == before]))"
+    )
+    assert got == [["lingdecide"], True]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    got = fresh_python(
+        "import json, lingdecide; "
+        "unlisted = sorted(set(lingdecide.__all__) - set(dir(lingdecide))); "
+        "print(json.dumps([unlisted, "
+        "[n for n in lingdecide.__all__ if getattr(lingdecide, n, None) is None], "
+        "hasattr(lingdecide, 'no_such_name')]))"
+    )
+    assert got == [[], [], False]
+
+
+@pytest.mark.parametrize("given, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_import_pins_blas_to_one_thread_unless_set(given, want):
+    code = "import json, os, lingdecide.cli; print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))"
+    assert fresh_python(code, **given) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_import_starts_no_blas_thread():
+    threads, blas = fresh_python(
+        "import json, os, lingdecide.cli; threads = len(os.listdir('/proc/self/task')); "
+        "import numpy as np; blas = np.show_config(mode='dicts')['Build Dependencies']['blas']; "
+        "print(json.dumps([threads, blas['name']]))"
+    )
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS")
+    assert threads == 1
+
+
 def test_integer_too_large_for_a_float_is_a_located_validation_error(tmp_path):
     huge = 10**400
     data = json.loads(json.dumps(uniform_scenario_dict()))

@@ -181,3 +181,31 @@ def test_relabelling_alternatives_permutes_every_result(seed, m, q, n, scheme, p
     for k in range(m - 1):
         if values[k] - values[k + 1] > 1e-12:
             assert position[names[k]] < position[names[k + 1]]
+
+
+def unlinked_first_alternative(seed):
+    """A generated m = 5 scenario whose C1 compares A1 with no other at certainty above 0."""
+    data = json.loads(generate.scenario_text(seed, m=5, q=3, n=3, periods=2, scheme="power"))
+    for rows in data["preferences"]["C1"].values():
+        for j in range(1, 5):
+            rows[0][j]["p"] = rows[j][0]["p"] = 0.0
+    return data
+
+
+def test_an_unlinked_alternative_is_a_degeneracy_event(tmp_path):
+    path = tmp_path / "unlinked.json"
+    path.write_text(json.dumps(unlinked_first_alternative(7)), encoding="utf-8")
+    for paper_literal in ([], ["--paper-literal"]):
+        code, out, err = decide(path, *paper_literal)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["priorities"]["C1"][0] == 0.2
+        events = [e for e in report["diagnostics"] if e["kind"] == "degenerate_priorities"]
+        assert events == [
+            {
+                "kind": "degenerate_priorities",
+                "detail": "C1: comparisons at certainty above 0 leave the alternatives in "
+                "unlinked groups [A1] [A2, A3, A4, A5]; the priorities are the "
+                "minimum-norm optimum, one of many",
+            }
+        ]

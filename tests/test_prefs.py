@@ -13,6 +13,7 @@ from lingdecide.prefs import (
     PreferenceRelation,
     blend_weights,
     collective_priorities,
+    comparison_groups,
     compute_expert_weights,
     consensus_forms,
     consistent_relation,
@@ -618,3 +619,18 @@ def test_entropy_weights_keep_the_scalar_log(deviations):
     assert same_bits(weights[0], want)
     assert same_bits(weights[1], per_attribute_inner_weights(deviations[::-1], 4))
     assert not floored.any()
+
+
+@given(st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_comparison_groups_are_the_linked_components(m, seed):
+    """Each group is linked as a chain in shuffled order, so reaching across one takes many hops."""
+    rng = np.random.default_rng(seed)
+    label = rng.integers(rng.integers(1, m + 1), size=m)
+    S = np.zeros((m, m))
+    for g in np.unique(label):
+        chain = rng.permutation(np.flatnonzero(label == g))
+        S[chain[:-1], chain[1:]] = rng.uniform(0.1, 1.0, chain.size - 1)
+    S += S.T
+    H = 0.25 * (np.diag(S.sum(axis=1)) - S)
+    want = sorted(np.flatnonzero(label == g).tolist() for g in np.unique(label))
+    assert comparison_groups(H) == want

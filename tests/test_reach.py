@@ -2,11 +2,13 @@
 
 The guard runs ``cli.main`` in-process under ``sys.setprofile`` over the
 bundled case, the files in ``tests/data``, small generated scenarios
-(``perfbench/generate.py``), one with an expert-weight override and one
-malformed file, each with several command-line options. A function defined
+(``perfbench/generate.py``), one with an expert-weight override, one whose
+comparisons leave an alternative unlinked and one malformed file, each
+with several command-line options. A function defined
 in ``src/lingdecide`` that no run calls must be listed in ``KEPT`` with
 what keeps it: an acceptance criterion, a perfbench import, the grid
-oracle or the console script; besides those, only the scalar score that
+oracle, the console script or the lazy public namespace (the package's
+``__getattr__`` and ``__dir__``); besides those, only the scalar score that
 the matrix arrays are tested against and the data-model methods of term
 matrices. An entry for a function that is gone, or that the runs do
 reach, fails too, so the list stays exact.
@@ -22,13 +24,15 @@ from pathlib import Path
 import lingdecide
 from lingdecide import cli
 
-from test_generated_scenarios import generate
+from test_generated_scenarios import generate, unlinked_first_alternative
 
 SRC = Path(lingdecide.__file__).parent
 DATA = Path(__file__).parent / "data"
 
 #: functions no ``decide`` run reaches, each with what keeps it
 KEPT = {
+    "__init__.__getattr__": "the lazy public namespace",
+    "__init__.__dir__": "the lazy public namespace",
     "cli.entry": "the console script `decide`",
     "scale.from_unit": "acceptance criterion 1",
     "scale.to_unit": "acceptance criterion 1",
@@ -109,6 +113,8 @@ def scenario_files(tmp_path):
     override["overrides"] = {"expert_weight_vectors": {"C1": [0.2, 0.2, 0.2]}}
     files.append(tmp_path / "override.json")
     files[-1].write_text(json.dumps(override), encoding="utf-8")
+    files.append(tmp_path / "unlinked.json")
+    files[-1].write_text(json.dumps(unlinked_first_alternative(7)), encoding="utf-8")
     files.append(tmp_path / "malformed.json")
     files[-1].write_text('{"format": 1,', encoding="utf-8")
     return files
