@@ -8,11 +8,13 @@ collector through a run and the report lists every event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from . import records
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class Event:
+    """One numerical edge case met in a run: its kind and what happened."""
+
     kind: str
     detail: str
 
@@ -20,9 +22,11 @@ class Event:
         return {"kind": self.kind, "detail": self.detail}
 
 
-@dataclass
+@records.record
 class Diagnostics:
-    events: list[Event] = field(default_factory=list)
+    """The events of one run, in the order they were recorded."""
+
+    events: list[Event] = records.factory(list)
 
     def record(self, kind: str, detail: str) -> None:
         self.events.append(Event(kind, detail))

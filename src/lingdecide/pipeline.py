@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import records
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
@@ -49,7 +49,7 @@ def _step(number: int, name: str):
         raise NumericalError(f"step {number} ({name}): {exc}") from exc
 
 
-@dataclass
+@records.record
 class DecisionReport:
     """Everything the pipeline produced, plus the diagnostics trail."""
 
@@ -61,12 +61,12 @@ class DecisionReport:
     experts: tuple[str, ...]
     transition: np.ndarray | None = None
     period_weights: np.ndarray | None = None
-    expert_weights: dict[str, ExpertWeightReport] = field(default_factory=dict)
-    model_weights: dict[str, np.ndarray] = field(default_factory=dict)
-    priorities: dict[str, np.ndarray] = field(default_factory=dict)
+    expert_weights: dict[str, ExpertWeightReport] = records.factory(dict)
+    model_weights: dict[str, np.ndarray] = records.factory(dict)
+    priorities: dict[str, np.ndarray] = records.factory(dict)
     comparables: np.ndarray | None = None
     ranking: tuple[int, ...] | None = None
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    diagnostics: Diagnostics = records.factory(Diagnostics)
 
     def ranked_names(self) -> list[str] | None:
         if self.ranking is None:

@@ -42,10 +42,10 @@ so no temporary grows past O(q n m^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EmptyTrustError, ShapeError
 from .scale import LinguisticScale
@@ -77,8 +77,10 @@ class PreferenceRelation(TermMatrix):
         return reciprocity_violations(lower, upper, p)
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class Violation:
+    """One broken rule of a preference relation, at cell (i, j)."""
+
     i: int
     j: int
     rule: str
@@ -362,7 +364,7 @@ def blend_weights(
     return alpha * vectors[0] + beta * vectors[1] + gamma * vectors[2]
 
 
-@dataclass(frozen=True, eq=False)
+@records.record(frozen=True, eq=False)
 class ExpertWeightReport:
     """The three weight views and their blend for one attribute."""
 

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .errors import RangeError
 
 #: tolerance used when checking coordinates against scale bounds
 _EDGE = 1e-12
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class LinguisticScale:
     """Symmetric double-hierarchy scale with tau and zeta granularity."""
 
@@ -53,7 +53,7 @@ class LinguisticScale:
             )
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class TermCoord:
     """A (t, k) coordinate on some scale; subscripts may be fractional."""
 

@@ -14,12 +14,11 @@ Peak intervals are encoded as ``{"interval": [LO, HI], "p": x}`` or
 from __future__ import annotations
 
 import gc
-import importlib.resources
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
@@ -38,8 +37,10 @@ MAX_MARKOV_STEPS = 1000
 MAX_SCALE_HALF_WIDTH = 1000
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class MarkovSpec:
+    """The Markov block of a scenario: horizon, scheme and transition assessments."""
+
     periods: int
     iterations: int
     origin: int
@@ -48,16 +49,20 @@ class MarkovSpec:
     assessments: tuple[LinguisticMarkovAssessment, ...] | None
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class Overrides:
+    """Stage results given in the scenario, each replacing the stage that computes it."""
+
     transition_matrix: np.ndarray | None = None
     period_weights: np.ndarray | None = None
-    priority_vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    expert_weight_vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    priority_vectors: dict[str, np.ndarray] = records.factory(dict)
+    expert_weight_vectors: dict[str, np.ndarray] = records.factory(dict)
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class Scenario:
+    """A whole decision problem: scale, names, experts, blend, Markov block, preferences."""
+
     scale: LinguisticScale
     attributes: tuple[str, ...]
     alternatives: tuple[str, ...]
@@ -731,6 +736,9 @@ def _decode_preferences(
 
 def bundled_scenario_text(name: str = "financial_crisis") -> str:
     """Raw JSON text of a scenario shipped with the package."""
+    # imported here: no ``decide`` run reads a bundled scenario
+    import importlib.resources
+
     resource = importlib.resources.files("lingdecide").joinpath("data", f"{name}.json")
     try:
         return resource.read_text(encoding="utf-8")

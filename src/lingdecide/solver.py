@@ -25,10 +25,10 @@ vertex and endpoints. The result equals naive exhaustive enumeration
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .errors import NumericalError, OracleScopeError, ShapeError
 
 STRICT_FLOOR = 1e-9
@@ -37,7 +37,7 @@ _VIOLATION_TOL = 1e-12
 _RELEASE_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@records.record(frozen=True, eq=False)
 class SimplexWLSProblem:
     """The objective x.Hx - 2 c.x + const over an m-simplex, m = len(c).
 
@@ -70,8 +70,10 @@ class SimplexWLSProblem:
         return float(x @ self.H @ x - 2.0 * self.c @ x + self.const)
 
 
-@dataclass(frozen=True, eq=False)
+@records.record(frozen=True, eq=False)
 class SimplexSolution:
+    """A solved problem: the point, its objective, the floored coordinates and a status."""
+
     vector: np.ndarray
     objective: float
     active_bounds: tuple[int, ...]

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
 import numpy as np
 
+from . import records
 from .diagnostics import Diagnostics, record
 from .errors import EmptyEvidenceError, RangeError, ShapeError
 from .scale import (
@@ -42,7 +42,7 @@ from .scale import (
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class LinguisticInterval:
     """A linguistic interval [lower, upper] whose endpoints are in unit order."""
 
@@ -62,7 +62,7 @@ class LinguisticInterval:
         return unit_value(self.scale, self.upper.t, self.upper.k)
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class FuzzyIntervalTerm(LinguisticInterval):
     """One linguistic interval with its fuzzy degree fd in [0, 1]."""
 
@@ -74,7 +74,7 @@ class FuzzyIntervalTerm(LinguisticInterval):
             raise RangeError(f"fuzzy degree fd={self.fd} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class FuzzyIntervalSet:
     """A nonempty collection of fuzzy interval terms over one scale.
 
@@ -96,7 +96,7 @@ class FuzzyIntervalSet:
             raise RangeError(f"fuzzy degrees sum to {total} > 1")
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class PeakIntervalTerm(LinguisticInterval):
     """The minimum-fd interval of an assessment, with certainty p = 1 - fd."""
 
@@ -331,7 +331,7 @@ def score(term: PeakIntervalTerm) -> float:
     return (term.unit_lower + term.unit_upper) / 2.0
 
 
-@dataclass(frozen=True)
+@records.record(frozen=True)
 class ProbabilisticTermSet:
     """Plain probabilistic linguistic evidence: (term, probability) pairs.
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lingdecide.cli import main
@@ -300,15 +301,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def fresh_python(code, **env):
-    """What ``code`` prints, read as JSON, run in a new interpreter.
+def fresh_python(code, *flags, **env):
+    """What ``code`` prints, read as JSON, run in a new interpreter with ``flags``.
 
     OPENBLAS_NUM_THREADS is unset there unless ``env`` sets it.
     """
     base = src_env()
     base.pop("OPENBLAS_NUM_THREADS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
@@ -342,6 +343,28 @@ def test_every_public_name_resolves_and_is_listed():
 def test_cli_import_pins_blas_to_one_thread_unless_set(given, want):
     code = "import json, os, lingdecide.cli; print(json.dumps(os.environ['OPENBLAS_NUM_THREADS']))"
     assert fresh_python(code, **given) == want
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The records are built without dataclasses' code generation."""
+    code = "import json, sys, lingdecide.cli; print(json.dumps('dataclasses' in sys.modules))"
+    assert fresh_python(code) is False
+
+
+def test_cli_import_defers_importlib_resources():
+    """Only reading a bundled scenario loads ``importlib.resources``.
+
+    Run without ``site`` (``-S``), which in some environments loads it
+    first, with numpy's directory on the path.
+    """
+    code = (
+        "import json, sys, lingdecide.cli; loaded = 'importlib.resources' in sys.modules; "
+        "from lingdecide.scenario import bundled_scenario_text; "
+        "print(json.dumps([loaded, json.loads(bundled_scenario_text())['format']]))"
+    )
+    numpy_dir = str(Path(np.__file__).parents[1])
+    path = src_env()["PYTHONPATH"] + os.pathsep + numpy_dir
+    assert fresh_python(code, "-S", PYTHONPATH=path) == [False, 1]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")

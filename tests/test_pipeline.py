@@ -1,11 +1,13 @@
-import dataclasses
+import ast
 import importlib
 import json
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lingdecide import records
 from lingdecide.errors import ConfigError, NumericalError, ShapeError
 from lingdecide.pipeline import DecisionReport, aggregate, rank, run_pipeline
 from lingdecide.scale import from_unit
@@ -262,9 +264,38 @@ class TestReportRendering:
 
 
 @pytest.mark.parametrize("module", ["pipeline", "prefs", "scenario", "solver", "terms", "diagnostics"])
-def test_dataclass_annotations_resolve(module):
+def test_record_annotations_resolve(module):
     namespace = vars(importlib.import_module(f"lingdecide.{module}"))
-    classes = [c for c in namespace.values() if dataclasses.is_dataclass(c) and c.__module__ == f"lingdecide.{module}"]
+    classes = [
+        c
+        for c in namespace.values()
+        if hasattr(c, "__record_fields__") and c.__module__ == f"lingdecide.{module}"
+    ]
     assert classes
     for cls in classes:
         typing.get_type_hints(cls)
+        assert cls.__doc__, f"{cls.__name__} does not say what it holds"
+
+
+def test_records_leave_out_class_variables():
+    @records.record(frozen=True)
+    class Point:
+        dims: typing.ClassVar[int] = 2
+        unit: "ClassVar[str]" = "m"
+        x: float
+        y: float = 0.0
+
+    assert Point(1.0) == Point(x=1.0, y=0.0)
+    assert (Point.dims, Point.unit) == (2, "m")
+    with pytest.raises(TypeError):
+        Point(1.0, 0.0, 2)
+
+
+def test_records_generate_no_code():
+    tree = ast.parse(Path(records.__file__).read_text(encoding="utf-8"))
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"exec", "eval", "compile"}

@@ -9,9 +9,11 @@ in ``src/lingdecide`` that no run calls must be listed in ``KEPT`` with
 what keeps it: an acceptance criterion, a perfbench import, the grid
 oracle, the console script or the lazy public namespace (the package's
 ``__getattr__`` and ``__dir__``); besides those, only the scalar score that
-the matrix arrays are tested against and the data-model methods of term
-matrices. An entry for a function that is gone, or that the runs do
-reach, fails too, so the list stays exact.
+the matrix arrays are tested against, the data-model methods of term
+matrices and of records, and the record decorator, which runs when the
+package is imported, before the profiled runs. An entry for a function
+that is gone, or that the runs do reach, fails too, so the list stays
+exact.
 """
 
 import ast
@@ -74,6 +76,14 @@ KEPT = {
     "terms.TermMatrix.__hash__": "term matrices compare by fields",
     "terms.TermMatrix.__reduce__": "copied and pickled term matrices stay read-only",
     "terms.TermMatrix.__repr__": "term matrices compare by fields, and print in failed comparisons",
+    "records.record": "the record classes' definitions, at import, before any run",
+    "records.factory.__init__": "the record classes' definitions, at import, before any run",
+    "records._eq": "scales compare by fields (acceptance criteria 5 and 7)",
+    "records._hash": "scales hash by fields (acceptance criterion 7)",
+    "records._values": "scales compare by fields (acceptance criteria 5 and 7)",
+    "records._repr": "records print in failed comparisons",
+    "records._refuse_set": "the read-only guard of frozen records",
+    "records._refuse_delete": "the read-only guard of frozen records",
 }
 
 
