@@ -753,7 +753,9 @@ def _decode(text: str) -> Scenario:
     lists, enough to start many collector passes over the growing tree.
     Decoded JSON holds no reference cycles, so reference counting frees it
     all and those passes would find nothing. The collector's prior state
-    is restored however decoding ends.
+    is restored however decoding ends. Under ``decide`` the collector is
+    already off (see ``lingdecide.cli``), so the guard serves library
+    callers.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -778,13 +780,17 @@ def load_bundled_scenario(name: str = "financial_crisis") -> Scenario:
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario file.
 
-    Unreadable files and malformed JSON raise a parse error carrying the
-    line and column; everything else raises one validation error listing
-    all violations with their locations.
+    Unreadable files, text that is not UTF-8 (with the byte offset) and
+    malformed JSON (with the line and column) raise a parse error;
+    everything else raises one validation error listing all violations
+    with their locations.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # one read of the whole file, so the offset counts from its first byte
+        raise ScenarioParseError(f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     return _decode(text)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -143,6 +144,13 @@ class TestFailureExitCodes:
         _, err = capsys.readouterr()
         assert err.startswith("parse error: ") and "recursion" in err
 
+    def test_text_that_is_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([str(path)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("parse error: ") and "not UTF-8 text: byte 0" in err
+
     def test_contract_violation_is_validation_error(self, tmp_path, capsys):
         data = uniform_scenario_dict()
         data["format"] = 99
@@ -263,10 +271,28 @@ def test_entry_point_raises_system_exit(crisis_path, capsys, monkeypatch):
     from lingdecide.cli import entry
 
     monkeypatch.setattr(sys, "argv", ["decide", crisis_path])
-    with pytest.raises(SystemExit) as excinfo:
-        entry()
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            entry()
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
     capsys.readouterr()
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(crisis_path, capsys, enabled):
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main([crisis_path]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
 
 
 def src_env():
@@ -286,6 +312,43 @@ def test_installed_script_smoke(crisis_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ranking"] == ["A1", "A3", "A4", "A2"]
+
+
+def test_module_run_collects_nothing_once_numpy_loads_and_exits_frozen(crisis_path):
+    """Run as ``__main__``, the command line turns the collector off before
+    numpy loads and freezes the heap before it exits; the report is unchanged."""
+    code = (
+        "import atexit, gc, json, runpy, sys; after_numpy = []; "
+        "gc.callbacks.append(lambda phase, info: after_numpy.append('numpy' in sys.modules)); "
+        "atexit.register(lambda: print(json.dumps("
+        "[gc.isenabled(), gc.get_freeze_count() > 0, any(after_numpy)]), file=sys.stderr)); "
+        f"sys.argv = ['decide', {crisis_path!r}, '--report', 'json']; "
+        "runpy.run_module('lingdecide.cli', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=120, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [False, True, False]
+    assert proc.stdout == GOLDEN_REPORT.read_bytes()
+
+
+def test_closed_output_pipe_exits_quietly_with_141(crisis_path):
+    """The reader of the report is gone before ``decide`` writes it."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lingdecide.cli", crisis_path, "--report", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=src_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_cli_import_loads_no_scipy():

@@ -35,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 KEPT = {
     "__init__.__getattr__": "the lazy public namespace",
     "__init__.__dir__": "the lazy public namespace",
-    "cli.entry": "the console script `decide`",
+    "cli.entry": "the `decide` process: the console script and `python -m lingdecide.cli`",
     "scale.from_unit": "acceptance criterion 1",
     "scale.to_unit": "acceptance criterion 1",
     "scenario.bundled_scenario_text": "acceptance criterion 4",

@@ -84,6 +84,12 @@ class TestParseErrors:
             load_bundled_scenario()
         assert err.value.line == 2
 
+    def test_text_that_is_not_utf8_names_the_byte(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"format": 1, "name": "\xc3("}')
+        with pytest.raises(ScenarioParseError, match="not UTF-8 text: byte 23"):
+            load_scenario(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioParseError, match="cannot read"):
             load_scenario(str(tmp_path / "nope.json"))
