@@ -8,6 +8,7 @@ The namespace is lazy (PEP 562): ``import lingdecide`` loads no submodule,
 and so no numpy; a public name imports its module when first asked for.
 """
 
+import gc
 import importlib
 
 __version__ = "0.1.0"
@@ -24,22 +25,23 @@ _PUBLIC = {
         "LinguisticMarkovAssessment", "check_transition_matrix", "estimate_transition",
         "export_dot", "period_weights", "period_weights_reshaped",
     ),
+    "paper": (
+        "FuzzyIntervalSet", "FuzzyIntervalTerm", "PeakIntervalTerm", "ProbabilisticTermSet",
+        "SimplexSolution", "SimplexWLSProblem", "brute_force_oracle", "collective_priorities",
+        "compute_expert_weights", "consistent_relation", "from_unit", "inner_deviation",
+        "inner_weights", "peak", "plts_score", "score", "solve", "to_unit",
+    ),
     "pipeline": ("DecisionReport", "aggregate", "rank", "run_pipeline"),
     "prefs": (
-        "ExpertWeightReport", "PreferenceRelation", "Violation", "blend_weights",
-        "collective_priorities", "compute_expert_weights", "consistent_relation", "distances",
-        "inner_deviation", "inner_weights", "outer_weights", "stacked", "trust_weights",
+        "ExpertWeightReport", "PreferenceRelation", "Violation", "blend_weights", "distances",
+        "outer_weights", "stacked", "trust_weights",
     ),
-    "scale": ("LinguisticScale", "TermCoord", "from_unit", "parse_term", "to_unit"),
+    "scale": ("LinguisticScale", "TermCoord", "parse_term"),
     "scenario": (
         "Scenario", "bundled_scenario_text", "load_bundled_scenario", "load_scenario",
         "scenario_from_dict",
     ),
-    "solver": ("SimplexWLSProblem", "SimplexSolution", "brute_force_oracle", "solve"),
-    "terms": (
-        "FuzzyIntervalSet", "FuzzyIntervalTerm", "PeakIntervalTerm", "ProbabilisticTermSet",
-        "TermMatrix", "peak", "plts_score", "score",
-    ),
+    "terms": ("TermMatrix",),
 }
 
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
@@ -57,3 +59,9 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def decide() -> None:
+    """The ``decide`` console script: ``cli.entry``, with the collector off before numpy loads."""
+    gc.disable()
+    importlib.import_module(".cli", __name__).entry()

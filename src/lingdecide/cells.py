@@ -1,0 +1,100 @@
+"""The decoder's cell-by-cell reader, loaded only for a matrix ``scenario._bulk_fields`` declines.
+
+It reads term literals and locates the faults that only the JSON types show.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .scale import parse_term
+from .scenario import _is_number
+
+#: the fields of a cell that could not be read, and of a coordinate that
+#: could not; they lie on every scale, so they draw no fault of their own
+_BLANK_CELL = (0.0, 0.0, 0.0, 0.0, 0.0)
+_BLANK_COORD = (0.0, 0.0)
+
+
+def _read_coord(raw) -> tuple[float, float] | str:
+    """Subscripts (t, k) of ``[t, k]`` or a term literal, else the fault."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        t, k = raw
+        if _is_number(t) and _is_number(k):
+            try:
+                return float(t), float(k)
+            except OverflowError as exc:
+                return str(exc)
+    elif isinstance(raw, str):
+        try:
+            coord = parse_term(raw)
+        except ValueError as exc:
+            return str(exc)
+        return coord.t, coord.k
+    return f"expected [t, k] or a term literal, got {raw!r}"
+
+
+def _read_cell(raw) -> tuple[tuple[float, ...], dict[int, tuple[str, str]]]:
+    """The fields (t_lo, k_lo, t_hi, k_hi, p) of one JSON cell.
+
+    Also returns the faults that only the JSON types show, as
+    {slot: (location suffix, message)}: slot -1 when the cell could not be
+    read at all, 0 and 1 for a coordinate, 2 for a p too large for a float.
+    Whatever could not be read is blank in the fields.
+    """
+    if not isinstance(raw, dict):
+        return _BLANK_CELL, {-1: ("", f"expected an object, got {type(raw).__name__}")}
+    if "p" not in raw:
+        return _BLANK_CELL, {-1: ("", "missing certainty field 'p'")}
+    p = raw["p"]
+    if not _is_number(p):
+        return _BLANK_CELL, {-1: ("", f"'p' must be a number, got {p!r}")}
+    point = "point" in raw
+    if point:
+        lo = hi = _read_coord(raw["point"])
+    elif "interval" in raw:
+        interval = raw["interval"]
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
+            return _BLANK_CELL, {-1: (".interval", "expected [LO, HI]")}
+        lo, hi = _read_coord(interval[0]), _read_coord(interval[1])
+    else:
+        return _BLANK_CELL, {-1: ("", "entry needs 'interval' or 'point'")}
+    faults = {}
+    if type(lo) is str:
+        faults[0] = (".point" if point else ".interval[0]", lo)
+        lo = _BLANK_COORD
+        if point:
+            hi = lo
+    if type(hi) is str:
+        faults[1] = (".interval[1]", hi)
+        hi = _BLANK_COORD
+    try:
+        p = float(p)
+    except OverflowError as exc:
+        faults[2] = ("", str(exc))
+        p = 0.0
+    return (*lo, *hi, p), faults
+
+
+def _read_cells(
+    raw: list, size: int
+) -> tuple[np.ndarray, dict[tuple[int, int], dict[int, tuple[str, str]]]]:
+    """The fields array of a matrix read cell by cell, with the JSON-type faults.
+
+    Faults are keyed by (row, column), column -1 for a row of the wrong
+    shape, and hold ``_read_cell``'s slots; what could not be read is
+    blank in the array.
+    """
+    values = []
+    faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != size:
+            faults[i, -1] = {-1: ("", f"expected {size} entries")}
+            values += _BLANK_CELL * size
+            continue
+        for j, cell in enumerate(row):
+            value, found = _read_cell(cell)
+            values += value
+            if found:
+                faults[i, j] = found
+    return np.array(values, dtype=float).reshape(size, size, 5), faults

@@ -12,14 +12,14 @@ on a 2-vCPU host. A user-set ``OPENBLAS_NUM_THREADS`` wins.
 
 A ``decide`` process does no cyclic garbage collection. Run as
 ``__main__`` the module turns the collector off before numpy's first
-import; the console script turns it off when ``entry`` starts. After
-``main`` the process freezes the heap (``gc.freeze``) and exits. The
-run makes no reference cycles worth collecting, yet with the collector
-on, importing numpy and the package starts 33 collector passes, and the
-interpreter's own collections at shutdown, which run even with the
-collector off, walk about 21,600 objects; frozen objects are not
-walked. ``main`` itself leaves the collector alone, so in-process
-callers keep theirs as they set it.
+import; the console script (``lingdecide.decide``) turns it off before
+it imports this module. After ``main`` the process freezes the heap
+(``gc.freeze``) and exits. The run makes no reference cycles worth
+collecting, yet with the collector on, importing numpy and the package
+starts 33 collector passes, and the interpreter's own collections at
+shutdown, which run even with the collector off, walk about 21,600
+objects; frozen objects are not walked. ``main`` itself leaves the
+collector alone, so in-process callers keep theirs as they set it.
 """
 
 from __future__ import annotations

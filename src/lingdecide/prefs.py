@@ -32,8 +32,8 @@ relation at once (``reciprocity_violations``). The weighting chain
 (``weigh_experts``) and the model builder (``consensus_forms``, which
 returns the (H, c, const) arrays of every attribute) run on every
 attribute's relations at once, stacked into (q, n, m, m) score and
-certainty arrays; their one-attribute forms (``compute_expert_weights``,
-``model1_problem``) are the same code on a stack of one. Where a step
+certainty arrays; the one-attribute forms (``model1_problem``, and those
+in ``lingdecide.paper``) are the same code on a stack of one. Where a step
 would pair every expert with every other, or route every pair through
 every third alternative, it loops over the experts or the alternatives,
 so no temporary grows past O(q n m^2).
@@ -48,8 +48,6 @@ import numpy as np
 from . import records
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EmptyTrustError, ShapeError
-from .scale import LinguisticScale
-from .solver import SimplexWLSProblem, solve
 from .terms import TermMatrix
 
 _RECIP_TOL = 1e-9
@@ -209,7 +207,7 @@ def outer_weights(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
 
 
 def deviation_totals(scores: np.ndarray, paper_literal: bool = False) -> np.ndarray:
-    """``inner_deviation`` of every (m, m) score matrix in a (..., m, m) stack.
+    """``paper.inner_deviation`` of every (m, m) score matrix in a (..., m, m) stack.
 
     Returns the (...) totals and records nothing. One pass per third
     alternative v routes every pair through v, so no temporary holds
@@ -255,25 +253,8 @@ def _note_deviation(diag: Diagnostics | None, m: int, paper_literal: bool) -> No
         )
 
 
-def inner_deviation(
-    scores: np.ndarray,
-    paper_literal: bool = False,
-    diag: Diagnostics | None = None,
-) -> float:
-    """Total direct-vs-indirect score deviation of one expert's scores.
-
-    Default form: sum over all (v, i<j, both != v) of |E_ij - E_ij^(-v)|.
-    ``paper_literal`` keeps each |.| + 0.5 term and subtracts the printed
-    constant m(m-1)/2 * ... = m(m-1)*0.5, which matches the triple count
-    only at m = 4; elsewhere it shifts the total (kept for reproduction).
-    """
-    E = np.asarray(scores, dtype=float)
-    _note_deviation(diag, E.shape[-1], paper_literal)
-    return float(deviation_totals(E, paper_literal))
-
-
 def entropy_weights(deviations: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``inner_weights`` of each row of (..., n) nonnegative deviations.
+    """``paper.inner_weights`` of each row of (..., n) nonnegative deviations.
 
     Also returns the mask of the entropies that were floored. Records and
     checks nothing; a row with a negative deviation gives a meaningless
@@ -300,29 +281,6 @@ def _note_floor(diag: Diagnostics | None, floored: np.ndarray) -> None:
             diag, "entropy_floor",
             f"entropy floored at {ENTROPY_FLOOR:g} for experts {np.flatnonzero(floored).tolist()}",
         )
-
-
-def inner_weights(
-    deviations: np.ndarray | list[float],
-    m: int,
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
-    """Entropy weights from consistency deviations; smaller is better.
-
-    Deviation shares p^k feed le^k = -(1/log2 m) p^k log2 p^k; weights are
-    proportional to 1/le^k with le floored at 1e-12 (floored experts share
-    the resulting mass). All-zero deviations give the uniform vector.
-    """
-    u = np.asarray(deviations, dtype=float)
-    if u.size < 2:
-        raise ShapeError("inner weights need at least two experts")
-    if m < 2:
-        raise ShapeError(f"alternative count must be >= 2, got {m}")
-    if np.any(u < 0.0):
-        raise ConfigError("deviations must be nonnegative")
-    weights, floored = entropy_weights(u, m)
-    _note_floor(diag, floored)
-    return weights
 
 
 def trust_weights(psi: np.ndarray | list[float]) -> np.ndarray:
@@ -445,21 +403,6 @@ def weigh_experts(
     )
 
 
-def compute_expert_weights(
-    relations: list[PreferenceRelation],
-    trust: np.ndarray | list[float],
-    alpha: float,
-    beta: float,
-    gamma: float,
-    paper_literal: bool = False,
-    diag: Diagnostics | None = None,
-) -> ExpertWeightReport:
-    """Full weighting chain for one attribute's relations."""
-    scores, certainties = stacked(relations)
-    chain = weigh_experts(scores[None], certainties[None], trust, alpha, beta, gamma, paper_literal)
-    return chain.report(0, diag)
-
-
 def consensus_forms(
     scores: np.ndarray,
     certainties: np.ndarray,
@@ -522,43 +465,8 @@ def model1_problem(
     weights: np.ndarray | list[float],
 ) -> SimplexWLSProblem:
     """Assemble the collective-priority problem of one attribute's relations."""
+    from .paper import SimplexWLSProblem
     scores, certainties = stacked(relations)
     w = weight_vector(weights, len(relations))
     H, c, const = consensus_forms(scores[None], certainties[None], w[None])
     return SimplexWLSProblem(H=H[0], c=c[0], const=const[0])
-
-
-def collective_priorities(
-    relations: list[PreferenceRelation],
-    weights: np.ndarray | list[float],
-) -> np.ndarray:
-    """Priority vector of the certainty-weighted consensus model."""
-    return solve(model1_problem(relations, weights)).vector
-
-
-def consistent_relation(
-    scale: LinguisticScale,
-    priorities: np.ndarray | list[float],
-    p: float = 1.0,
-    half_gradient: bool = False,
-) -> PreferenceRelation:
-    """Point relation generated from a priority vector.
-
-    E_ij = w_i - w_j + 0.5 by default (the additive-consistency identity);
-    ``half_gradient`` uses E_ij = (w_i - w_j)/2 + 0.5, the convention the
-    collective-priority model recovers exactly. Each point takes
-    ``scale.from_unit``'s canonical coordinate; the diagonal has p = 1.
-    """
-    w = np.asarray(priorities, dtype=float)
-    e = (0.5 if half_gradient else 1.0) * (w[:, None] - w[None, :]) + 0.5
-    outside = np.argwhere(~((e >= 0.0) & (e <= 1.0))).tolist()
-    if outside:
-        i, j = outside[0]
-        raise ConfigError(f"score {e[i, j]:.6g} for pair ({i},{j}) leaves [0, 1]")
-    # from_unit, elementwise: the floor branch, with gamma = 1 at (tau, 0)
-    x = 2.0 * scale.tau * e - scale.tau
-    t = np.where(e >= 1.0, scale.tau, np.floor(x))
-    k = np.where(e >= 1.0, 0.0, scale.zeta * (x - t))
-    certainty = np.full(e.shape, p, dtype=float)
-    np.fill_diagonal(certainty, 1.0)
-    return PreferenceRelation.from_fields(scale, np.stack([t, k, t, k, certainty], axis=-1))

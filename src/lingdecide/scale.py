@@ -5,10 +5,10 @@ modifiers o_k. A coordinate pair (t, k) maps to the unit interval through
 
     gamma = (k + (tau + t) * zeta) / (2 * zeta * tau)
 
-which is strictly increasing in both coordinates. The inverse uses the
-canonical floor branch, so every gamma in [0, 1] has exactly one
-representative; gamma = 1 resolves to (tau, 0) because the floor branch
-would otherwise leave the second coordinate at its upper edge.
+which is strictly increasing in both coordinates. The inverse
+``paper.from_unit`` uses the canonical floor branch, so every gamma in
+[0, 1] has one representative; gamma = 1 resolves to (tau, 0) because
+the floor branch would leave the second coordinate at its upper edge.
 
 Internally everything downstream computes on unit values; (t, k) is a
 presentation form. Subscripts are continuous (virtual terms between the
@@ -97,33 +97,10 @@ def off_scale(
 def unit_value(scale: LinguisticScale, t, k):
     """The unit transform of subscripts t and k, scalars or numpy arrays.
 
-    No range check: ``to_unit`` checks a single coordinate first, and the
+    No range check: ``paper.to_unit`` checks a single coordinate first, and the
     array callers hold coordinates that were checked when decoded or built.
     """
     return (k + (scale.tau + t) * scale.zeta) / (2.0 * scale.zeta * scale.tau)
-
-
-def to_unit(scale: LinguisticScale, term: TermCoord) -> float:
-    """Map a coordinate pair to its unit value gamma in [0, 1]."""
-    fault = coord_fault(scale, term.t, term.k)
-    if fault is not None:
-        raise RangeError(fault)
-    return unit_value(scale, term.t, term.k)
-
-
-def from_unit(scale: LinguisticScale, gamma: float) -> TermCoord:
-    """Inverse transform, canonical branch.
-
-    t = floor(2*tau*gamma - tau), k = zeta * (2*tau*gamma - tau - t),
-    except gamma = 1 which maps to (tau, 0).
-    """
-    if not math.isfinite(gamma) or gamma < -_EDGE or gamma > 1.0 + _EDGE:
-        raise RangeError(f"unit value gamma={gamma} outside [0, 1]")
-    if gamma >= 1.0:
-        return TermCoord(float(scale.tau), 0.0)
-    x = 2.0 * scale.tau * gamma - scale.tau
-    t = math.floor(x)
-    return TermCoord(float(t), scale.zeta * (x - t))
 
 
 _TERM_RE = re.compile(r"^s(-?\d+(?:\.\d+)?)\(o(-?\d+(?:\.\d+)?)\)$")

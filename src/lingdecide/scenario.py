@@ -8,7 +8,8 @@ every violation with its location instead of stopping at the first.
 
 Peak intervals are encoded as ``{"interval": [LO, HI], "p": x}`` or
 ``{"point": C, "p": x}`` where each coordinate is either a two-element
-``[t, k]`` array or a term literal string such as ``"s-2(o1)"``.
+``[t, k]`` array or a term literal string such as ``"s-2(o1)"``. Term
+literals and malformed cells go to ``lingdecide.cells``, loaded on demand.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
-from .scale import LinguisticScale, parse_term
+from .scale import LinguisticScale
 from .terms import TermMatrix, field_faults, unit_arrays
 
 FORMAT_VERSION = 1
@@ -123,72 +124,6 @@ def _is_number(x) -> bool:
 _JSON_NUMBERS = frozenset((int, float))
 
 
-#: the fields of a cell that could not be read, and of a coordinate that
-#: could not; they lie on every scale, so they draw no fault of their own
-_BLANK_CELL = (0.0, 0.0, 0.0, 0.0, 0.0)
-_BLANK_COORD = (0.0, 0.0)
-
-
-def _read_coord(raw) -> tuple[float, float] | str:
-    """Subscripts (t, k) of ``[t, k]`` or a term literal, else the fault."""
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        t, k = raw
-        if _is_number(t) and _is_number(k):
-            try:
-                return float(t), float(k)
-            except OverflowError as exc:
-                return str(exc)
-    elif isinstance(raw, str):
-        try:
-            coord = parse_term(raw)
-        except ValueError as exc:
-            return str(exc)
-        return coord.t, coord.k
-    return f"expected [t, k] or a term literal, got {raw!r}"
-
-
-def _read_cell(raw) -> tuple[tuple[float, ...], dict[int, tuple[str, str]]]:
-    """The fields (t_lo, k_lo, t_hi, k_hi, p) of one JSON cell.
-
-    Also returns the faults that only the JSON types show, as
-    {slot: (location suffix, message)}: slot -1 when the cell could not be
-    read at all, 0 and 1 for a coordinate, 2 for a p too large for a float.
-    Whatever could not be read is blank in the fields.
-    """
-    if not isinstance(raw, dict):
-        return _BLANK_CELL, {-1: ("", f"expected an object, got {type(raw).__name__}")}
-    if "p" not in raw:
-        return _BLANK_CELL, {-1: ("", "missing certainty field 'p'")}
-    p = raw["p"]
-    if not _is_number(p):
-        return _BLANK_CELL, {-1: ("", f"'p' must be a number, got {p!r}")}
-    point = "point" in raw
-    if point:
-        lo = hi = _read_coord(raw["point"])
-    elif "interval" in raw:
-        interval = raw["interval"]
-        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
-            return _BLANK_CELL, {-1: (".interval", "expected [LO, HI]")}
-        lo, hi = _read_coord(interval[0]), _read_coord(interval[1])
-    else:
-        return _BLANK_CELL, {-1: ("", "entry needs 'interval' or 'point'")}
-    faults = {}
-    if type(lo) is str:
-        faults[0] = (".point" if point else ".interval[0]", lo)
-        lo = _BLANK_COORD
-        if point:
-            hi = lo
-    if type(hi) is str:
-        faults[1] = (".interval[1]", hi)
-        hi = _BLANK_COORD
-    try:
-        p = float(p)
-    except OverflowError as exc:
-        faults[2] = ("", str(exc))
-        p = 0.0
-    return (*lo, *hi, p), faults
-
-
 #: the containers the cell reader takes for an interval or a coordinate
 _PAIRS = frozenset((list, tuple))
 
@@ -199,7 +134,7 @@ def _bulk_fields(raw: list, size: int) -> np.ndarray | None:
     One walk over the rows with exact container types collects every
     cell's (t_lo, k_lo, t_hi, k_hi, p) into one flat list; one type check
     over its leaves and one conversion make the array. None when any cell
-    needs ``_read_cell``: a row or cell of another shape or type, a leaf
+    needs ``cells._read_cell``: a row or cell of another shape or type, a leaf
     that is no JSON number (a bool, None, or a term literal), or a number
     too large for a float.
     """
@@ -231,30 +166,6 @@ def _bulk_fields(raw: list, size: int) -> np.ndarray | None:
         return None
 
 
-def _read_cells(
-    raw: list, size: int
-) -> tuple[np.ndarray, dict[tuple[int, int], dict[int, tuple[str, str]]]]:
-    """The fields array of a matrix read cell by cell, with the JSON-type faults.
-
-    Faults are keyed by (row, column), column -1 for a row of the wrong
-    shape, and hold ``_read_cell``'s slots; what could not be read is
-    blank in the array.
-    """
-    values = []
-    faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != size:
-            faults[i, -1] = {-1: ("", f"expected {size} entries")}
-            values += _BLANK_CELL * size
-            continue
-        for j, cell in enumerate(row):
-            value, found = _read_cell(cell)
-            values += value
-            if found:
-                faults[i, j] = found
-    return np.array(values, dtype=float).reshape(size, size, 5), faults
-
-
 class _MatrixStack:
     """Term matrices of one kind and size, read one by one and checked together.
 
@@ -262,12 +173,13 @@ class _MatrixStack:
     one of two ways. ``_bulk_fields`` first tries one pass over the whole
     matrix that takes only JSON numbers in exact containers, which is how
     generated and hand-written numeric files spell every cell. When it
-    declines, ``_read_cells`` reads cell by cell: it reads term literals
-    and keeps the faults only the JSON types show, so it locates every
-    such fault. Either way the array goes straight into its place in one
-    (R, size, size, 5) stack. ``build`` then, once over the stack, derives
-    the unit arrays and checks the numeric rules of all cells
-    (``field_faults``) and the kind's own rules (``stack_violations``).
+    declines, ``cells._read_cells``, loaded only then, reads cell by cell:
+    it reads term literals and keeps the faults only the JSON types show,
+    so it locates every such fault. Either way the array goes straight
+    into its place in one (R, size, size, 5) stack. ``build`` then, once
+    over the stack, derives the unit arrays and checks the numeric rules
+    of all cells (``field_faults``) and the kind's own rules
+    (``stack_violations``).
     Only what those passes flag is worded: each matrix reports its faults
     in the place it was read, and a cell reports its faults in the order
     a cell built on its own checks them: the cell's form, its
@@ -295,6 +207,7 @@ class _MatrixStack:
         fields = _bulk_fields(raw, self.size)
         faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
         if fields is None:
+            from .cells import _read_cells
             fields, faults = _read_cells(raw, self.size)
         self._fields[len(self._read)] = fields
         self._read.append((raw, faults, where, col.later()))

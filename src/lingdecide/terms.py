@@ -1,116 +1,29 @@
-"""Fuzzy linguistic interval terms and their peak intervals.
-
-Evidence arrives as linguistic intervals [lower, upper] on a
-double-hierarchy scale, each carrying a fuzzy degree fd (how much of the
-assessment stays unexplained). The peak of a set of such intervals is the
-interval with the smallest fd; its certainty is p = 1 - fd. A peak
-interval scores as its unit midpoint (g_l + g_r) / 2.
+"""Term matrices: square grids of peak intervals over one scale.
 
 Both kinds of matrix evidence, preference relations and Markov
-assessments, are square ``TermMatrix`` grids of peak intervals. A
-matrix is held as one array of subscripts and certainties, from which
-it derives the unit arrays the numerics run on. ``field_faults`` states
-a cell's rules once, on arrays: a lone cell checks itself with it on its
-own fields, and a matrix built from cells or fields goes through one
-checked build (``TermMatrix.from_fields``). Both work on a stack of
-matrices as on one, so a decoder checks and derives many matrices in one
-pass and hands out each as a read-only view of the stack
-(``TermMatrix.stack``).
+assessments, are square ``TermMatrix`` grids of peak intervals: per cell
+a linguistic interval [lower, upper] and its certainty p. A matrix is
+held as one array of subscripts and certainties, from which it derives
+the unit arrays the numerics run on. ``field_faults`` states a cell's
+rules once, on arrays: a lone cell checks itself with it on its own
+fields, and a matrix built from cells or fields goes through one checked
+build (``TermMatrix.from_fields``). Both work on a stack of matrices as
+on one, so a decoder checks and derives many matrices in one pass and
+hands out each as a read-only view of the stack (``TermMatrix.stack``).
+
+The one-object evidence records and peak selection live in ``lingdecide.paper``.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import ClassVar, Iterable
 
 import numpy as np
 
-from . import records
-from .diagnostics import Diagnostics, record
-from .errors import EmptyEvidenceError, RangeError, ShapeError
-from .scale import (
-    LinguisticScale,
-    TermCoord,
-    coord_fault,
-    from_unit,
-    off_scale,
-    to_unit,
-    unit_value,
-)
+from .errors import RangeError, ShapeError
+from .scale import LinguisticScale, coord_fault, off_scale, unit_value
 
 _TOL = 1e-12
-
-
-@records.record(frozen=True)
-class LinguisticInterval:
-    """A linguistic interval [lower, upper] whose endpoints are in unit order."""
-
-    scale: LinguisticScale
-    lower: TermCoord
-    upper: TermCoord
-
-    def __post_init__(self):
-        _check_cell(self.scale, self.lower, self.upper, 1.0)
-
-    @property
-    def unit_lower(self) -> float:
-        return unit_value(self.scale, self.lower.t, self.lower.k)
-
-    @property
-    def unit_upper(self) -> float:
-        return unit_value(self.scale, self.upper.t, self.upper.k)
-
-
-@records.record(frozen=True)
-class FuzzyIntervalTerm(LinguisticInterval):
-    """One linguistic interval with its fuzzy degree fd in [0, 1]."""
-
-    fd: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 <= self.fd <= 1.0):
-            raise RangeError(f"fuzzy degree fd={self.fd} outside [0, 1]")
-
-
-@records.record(frozen=True)
-class FuzzyIntervalSet:
-    """A nonempty collection of fuzzy interval terms over one scale.
-
-    The fuzzy degrees sum to at most 1; the remainder up to 1 is the
-    unexplained part of the assessment. Completeness of the underlying
-    evidence is the assessor's responsibility, not validated here.
-    """
-
-    intervals: tuple[FuzzyIntervalTerm, ...]
-
-    def __post_init__(self):
-        if not self.intervals:
-            raise EmptyEvidenceError("a fuzzy interval set needs at least one interval")
-        scales = {iv.scale for iv in self.intervals}
-        if len(scales) != 1:
-            raise RangeError("all intervals in a set must share one scale")
-        total = math.fsum(iv.fd for iv in self.intervals)
-        if total > 1.0 + 1e-9:
-            raise RangeError(f"fuzzy degrees sum to {total} > 1")
-
-
-@records.record(frozen=True)
-class PeakIntervalTerm(LinguisticInterval):
-    """The minimum-fd interval of an assessment, with certainty p = 1 - fd."""
-
-    p: float
-
-    def __post_init__(self):
-        _check_cell(self.scale, self.lower, self.upper, self.p)
-
-    @classmethod
-    def from_units(
-        cls, scale: LinguisticScale, gl: float, gr: float, p: float
-    ) -> "PeakIntervalTerm":
-        return cls(scale, from_unit(scale, gl), from_unit(scale, gr), p)
-
 
 #: the arrays a term matrix holds, in the order ``unit_arrays`` gives them
 _ARRAYS = ("fields", "lower", "upper", "p", "scores")
@@ -291,87 +204,3 @@ def field_faults(
         for at in np.argwhere(uncertain).tolist()
     ]
     return sorted(faults)
-
-
-def _check_cell(scale: LinguisticScale, lower: TermCoord, upper: TermCoord, p: float) -> None:
-    """Raise ``RangeError`` with the first rule of ``field_faults`` a lone cell breaks.
-
-    A field that is no real number raises ``TypeError``.
-    """
-    values = (lower.t, lower.k, upper.t, upper.k, p)
-    for value in values:
-        # the array would take a numeric string, or None as nan
-        if not isinstance(value, numbers.Real):
-            raise TypeError(f"must be real number, not {type(value).__name__}")
-    fields = np.array(values, dtype=float)
-    faults = field_faults(scale, *unit_arrays(scale, fields)[:3])
-    if faults:
-        raise RangeError(faults[0][-1])
-
-
-def peak(evidence: FuzzyIntervalSet, diag: Diagnostics | None = None) -> PeakIntervalTerm:
-    """Select the minimum-fd interval; p = 1 - fd.
-
-    Ties on fd resolve to the narrowest unit width, then to the smallest
-    unit left endpoint; any tie is recorded as a diagnostic event.
-    """
-    best_fd = min(iv.fd for iv in evidence.intervals)
-    candidates = [iv for iv in evidence.intervals if iv.fd == best_fd]
-    if len(candidates) > 1:
-        record(diag, "peak_tie", f"{len(candidates)} intervals share fd={best_fd:g}")
-    chosen = min(
-        candidates,
-        key=lambda iv: (iv.unit_upper - iv.unit_lower, iv.unit_lower),
-    )
-    return PeakIntervalTerm(chosen.scale, chosen.lower, chosen.upper, 1.0 - chosen.fd)
-
-
-def score(term: PeakIntervalTerm) -> float:
-    """Expected unit value of a peak interval: the midpoint (g_l + g_r) / 2."""
-    return (term.unit_lower + term.unit_upper) / 2.0
-
-
-@records.record(frozen=True)
-class ProbabilisticTermSet:
-    """Plain probabilistic linguistic evidence: (term, probability) pairs.
-
-    This is the single-valued baseline representation the peak intervals
-    improve on; it is kept for the comparison harness and the paradox
-    regression tests.
-    """
-
-    scale: LinguisticScale
-    entries: tuple[tuple[TermCoord, float], ...]
-
-    def __post_init__(self):
-        for coord, prob in self.entries:
-            to_unit(self.scale, coord)
-            if prob < 0.0:
-                raise RangeError(f"probability {prob} negative")
-        total = math.fsum(prob for _, prob in self.entries)
-        if total > 1.0 + 1e-9:
-            raise RangeError(f"probabilities sum to {total} > 1")
-
-
-def plts_score(evidence: ProbabilisticTermSet) -> TermCoord:
-    """Probability-weighted mean term.
-
-    The first-hierarchy subscript is the weighted mean subscript; the
-    second hierarchy averages the same way, which by linearity of the unit
-    transform is exactly the weighted mean in unit space.
-    """
-    total = math.fsum(prob for _, prob in evidence.entries)
-    if total <= 0.0:
-        raise EmptyEvidenceError("total probability is zero")
-    t = math.fsum(coord.t * prob for coord, prob in evidence.entries) / total
-    k = math.fsum(coord.k * prob for coord, prob in evidence.entries) / total
-    return TermCoord(t, k)
-
-
-def evidence_from_pairs(
-    scale: LinguisticScale, pairs: Iterable[tuple[TermCoord, TermCoord, float]]
-) -> FuzzyIntervalSet:
-    """Convenience constructor from (lower, upper, fd) triples."""
-    return FuzzyIntervalSet(
-        tuple(FuzzyIntervalTerm(scale, lo, hi, fd) for lo, hi, fd in pairs)
-    )

@@ -34,6 +34,16 @@ import numpy as np
 
 from lingdecide.diagnostics import Diagnostics, record
 from lingdecide.errors import ConfigError, NumericalError, RangeError, ShapeError
+from lingdecide.cells import _read_cells
+from lingdecide.paper import (
+    PeakIntervalTerm,
+    SimplexSolution,
+    SimplexWLSProblem,
+    from_unit,
+    score,
+    solve,
+    to_unit,
+)
 from lingdecide.prefs import (
     ExpertWeightReport,
     PreferenceRelation,
@@ -41,10 +51,10 @@ from lingdecide.prefs import (
     stacked,
     trust_weights,
 )
-from lingdecide.scenario import _bulk_fields, _read_cells
-from lingdecide.scale import LinguisticScale, TermCoord, from_unit, parse_term, to_unit
-from lingdecide.solver import STRICT_FLOOR, SimplexSolution, SimplexWLSProblem, solve
-from lingdecide.terms import PeakIntervalTerm, field_faults, score, unit_arrays
+from lingdecide.scenario import _bulk_fields
+from lingdecide.scale import LinguisticScale, TermCoord, parse_term
+from lingdecide.solver import STRICT_FLOOR
+from lingdecide.terms import field_faults, unit_arrays
 
 SCALE = LinguisticScale(4, 4)
 

@@ -14,29 +14,32 @@ from lingdecide.markov import (
     estimate_transition,
     period_weights,
 )
-from lingdecide.pipeline import run_pipeline
-from lingdecide.prefs import (
-    blend_weights,
+from lingdecide.paper import (
+    PeakIntervalTerm,
+    ProbabilisticTermSet,
+    brute_force_oracle,
     collective_priorities,
     compute_expert_weights,
     consistent_relation,
+    evidence_from_pairs,
+    from_unit,
     inner_deviation,
     inner_weights,
+    peak,
+    plts_score,
+    solve,
+    to_unit,
+)
+from lingdecide.pipeline import run_pipeline
+from lingdecide.prefs import (
+    blend_weights,
     outer_weights,
     score_matrix,
     stacked,
     trust_weights,
 )
-from lingdecide.scale import LinguisticScale, TermCoord, from_unit, to_unit
+from lingdecide.scale import LinguisticScale, TermCoord
 from lingdecide.scenario import bundled_scenario_text, load_bundled_scenario
-from lingdecide.solver import brute_force_oracle, solve
-from lingdecide.terms import (
-    PeakIntervalTerm,
-    ProbabilisticTermSet,
-    evidence_from_pairs,
-    peak,
-    plts_score,
-)
 from helpers import random_problem
 
 # reported results of the bundled crisis case study, used as golden values

@@ -11,6 +11,7 @@ import pytest
 from lingdecide.cli import main
 from lingdecide.scenario import MAX_MARKOV_STEPS, MAX_SCALE_HALF_WIDTH, bundled_scenario_text
 from helpers import uniform_scenario_dict
+from test_generated_scenarios import generate
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_REPORT = DATA / "financial_crisis.report.json"
@@ -302,7 +303,7 @@ def src_env():
 
 
 def test_installed_script_smoke(crisis_path):
-    """The command line in a process of its own, as the ``decide`` script runs it."""
+    """The command line in a process of its own, run as ``python -m lingdecide.cli``."""
     proc = subprocess.run(
         [sys.executable, "-m", "lingdecide.cli", crisis_path, "--report", "json"],
         capture_output=True,
@@ -331,6 +332,63 @@ def test_module_run_collects_nothing_once_numpy_loads_and_exits_frozen(crisis_pa
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == [False, True, False]
     assert proc.stdout == GOLDEN_REPORT.read_bytes()
+
+
+def test_console_script_collects_nothing_once_numpy_loads_and_exits_frozen(crisis_path):
+    """The ``decide`` script as pip generates it (``from M import f; sys.exit(f())``
+    for the ``[project.scripts]`` target) turns the collector off before numpy
+    loads and freezes the heap before it exits; the report is unchanged."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        module, function = tomllib.load(fh)["project"]["scripts"]["decide"].split(":")
+    code = (
+        "import atexit, gc, json, sys; after_numpy = []; "
+        "gc.callbacks.append(lambda phase, info: after_numpy.append('numpy' in sys.modules)); "
+        "atexit.register(lambda: print(json.dumps("
+        "[gc.isenabled(), gc.get_freeze_count() > 0, any(after_numpy)]), file=sys.stderr)); "
+        f"sys.argv = ['decide', {crisis_path!r}, '--report', 'json']; "
+        f"from {module} import {function}; sys.exit({function}())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=120, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [False, True, False]
+    assert proc.stdout == GOLDEN_REPORT.read_bytes()
+
+
+def run_as_decide(path):
+    """``python -m lingdecide.cli PATH`` in a new interpreter: the exit code, the
+    stderr, and whether the run loaded ``lingdecide.paper`` and ``lingdecide.cells``."""
+    code = (
+        "import atexit, json, runpy, sys; "
+        "atexit.register(lambda: print(json.dumps(['lingdecide.paper' in sys.modules, "
+        "'lingdecide.cells' in sys.modules]), file=sys.stderr)); "
+        f"sys.argv = ['decide', {str(path)!r}]; "
+        "runpy.run_module('lingdecide.cli', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=src_env()
+    )
+    *err, loaded = proc.stderr.splitlines(keepends=True)
+    return proc.returncode, "".join(err), json.loads(loaded)
+
+
+def test_a_run_on_numeric_cells_loads_neither_the_paper_nor_the_cell_reader(crisis_path, tmp_path):
+    generated = tmp_path / "generated.json"
+    generated.write_text(
+        generate.scenario_text(3, m=4, q=3, n=3, periods=2, scheme="power"), encoding="utf-8"
+    )
+    for path in (crisis_path, generated):
+        assert run_as_decide(path) == (0, "", [False, False])
+
+
+def test_a_run_that_needs_the_cell_reader_loads_it_and_reports_as_in_process(capsys):
+    path = DATA / "invalid_cells.json"
+    code = main([str(path)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert run_as_decide(path) == (code, err, [False, True])
 
 
 def test_closed_output_pipe_exits_quietly_with_141(crisis_path):

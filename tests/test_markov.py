@@ -14,8 +14,8 @@ from lingdecide.markov import (
     period_weights_reshaped,
     require_stochastic,
 )
+from lingdecide.paper import PeakIntervalTerm
 from lingdecide.scenario import load_bundled_scenario
-from lingdecide.terms import PeakIntervalTerm
 from helpers import SCALE, reference_transition
 
 # the transition matrix of the bundled crisis scenario, also used as a

@@ -9,8 +9,8 @@ import pytest
 
 from lingdecide import records
 from lingdecide.errors import ConfigError, NumericalError, ShapeError
+from lingdecide.paper import from_unit
 from lingdecide.pipeline import DecisionReport, aggregate, rank, run_pipeline
-from lingdecide.scale import from_unit
 from lingdecide.scenario import load_bundled_scenario, scenario_from_dict
 from helpers import SCALE, uniform_scenario_dict
 
@@ -263,7 +263,7 @@ class TestReportRendering:
             empty.export_dot()
 
 
-@pytest.mark.parametrize("module", ["pipeline", "prefs", "scenario", "solver", "terms", "diagnostics"])
+@pytest.mark.parametrize("module", ["pipeline", "prefs", "scenario", "paper", "diagnostics"])
 def test_record_annotations_resolve(module):
     namespace = vars(importlib.import_module(f"lingdecide.{module}"))
     classes = [

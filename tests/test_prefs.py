@@ -8,19 +8,25 @@ from hypothesis import strategies as st
 
 from lingdecide.diagnostics import Diagnostics
 from lingdecide.errors import ConfigError, EmptyTrustError, EngineError, RangeError, ShapeError
+from lingdecide.paper import (
+    PeakIntervalTerm,
+    SimplexWLSProblem,
+    collective_priorities,
+    compute_expert_weights,
+    consistent_relation,
+    from_unit,
+    inner_deviation,
+    inner_weights,
+    solve,
+)
 from lingdecide.pipeline import run_pipeline
 from lingdecide.prefs import (
     PreferenceRelation,
     blend_weights,
-    collective_priorities,
     comparison_groups,
-    compute_expert_weights,
     consensus_forms,
-    consistent_relation,
     distances,
     entropy_weights,
-    inner_deviation,
-    inner_weights,
     model1_problem,
     outer_weights,
     reciprocity_violations,
@@ -28,10 +34,8 @@ from lingdecide.prefs import (
     stacked,
     trust_weights,
 )
-from lingdecide.scale import LinguisticScale, from_unit
+from lingdecide.scale import LinguisticScale
 from lingdecide.scenario import MarkovSpec, Overrides, Scenario
-from lingdecide.solver import SimplexWLSProblem, solve
-from lingdecide.terms import PeakIntervalTerm
 from helpers import (
     SCALE,
     cell_at,

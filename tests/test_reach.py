@@ -35,41 +35,43 @@ DATA = Path(__file__).parent / "data"
 KEPT = {
     "__init__.__getattr__": "the lazy public namespace",
     "__init__.__dir__": "the lazy public namespace",
+    "__init__.decide": "the `decide` console script",
     "cli.entry": "the `decide` process: the console script and `python -m lingdecide.cli`",
-    "scale.from_unit": "acceptance criterion 1",
-    "scale.to_unit": "acceptance criterion 1",
+    "paper.from_unit": "acceptance criterion 1",
+    "paper._canonical": "acceptance criteria 1 and 5",
+    "paper.to_unit": "acceptance criterion 1",
     "scenario.bundled_scenario_text": "acceptance criterion 4",
     "scenario.load_bundled_scenario": "acceptance criterion 4; perfbench import",
-    "prefs.collective_priorities": "acceptance criterion 5",
-    "prefs.consistent_relation": "acceptance criterion 5",
+    "paper.collective_priorities": "acceptance criterion 5",
+    "paper.consistent_relation": "acceptance criterion 5",
     "prefs.model1_problem": "acceptance criterion 5; perfbench import",
-    "solver.solve": "acceptance criterion 5",
-    "solver.SimplexWLSProblem.__post_init__": "acceptance criterion 5",
-    "solver.SimplexWLSProblem.m": "acceptance criterion 5",
-    "solver.SimplexWLSProblem.objective": "acceptance criterion 5",
-    "solver.brute_force_oracle": "the grid oracle (acceptance criterion 5)",
-    "solver.brute_force_oracle.<locals>.consider": "the grid oracle (acceptance criterion 5)",
-    "solver._fiber_batch_min": "the grid oracle (acceptance criterion 5)",
-    "terms.PeakIntervalTerm.__post_init__": "acceptance criterion 5",
-    "terms.PeakIntervalTerm.from_units": "acceptance criterion 5",
-    "terms._check_cell": "acceptance criteria 5 and 7",
+    "paper.solve": "acceptance criterion 5",
+    "paper.SimplexWLSProblem.__post_init__": "acceptance criterion 5",
+    "paper.SimplexWLSProblem.m": "acceptance criterion 5",
+    "paper.SimplexWLSProblem.objective": "acceptance criterion 5",
+    "paper.brute_force_oracle": "the grid oracle (acceptance criterion 5)",
+    "paper.brute_force_oracle.<locals>.consider": "the grid oracle (acceptance criterion 5)",
+    "paper._fiber_batch_min": "the grid oracle (acceptance criterion 5)",
+    "paper.PeakIntervalTerm.__post_init__": "acceptance criterion 5",
+    "paper.PeakIntervalTerm.from_units": "acceptance criterion 5",
+    "paper._check_cell": "acceptance criteria 5 and 7",
     "terms.TermMatrix.__init__": "acceptance criterion 5",
     "terms.TermMatrix.from_fields": "acceptance criterion 5",
     "diagnostics.Diagnostics.kinds": "acceptance criterion 6",
-    "prefs.compute_expert_weights": "acceptance criterion 6",
-    "prefs.inner_deviation": "acceptance criterion 6",
-    "prefs.inner_weights": "acceptance criterion 6",
-    "terms.LinguisticInterval.__post_init__": "acceptance criterion 7",
-    "terms.LinguisticInterval.unit_lower": "acceptance criterion 7",
-    "terms.LinguisticInterval.unit_upper": "acceptance criterion 7",
-    "terms.FuzzyIntervalTerm.__post_init__": "acceptance criterion 7",
-    "terms.FuzzyIntervalSet.__post_init__": "acceptance criterion 7",
-    "terms.ProbabilisticTermSet.__post_init__": "acceptance criterion 7",
-    "terms.evidence_from_pairs": "acceptance criterion 7",
-    "terms.peak": "acceptance criterion 7",
-    "terms.plts_score": "acceptance criterion 7",
+    "paper.compute_expert_weights": "acceptance criterion 6",
+    "paper.inner_deviation": "acceptance criterion 6",
+    "paper.inner_weights": "acceptance criterion 6",
+    "paper.LinguisticInterval.__post_init__": "acceptance criterion 7",
+    "paper.LinguisticInterval.unit_lower": "acceptance criterion 7",
+    "paper.LinguisticInterval.unit_upper": "acceptance criterion 7",
+    "paper.FuzzyIntervalTerm.__post_init__": "acceptance criterion 7",
+    "paper.FuzzyIntervalSet.__post_init__": "acceptance criterion 7",
+    "paper.ProbabilisticTermSet.__post_init__": "acceptance criterion 7",
+    "paper.evidence_from_pairs": "acceptance criterion 7",
+    "paper.peak": "acceptance criterion 7",
+    "paper.plts_score": "acceptance criterion 7",
     "solver.stationarity_residual": "perfbench import",
-    "terms.score": "the scalar definition `TermMatrix.scores` is tested against",
+    "paper.score": "the scalar definition `TermMatrix.scores` is tested against",
     "terms.TermMatrix.__setattr__": "the read-only guard of term matrices",
     "terms.TermMatrix.__delattr__": "the read-only guard of term matrices",
     "terms.TermMatrix.__eq__": "term matrices compare by fields",

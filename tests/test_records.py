@@ -16,18 +16,19 @@ import pytest
 
 from lingdecide.diagnostics import Diagnostics, Event
 from lingdecide.errors import EmptyEvidenceError, RangeError, ShapeError
-from lingdecide.pipeline import DecisionReport
-from lingdecide.prefs import ExpertWeightReport, Violation
-from lingdecide.scale import LinguisticScale, TermCoord
-from lingdecide.scenario import MarkovSpec, Overrides, Scenario, load_bundled_scenario
-from lingdecide.solver import SimplexSolution, SimplexWLSProblem
-from lingdecide.terms import (
+from lingdecide.paper import (
     FuzzyIntervalSet,
     FuzzyIntervalTerm,
     LinguisticInterval,
     PeakIntervalTerm,
     ProbabilisticTermSet,
+    SimplexSolution,
+    SimplexWLSProblem,
 )
+from lingdecide.pipeline import DecisionReport
+from lingdecide.prefs import ExpertWeightReport, Violation
+from lingdecide.scale import LinguisticScale, TermCoord
+from lingdecide.scenario import MarkovSpec, Overrides, Scenario, load_bundled_scenario
 
 SCALE = LinguisticScale(4, 4)
 LOW, HIGH = TermCoord(-1.0, 0.0), TermCoord(1.0, 2.0)

@@ -5,12 +5,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lingdecide.errors import RangeError
+from lingdecide.paper import from_unit, to_unit
 from lingdecide.scale import (
     LinguisticScale,
     TermCoord,
-    from_unit,
     parse_term,
-    to_unit,
     unit_value,
 )
 

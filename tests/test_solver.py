@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from lingdecide.errors import OracleScopeError, ShapeError
 from lingdecide.errors import NumericalError
+from lingdecide.paper import SimplexWLSProblem, brute_force_oracle, solve
 from lingdecide.prefs import consensus_forms
 from lingdecide.solver import (
     STRICT_FLOOR,
-    SimplexWLSProblem,
-    brute_force_oracle,
-    solve,
     solve_stack,
     stationarity_residual,
 )

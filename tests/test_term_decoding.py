@@ -17,12 +17,13 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from lingdecide.cells import _read_cells
 from lingdecide.errors import RangeError, ScenarioValidationError
 from lingdecide.markov import LinguisticMarkovAssessment
+from lingdecide.paper import PeakIntervalTerm, score, to_unit
 from lingdecide.prefs import PreferenceRelation
-from lingdecide.scale import LinguisticScale, TermCoord, to_unit, unit_value
-from lingdecide.scenario import _bulk_fields, _read_cells, scenario_from_dict
-from lingdecide.terms import PeakIntervalTerm, score
+from lingdecide.scale import LinguisticScale, TermCoord, unit_value
+from lingdecide.scenario import _bulk_fields, scenario_from_dict
 from helpers import (
     SCALE,
     cell_at,

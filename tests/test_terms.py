@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from lingdecide.diagnostics import Diagnostics
 from lingdecide.errors import EmptyEvidenceError, RangeError, ShapeError
 from lingdecide.markov import LinguisticMarkovAssessment
-from lingdecide.prefs import PreferenceRelation
-from lingdecide.scale import TermCoord, parse_term, to_unit, unit_value
-from lingdecide.terms import (
+from lingdecide.paper import (
     FuzzyIntervalSet,
     FuzzyIntervalTerm,
     PeakIntervalTerm,
     ProbabilisticTermSet,
-    TermMatrix,
     peak,
     plts_score,
     score,
+    to_unit,
 )
+from lingdecide.prefs import PreferenceRelation
+from lingdecide.scale import TermCoord, parse_term, unit_value
+from lingdecide.terms import TermMatrix
 from helpers import SCALE, iv, pt, violations
 
 
