@@ -13,18 +13,19 @@ on a 2-vCPU host. A user-set ``OPENBLAS_NUM_THREADS`` wins.
 A ``decide`` process does no cyclic garbage collection. Run as
 ``__main__`` the module turns the collector off before numpy's first
 import; the console script (``lingdecide.decide``) turns it off before
-it imports this module. After ``main`` the process freezes the heap
-(``gc.freeze``) and exits. The run makes no reference cycles worth
+it imports this module. The run makes no reference cycles worth
 collecting, yet with the collector on, importing numpy and the package
-starts 33 collector passes, and the interpreter's own collections at
-shutdown, which run even with the collector off, walk about 21,600
-objects; frozen objects are not walked. ``main`` itself leaves the
-collector alone, so in-process callers keep theirs as they set it.
+starts 33 collector passes. After ``main`` the process runs its ``atexit``
+hooks, flushes stdout and stderr and ends with ``os._exit``: the skipped
+teardown only frees memory the system takes back anyway, and took about
+6.5 ms of each run on a 2-vCPU host. ``main`` itself leaves the collector
+alone and returns its code, so in-process callers keep both as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -136,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(out)
         sys.stdout.flush()
     except BrokenPipeError:
-        # Point stdout at devnull, so that the flush at shutdown does not
-        # fail on the closed pipe again.
+        # Point stdout at devnull, so that the flush at exit does not fail
+        # on the closed pipe again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -146,11 +147,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The ``decide`` process: ``main`` with the collector off, then exit with the heap frozen."""
+    """The ``decide`` process: ``main`` with the collector off, then exit without teardown."""
     gc.disable()
     code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -47,13 +47,16 @@ def check_transition_matrix(M: np.ndarray) -> list[str]:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         out.append(f"matrix shape {M.shape} is not square")
         return out
-    for i, row in enumerate(M):
-        bad = np.flatnonzero(row < -tol)
+    M = np.ascontiguousarray(M)  # so that each row sums as it would on its own
+    negative = M < -tol
+    sums = M.sum(axis=1)
+    off = np.abs(sums - 1.0) > tol
+    for i in np.flatnonzero(negative.any(axis=1) | off).tolist():
+        bad = np.flatnonzero(negative[i])
         if bad.size:
             out.append(f"row {i} has negative entries at columns {bad.tolist()}")
-        s = float(row.sum())
-        if abs(s - 1.0) > tol:
-            out.append(f"row {i} sums to {s:.12g}, not 1")
+        if off[i]:
+            out.append(f"row {i} sums to {float(sums[i]):.12g}, not 1")
     return out
 
 
@@ -95,26 +98,54 @@ def estimate_transition(
     ).all(axis=0)
     D, C = P.sum(axis=0), (P * E).sum(axis=0)
 
+    n_pinned = pinned_cells.sum(axis=1)
+    # rows that _fit_rows fits at once; the rest, with one free or a flat column, go row by row
+    batched = (n_pinned < q - 1) & (D != 0.0).all(axis=1)
     M = np.zeros((q, q))
-    for i in range(q):
-        pinned = np.flatnonzero(pinned_cells[i]).tolist()
-        free = np.flatnonzero(~pinned_cells[i])
-        if not free.size:
+    if batched.any():
+        M[batched] = _fit_rows(D[batched], C[batched], pinned_cells[batched])
+    pinned = np.nonzero(pinned_cells)[1].tolist()  # every row's pinned columns, row after row
+    ends = np.cumsum(n_pinned).tolist()
+    for i, (end, count, done) in enumerate(zip(ends, n_pinned.tolist(), batched.tolist())):
+        if count == q:
             raise ConfigError(f"row {i} pins every column to zero; no transition mass left")
-        if pinned:
-            record(diag, "zero_pinned", f"row {i}: columns {pinned} fixed at exactly 0")
+        if count:
+            columns = pinned[end - count:end]
+            record(diag, "zero_pinned", f"row {i}: columns {columns} fixed at exactly 0")
+        if done:
+            continue
+        free = np.flatnonzero(~pinned_cells[i])
         M[i, free], degenerate = _fit_row(D[i, free], C[i, free])
         if degenerate:
             record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
     return M
 
 
-def _fit_row(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimiser of sum_j d_j x_j^2 - 2 c_j x_j over sum x = 1, x >= floor.
+def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray, total: float = 1.0) -> np.ndarray:
+    """Minimiser of sum_j D_rj x_rj^2 - 2 C_rj x_rj over sum_j x_rj = total,
+    x_rj >= floor for each row r, where no free column is flat; the columns
+    ``pinned`` marks stay 0.
+    """
+    n_free = (~pinned).sum(axis=1, keepdims=True)
+    # column j is off the floor iff lam < breaks_j; lam_k puts exactly the
+    # k largest off it, and lam is the last lam_k below its breakpoint. A
+    # pinned column's breakpoint is -inf: it sorts last, below every lam_k.
+    breaks = np.where(pinned, -np.inf, C - _FLOOR * D)
+    order = np.argsort(-breaks, axis=1, kind="stable")
+    inv = 1.0 / np.take_along_axis(D, order, axis=1)
+    k = np.arange(1, D.shape[1] + 1)
+    cumsum = np.cumsum(np.take_along_axis(C, order, axis=1) * inv, axis=1)
+    lam = (cumsum + _FLOOR * (n_free - k) - total) / np.cumsum(inv, axis=1)
+    below = np.take_along_axis(breaks, order, axis=1) > lam
+    lam = lam[np.arange(len(lam)), below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1)]
+    return np.where(pinned, 0.0, np.maximum(_FLOOR, (C - lam[:, None]) / D))
 
-    Also says whether two or more flat (d_j = 0) columns share mass: the
-    optimum is then not unique, and their equal split is its minimum-norm
-    point.
+
+def _fit_row(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``_fit_rows`` of one row of free columns, some of which may be flat (d_j = 0).
+
+    Also says whether two or more flat columns share mass: the optimum is
+    then not unique, and their equal split is its minimum-norm point.
     """
     if d.size == 1:
         return np.ones(1), False
@@ -127,17 +158,8 @@ def _fit_row(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
         if share >= _FLOOR:
             x[flat] = share
             return x, n_flat > 1
-    d, c = d[~flat], c[~flat]
-    # column j is off the floor iff lam < breaks_j; lam_k puts exactly the
-    # k largest off it, and lam is the last lam_k below its breakpoint
-    breaks = c - _FLOOR * d
-    order = np.argsort(-breaks, kind="stable")
-    inv = 1.0 / d[order]
-    k = np.arange(1, d.size + 1)
-    total = 1.0 - _FLOOR * n_flat
-    lam = (np.cumsum(c[order] * inv) + _FLOOR * (d.size - k) - total) / np.cumsum(inv)
-    lam = lam[np.flatnonzero(breaks[order] > lam)[-1]]
-    x[~flat] = np.maximum(_FLOOR, (c - lam) / d)
+    d, c = d[None, ~flat], c[None, ~flat]
+    x[~flat] = _fit_rows(d, c, np.zeros(d.shape, bool), 1.0 - _FLOOR * n_flat)[0]
     return x, False
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -96,7 +97,10 @@ class DecisionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte."""
+        chunks: list[str] = []
+        _write_json(self.to_dict(), "\n", chunks.append)
+        return "".join(chunks) + "\n"
 
     def to_text(self) -> str:
         lines: list[str] = [f"stage: {self.stage}   scheme: {self.scheme}"]
@@ -140,6 +144,41 @@ class DecisionReport:
         if self.transition is None:
             raise ConfigError("no transition matrix available to export")
         return export_dot(self.transition, list(self.attributes))
+
+
+def _write_json(value, newline: str, emit) -> None:
+    """Emit ``json.dumps(value, indent=2)`` in pieces, for a value on a line
+    ``newline`` ends whose dict keys are strings. json's encoder runs in Python
+    whenever ``indent`` is set; here each flat list of floats is one ``join``.
+    """
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        try:
+            floats = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is no float
+            sep = "[" + inner
+            for item in value:
+                emit(sep)
+                _write_json(item, inner, emit)
+                sep = "," + inner
+        else:
+            # json spells nan, inf and -inf as NaN, Infinity and -Infinity
+            emit("[" + inner + floats.replace("nan", "NaN").replace("inf", "Infinity"))
+        emit(newline + "]")
+    elif isinstance(value, float):
+        emit(float.__repr__(value).replace("nan", "NaN").replace("inf", "Infinity"))
+    else:  # None, a bool, an int, or an empty list or dict
+        emit(json.dumps(value))
 
 
 def aggregate(period: np.ndarray, priorities: np.ndarray) -> np.ndarray:
