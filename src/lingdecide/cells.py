@@ -1,6 +1,9 @@
-"""The decoder's cell-by-cell reader, loaded only for a matrix ``scenario._bulk_fields`` declines.
+"""The decoder's cell-by-cell reader and fault wording, loaded only for a faulty or declined matrix.
 
-It reads term literals and locates the faults that only the JSON types show.
+``_read_cells`` reads a matrix ``scenario._bulk_fields`` declines: it reads
+term literals and locates the faults that only the JSON types show.
+``_word_faults`` words the faults of every matrix of a stack in the place
+the matrix was read.
 """
 
 from __future__ import annotations
@@ -98,3 +101,30 @@ def _read_cells(
             if found:
                 faults[i, j] = found
     return np.array(values, dtype=float).reshape(size, size, 5), faults
+
+
+def _word_faults(read: list[tuple], flagged: list[tuple]) -> set[int]:
+    """Collect the faults of a stack's cells; the indices of the matrices that have any.
+
+    ``read`` holds each matrix's ``(rows, faults, where, collector)``:
+    ``rows()`` gives its JSON rows, ``faults`` what ``_read_cells`` found.
+    ``flagged`` holds the stack's ``terms.field_faults``. Each matrix
+    reports its faults in its own collector, and a cell reports its faults
+    in the order a cell built on its own checks them: the cell's form, its
+    coordinates, then its endpoint order or p. Only a flagged cell's JSON
+    is looked at, to tell a point from an interval.
+    """
+    faults = [found for _, found, _, _ in read]
+    for r, i, j, slot, message in flagged:
+        point = "point" in read[r][0]()[i][j]
+        if slot == 1 and point:
+            continue
+        suffix = "" if slot == 2 else ".point" if point else f".interval[{slot}]"
+        faults[r].setdefault((i, j), {}).setdefault(slot, (suffix, message))
+    for (_, _, where, col), found in zip(read, faults):
+        for (i, j), slots in sorted(found.items()):
+            here = f"{where}[{i}]" if j < 0 else f"{where}[{i}][{j}]"
+            shown = [slots[s] for s in (-1, 0, 1) if s in slots] or [slots[2]]
+            for suffix, message in shown:
+                col.add(here + suffix, message)
+    return {r for r, found in enumerate(faults) if found}

@@ -45,8 +45,7 @@ def check_transition_matrix(M: np.ndarray) -> list[str]:
     tol = _STOCHASTIC_TOL
     out: list[str] = []
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        out.append(f"matrix shape {M.shape} is not square")
-        return out
+        return [f"matrix shape {M.shape} is not square"]
     M = np.ascontiguousarray(M)  # so that each row sums as it would on its own
     negative = M < -tol
     sums = M.sum(axis=1)

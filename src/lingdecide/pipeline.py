@@ -118,10 +118,8 @@ class DecisionReport:
                 lines.append(f"  t={t}: {vec(row)}")
         for attr, rep in self.expert_weights.items():
             lines.append(f"expert weights [{attr}]:")
-            lines.append(f"  outer:   {vec(rep.outer)}")
-            lines.append(f"  inner:   {vec(rep.inner)}")
-            lines.append(f"  trust:   {vec(rep.trust)}")
-            lines.append(f"  blended: {vec(rep.blended)}")
+            for view in ("outer", "inner", "trust", "blended"):
+                lines.append(f"  {view + ':':9}{vec(getattr(rep, view))}")
         if self.priorities:
             lines.append("priorities (" + "  ".join(self.alternatives) + "):")
             for attr in self.attributes:
@@ -209,13 +207,6 @@ def rank(U: np.ndarray, diag: Diagnostics | None = None) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _resolved_scheme(scenario, scheme: str | None) -> str:
-    out = scheme if scheme is not None else scenario.markov.scheme
-    if out not in ("power", "reshape"):
-        raise ConfigError(f"unknown scheme {out!r}")
-    return out
-
-
 def _note_row_sums(kind: str, rows, diag: Diagnostics, label) -> None:
     for name, row in zip(label, rows):
         s = float(np.sum(row))
@@ -240,7 +231,9 @@ def run_pipeline(
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    used_scheme = _resolved_scheme(scenario, scheme)
+    used_scheme = scheme if scheme is not None else scenario.markov.scheme
+    if used_scheme not in ("power", "reshape"):
+        raise ConfigError(f"unknown scheme {used_scheme!r}")
     diag = Diagnostics()
     report = DecisionReport(
         stage=stage,

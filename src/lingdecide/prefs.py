@@ -335,15 +335,8 @@ class ExpertWeightReport:
     gamma: float
 
     def as_dict(self) -> dict:
-        return {
-            "outer": self.outer.tolist(),
-            "inner": self.inner.tolist(),
-            "trust": self.trust.tolist(),
-            "blended": self.blended.tolist(),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
+        views = {k: getattr(self, k).tolist() for k in ("outer", "inner", "trust", "blended")}
+        return views | {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
 
 
 class ExpertWeightStack:

@@ -39,18 +39,13 @@ class LinguisticScale:
     second_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.tau, int) and self.tau >= 1):
-            raise RangeError(f"tau must be an integer >= 1, got {self.tau!r}")
-        if not (isinstance(self.zeta, int) and self.zeta >= 1):
-            raise RangeError(f"zeta must be an integer >= 1, got {self.zeta!r}")
-        if self.first_labels is not None and len(self.first_labels) != 2 * self.tau + 1:
-            raise RangeError(
-                f"first_labels needs {2 * self.tau + 1} entries, got {len(self.first_labels)}"
-            )
-        if self.second_labels is not None and len(self.second_labels) != 2 * self.zeta + 1:
-            raise RangeError(
-                f"second_labels needs {2 * self.zeta + 1} entries, got {len(self.second_labels)}"
-            )
+        for name, half in (("tau", self.tau), ("zeta", self.zeta)):
+            if not (isinstance(half, int) and half >= 1):
+                raise RangeError(f"{name} must be an integer >= 1, got {half!r}")
+        for name, half in (("first_labels", self.tau), ("second_labels", self.zeta)):
+            labels = getattr(self, name)
+            if labels is not None and len(labels) != 2 * half + 1:
+                raise RangeError(f"{name} needs {2 * half + 1} entries, got {len(labels)}")
 
 
 @records.record(frozen=True)

@@ -10,12 +10,16 @@ Peak intervals are encoded as ``{"interval": [LO, HI], "p": x}`` or
 ``{"point": C, "p": x}`` where each coordinate is either a two-element
 ``[t, k]`` array or a term literal string such as ``"s-2(o1)"``. Term
 literals and malformed cells go to ``lingdecide.cells``, loaded on demand.
+The reader (``_read``) walks each term matrix into its fields as soon as
+json's scanner has read it, so decoding never holds the whole JSON tree.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
+import struct
 
 import numpy as np
 
@@ -77,33 +81,14 @@ class Scenario:
     overrides: Overrides
 
 
-class _Collector:
-    """Violations in the order they are found, or in a place kept for them."""
-
-    def __init__(self):
-        self._found: list[str | _Collector] = []
+class _Collector(list):
+    """Violations in the order they are found; a nested collector keeps a place for later ones."""
 
     def add(self, where: str, message: str):
-        self._found.append(f"{where}: {message}")
-
-    def later(self) -> "_Collector":
-        """A collector whose violations take this place, however late they come."""
-        part = _Collector()
-        self._found.append(part)
-        return part
-
-    @property
-    def violations(self) -> list[str]:
-        out: list[str] = []
-        for item in self._found:
-            if isinstance(item, _Collector):
-                out += item.violations
-            else:
-                out.append(item)
-        return out
+        self.append(f"{where}: {message}")
 
     def raise_if_any(self):
-        violations = self.violations
+        violations = [v for item in self for v in ([item] if type(item) is str else item)]
         if violations:
             raise ScenarioValidationError(violations)
 
@@ -161,29 +146,43 @@ def _bulk_fields(raw: list, size: int) -> np.ndarray | None:
     if not set(map(type, flat)) <= _JSON_NUMBERS:
         return None
     try:
-        return np.array(flat, dtype=float).reshape(size, size, 5)
-    except OverflowError:
+        return np.frombuffer(struct.pack(f"{len(flat)}d", *flat)).reshape(size, size, 5)
+    except (OverflowError, struct.error):
         return None
+
+
+class _Walked:
+    """A term matrix as read: ``fields`` as ``_bulk_fields`` walks it, or None
+    where that pass declines it, and ``rows()``, the matrix's JSON.
+
+    ``rows`` gives the JSON of a matrix whose cells were dropped once walked;
+    without it, and for a declined matrix, ``raw`` itself is kept.
+    """
+
+    def __init__(self, raw, rows=None):
+        self.fields = _bulk_fields(raw, len(raw)) if isinstance(raw, list) else None
+        self.rows = rows if rows is not None and self.fields is not None else lambda: raw
 
 
 class _MatrixStack:
     """Term matrices of one kind and size, read one by one and checked together.
 
-    ``read`` turns each JSON matrix into a (size, size, 5) fields array in
-    one of two ways. ``_bulk_fields`` first tries one pass over the whole
-    matrix that takes only JSON numbers in exact containers, which is how
-    generated and hand-written numeric files spell every cell. When it
-    declines, ``cells._read_cells``, loaded only then, reads cell by cell:
-    it reads term literals and keeps the faults only the JSON types show,
-    so it locates every such fault. Either way the array goes straight
-    into its place in one (R, size, size, 5) stack. ``build`` then, once
-    over the stack, derives the unit arrays and checks the numeric rules
-    of all cells (``field_faults``) and the kind's own rules
+    ``read`` takes each matrix as ``_Walked`` holds it: walked into a
+    (size, size, 5) fields array by ``_bulk_fields``, one pass over the
+    whole matrix that takes only JSON numbers in exact containers, which is
+    how generated and hand-written numeric files spell every cell. When
+    that pass declines, ``cells._read_cells``, loaded only then, reads cell
+    by cell: it reads term literals and keeps the faults only the JSON
+    types show, so it locates every such fault. Either way the array goes
+    straight into its place in one (R, size, size, 5) stack. ``build``
+    then, once over the stack, derives the unit arrays and checks the
+    numeric rules of all cells (``field_faults``) and the kind's own rules
     (``stack_violations``).
-    Only what those passes flag is worded: each matrix reports its faults
-    in the place it was read, and a cell reports its faults in the order
-    a cell built on its own checks them: the cell's form, its
-    coordinates, then its endpoint order or p.
+    Only what those passes flag is worded, by ``cells._word_faults``,
+    loaded only then: each matrix reports its faults in the place it was
+    read, and a cell reports its faults in the order a cell built on its
+    own checks them: the cell's form, its coordinates, then its endpoint
+    order or p.
     """
 
     def __init__(self, kind: type[TermMatrix], scale: LinguisticScale, size: int, capacity: int):
@@ -194,61 +193,47 @@ class _MatrixStack:
         # each matrix read goes straight into its place, so the stack is
         # never held twice
         self._fields = np.empty((capacity, size, size, 5))
-        self._read: list[tuple[list, dict, str, _Collector]] = []
+        self._read: list[tuple] = []
 
     def read(self, raw, where: str, col: _Collector) -> int | None:
-        """Queue one JSON matrix; its place in ``build``'s result.
+        """Queue one matrix, as ``_read`` walked it or as JSON; its place in ``build``'s result.
 
         None, with the fault collected, when it is not ``size`` rows.
         """
-        if not isinstance(raw, list) or len(raw) != self.size:
-            col.add(where, f"expected {self.size} rows")
-            return None
-        fields = _bulk_fields(raw, self.size)
-        faults: dict[tuple[int, int], dict[int, tuple[str, str]]] = {}
-        if fields is None:
+        matrix = raw if type(raw) is _Walked else _Walked(raw)
+        fields, faults = matrix.fields, {}
+        if fields is None or len(fields) != self.size:
+            rows = matrix.rows()
+            if not isinstance(rows, list) or len(rows) != self.size:
+                col.add(where, f"expected {self.size} rows")
+                return None
             from .cells import _read_cells
-            fields, faults = _read_cells(raw, self.size)
+            fields, faults = _read_cells(rows, self.size)
         self._fields[len(self._read)] = fields
-        self._read.append((raw, faults, where, col.later()))
+        col.append(_Collector())
+        self._read.append((matrix.rows, faults, where, col[-1]))
         return len(self._read) - 1
 
-    def build(self) -> list[TermMatrix | None]:
-        """Every matrix read, as a read-only view of one stack.
-
-        None in place of each matrix with a faulty cell or a broken rule of
-        its kind; every fault is collected.
+    def build(self) -> dict[int, TermMatrix]:
+        """Every matrix read with no faulty cell and no broken rule of its
+        kind, by its place, as a read-only view of one stack; every fault is
+        collected.
         """
         if not self._read:
-            return []
+            return {}
         self._fields.setflags(write=False)
-        fields = self._fields[: len(self._read)]
-        arrays = unit_arrays(self.scale, fields)
-        faults = [found for _, found, _, _ in self._read]
-        for r, i, j, slot, message in field_faults(self.scale, *arrays[:3]):
-            point = "point" in self._read[r][0][i][j]
-            if slot == 1 and point:
-                continue
-            suffix = "" if slot == 2 else ".point" if point else f".interval[{slot}]"
-            faults[r].setdefault((i, j), {}).setdefault(slot, (suffix, message))
+        arrays = unit_arrays(self.scale, self._fields[: len(self._read)])
+        flagged = field_faults(self.scale, *arrays[:3])
+        faulty = set()
+        if flagged or any(faults for _, faults, _, _ in self._read):
+            from .cells import _word_faults
+            faulty = _word_faults(self._read, flagged)
         broken = self.kind.stack_violations(*arrays[1:4])
-        clean = []
         for r, (_, _, where, col) in enumerate(self._read):
-            for (i, j), slots in sorted(faults[r].items()):
-                here = f"{where}[{i}]" if j < 0 else f"{where}[{i}][{j}]"
-                shown = [slots[s] for s in (-1, 0, 1) if s in slots] or [slots[2]]
-                for suffix, message in shown:
-                    col.add(here + suffix, message)
-            if faults[r]:
-                continue
-            for v in broken.get(r, ()):
+            for v in () if r in faulty else broken.get(r, ()):
                 col.add(where, str(v))
-            if r not in broken:
-                clean.append(r)
-        out: list[TermMatrix | None] = [None] * len(self._read)
-        for r, matrix in zip(clean, self.kind.stack(self.scale, arrays, clean)):
-            out[r] = matrix
-        return out
+        clean = [r for r in range(len(self._read)) if r not in faulty and r not in broken]
+        return dict(zip(clean, self.kind.stack(self.scale, arrays, clean)))
 
 
 def _read_expert_matrices(
@@ -277,12 +262,11 @@ def _read_expert_matrices(
     return [stack.read(sub[e], f"{where}.{e}", col) for e in experts]
 
 
-def _built(places: list[int | None] | None, matrices: list[TermMatrix | None]) -> tuple | None:
+def _built(places: list[int | None] | None, matrices: dict[int, TermMatrix]) -> tuple | None:
     """The matrices at ``places`` of a built stack; None when any is absent."""
-    if places is None or None in places:
+    if places is None or any(r not in matrices for r in places):
         return None
-    out = tuple(matrices[r] for r in places)
-    return None if any(matrix is None for matrix in out) else out
+    return tuple(matrices[r] for r in places)
 
 
 def _numbers_only(raw) -> bool:
@@ -297,8 +281,8 @@ def _numbers_only(raw) -> bool:
     return True
 
 
-def _decode_reals(raw, shape: tuple[int, ...], where: str, col: _Collector) -> np.ndarray | None:
-    """A finite float array of ``shape``, or None with the fault collected."""
+def _decode_reals(raw, shape: tuple, where: str, col: _Collector, unit=False) -> np.ndarray | None:
+    """A finite float array of ``shape``, in [0, 1] when ``unit``; None with the fault collected."""
     if not _numbers_only(raw):
         col.add(where, f"expected a numeric {'vector' if len(shape) == 1 else 'matrix'}")
         return None
@@ -315,6 +299,9 @@ def _decode_reals(raw, shape: tuple[int, ...], where: str, col: _Collector) -> n
         return None
     if not np.all(np.isfinite(arr)):
         col.add(where, "entries must be finite")
+        return None
+    if unit and (np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9)):
+        col.add(where, "entries must lie in [0, 1]")
         return None
     return arr
 
@@ -376,53 +363,39 @@ def scenario_from_dict(data: dict) -> Scenario:
     attributes = _decode_names(data, "attributes", 1, col)
     alternatives = _decode_names(data, "alternatives", 2, col)
 
-    experts_raw = data.get("experts")
-    experts: tuple[str, ...] | None = None
-    trust: tuple[float, ...] | None = None
-    if not isinstance(experts_raw, list) or not experts_raw:
+    experts = trust = None
+    raw_experts = data.get("experts")
+    if not isinstance(raw_experts, list) or not raw_experts:
         col.add("experts", "expected a nonempty list of {name, trust} objects")
     else:
-        names, psis = [], []
-        ok = True
-        for idx, item in enumerate(experts_raw):
-            obj = _expect_mapping(item, f"experts[{idx}]", col)
-            if obj is None:
-                ok = False
+        found = len(col)
+        for idx, obj in enumerate(raw_experts):
+            if _expect_mapping(obj, f"experts[{idx}]", col) is None:
                 continue
             name, psi = obj.get("name"), obj.get("trust")
             if not isinstance(name, str) or not name:
                 col.add(f"experts[{idx}].name", "expected a nonempty string")
-                ok = False
             if not _is_number(psi) or not 0.0 <= psi <= 1.0:
                 col.add(f"experts[{idx}].trust", f"must be a real in [0, 1], got {psi!r}")
-                ok = False
-            if ok:
-                names.append(name)
-                psis.append(float(psi))
-        if ok and len(set(names)) != len(names):
+        # names and trust degrees only of a list with no fault in it
+        names = [obj["name"] for obj in raw_experts] if len(col) == found else []
+        if len(set(names)) != len(names):
             col.add("experts", "names must be unique")
-            ok = False
-        if ok:
-            experts, trust = tuple(names), tuple(psis)
+        elif names:
+            experts, trust = tuple(names), tuple(float(obj["trust"]) for obj in raw_experts)
 
-    blend = data.get("blend")
     alpha = beta = gamma = 1.0 / 3.0
-    if blend is not None:
-        obj = _expect_mapping(blend, "blend", col)
-        if obj is not None:
-            vals = []
-            for key in ("alpha", "beta", "gamma"):
-                v = obj.get(key)
-                if not _is_number(v) or not 0.0 <= v <= 1.0:
-                    col.add(f"blend.{key}", f"must be a real in [0, 1], got {v!r}")
-                    vals = None
-                    break
-                vals.append(float(v))
-            if vals is not None:
-                if abs(sum(vals) - 1.0) > 1e-9:
-                    col.add("blend", f"coefficients sum to {sum(vals):.12g}, not 1")
-                else:
-                    alpha, beta, gamma = vals
+    blend = data.get("blend")
+    if blend is not None and _expect_mapping(blend, "blend", col) is not None:
+        keys = ("alpha", "beta", "gamma")
+        bad = [k for k in keys if not _is_number(blend.get(k)) or not 0.0 <= blend[k] <= 1.0]
+        vals = [] if bad else [float(blend[k]) for k in keys]
+        if bad:
+            col.add(f"blend.{bad[0]}", f"must be a real in [0, 1], got {blend.get(bad[0])!r}")
+        elif abs(sum(vals) - 1.0) > 1e-9:
+            col.add("blend", f"coefficients sum to {sum(vals):.12g}, not 1")
+        else:
+            alpha, beta, gamma = vals
 
     if scale is None or attributes is None or alternatives is None or experts is None:
         col.raise_if_any()
@@ -488,9 +461,7 @@ def _decode_overrides(
     n: int,
     col: _Collector,
 ) -> Overrides:
-    if raw is None:
-        return Overrides()
-    obj = _expect_mapping(raw, "overrides", col)
+    obj = None if raw is None else _expect_mapping(raw, "overrides", col)
     if obj is None:
         return Overrides()
     transition = None
@@ -507,10 +478,7 @@ def _decode_overrides(
         if not isinstance(arr, list) or not arr:
             col.add("overrides.period_weights", "expected a nonempty list of period rows")
         else:
-            period = _decode_reals(arr, (len(arr), q), "overrides.period_weights", col)
-            if period is not None and (np.any(period < -1e-9) or np.any(period > 1.0 + 1e-9)):
-                col.add("overrides.period_weights", "entries must lie in [0, 1]")
-                period = None
+            period = _decode_reals(arr, (len(arr), q), "overrides.period_weights", col, unit=True)
 
     def vectors(key: str, length: int) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -524,10 +492,8 @@ def _decode_overrides(
             if name not in attributes:
                 col.add(where, "unknown attribute")
                 continue
-            arr = _decode_reals(vec, (length,), where, col)
-            if arr is not None and (np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9)):
-                col.add(where, "entries must lie in [0, 1]")
-            elif arr is not None:
+            arr = _decode_reals(vec, (length,), where, col, unit=True)
+            if arr is not None:
                 out[name] = arr
         return out
 
@@ -621,9 +587,7 @@ def _decode_preferences(
     col: _Collector,
 ) -> dict[str, tuple[PreferenceRelation, ...]]:
     """Every attribute's relations, decoded as one stack over all attributes."""
-    obj = {} if raw is None else _expect_mapping(raw, "preferences", col)
-    if obj is None:
-        obj = {}
+    obj = {} if raw is None else _expect_mapping(raw, "preferences", col) or {}
     unknown = [a for a in obj if a not in attributes]
     if unknown:
         col.add("preferences", f"unknown attributes {unknown}")
@@ -659,22 +623,72 @@ def bundled_scenario_text(name: str = "financial_crisis") -> str:
         raise ScenarioParseError(f"no bundled scenario named {name!r}") from exc
 
 
-def _decode(text: str) -> Scenario:
-    """Parse and validate scenario text, with the cyclic collector held off.
+#: where a scenario's term matrices sit: each object on the way by member
+#: name, None for every member, down to True at a matrix
+_MATRIX_WAYS = {"preferences": {None: {None: True}}, "markov": {"assessments": {None: True}}}
 
-    Decoding a large scenario allocates a few hundred thousand dicts and
-    lists, enough to start many collector passes over the growing tree.
-    Decoded JSON holds no reference cycles, so reference counting frees it
-    all and those passes would find nothing. The collector's prior state
-    is restored however decoding ends. Under ``decide`` the collector is
-    already off (see ``lingdecide.cli``), so the guard serves library
-    callers.
+
+def _read(text: str):
+    """``json.loads(text)``, but with every term matrix walked as soon as it is read.
+
+    The objects on the way to a matrix (``_MATRIX_WAYS``) are read here,
+    member by member; json's C scanner reads every other value, so each is
+    what ``json.loads`` gives, and each matrix on its own. A matrix is
+    walked into its fields at once (``_Walked``), so its cells are freed
+    while still in cache and the next matrix reuses their memory: the whole
+    tree is never held. A walked matrix's text is scanned again only to
+    word a flagged cell. Where this reading fails, ``json.loads`` reads the
+    text once more, so json alone decides what is accepted and words every
+    parse error.
+    """
+    scan, space = json.decoder.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
+
+    def read(at, way):
+        """The value at index ``at`` and the index past it."""
+        if way is True:
+            raw, end = scan(text, at)
+            return _Walked(raw, functools.cache(lambda: scan(text, at)[0])), end
+        if not way or text[at] != "{":
+            return scan(text, at)
+        obj, at = {}, space(text, at + 1).end()
+        more = text[at] != "}"
+        while more:
+            key, end = scan(text, at)
+            colon = space(text, end).end()
+            if text[at] + text[colon] != '":':
+                raise ValueError("no object member")
+            obj[key], at = read(space(text, colon + 1).end(), way.get(key, way.get(None)))
+            at = space(text, at).end()
+            more = text[at] == ","
+            at = space(text, at + 1).end() if more else at
+        if text[at] != "}":
+            raise ValueError("no object end")
+        return obj, at + 1
+
+    try:
+        data, end = read(space(text).end(), _MATRIX_WAYS)
+        if space(text, end).end() == len(text):
+            return data
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        pass
+    return json.loads(text)
+
+
+def _decode(text: str) -> Scenario:
+    """Parse scenario text (``_read``) and validate it, with the cyclic collector held off.
+
+    Decoding a large scenario allocates many dicts and lists, enough to
+    start collector passes over them. Decoded JSON holds no reference
+    cycles, so reference counting frees it all and those passes would
+    find nothing. The collector's prior state is restored however decoding
+    ends. Under ``decide`` the collector is already off (see
+    ``lingdecide.cli``), so the guard serves library callers.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         try:
-            data = json.loads(text)
+            data = _read(text)
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
         except (ValueError, RecursionError) as exc:  # an integer beyond the digit limit, deep nesting

@@ -354,40 +354,70 @@ WATCH_THE_EXIT = (
 )
 
 
-def test_module_run_collects_nothing_once_numpy_loads_and_exits_without_teardown(crisis_path):
+#: what each exit probe passes after the scenario path: a report, ``--help`` and
+#: a usage error; the last two leave ``main`` through argparse's ``SystemExit``
+EXIT_CASES = {"report": ["--report", "json"], "help": ["--help"], "usage": ["--stage", "bogus"]}
+
+
+def in_process(argv, capsys):
+    """The exit code, stdout and stderr of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_module_run_collects_nothing_once_numpy_loads_and_exits_without_teardown(
+    crisis_path, capsys, case
+):
     """Run as ``__main__``, the command line turns the collector off before
     numpy loads, runs the atexit hooks and ends the process before module
-    teardown; the report is unchanged."""
-    code = WATCH_THE_EXIT + (
-        f"sys.argv = ['decide', {crisis_path!r}, '--report', 'json']; "
+    teardown, also when argparse ends it; the output is unchanged."""
+    argv = [crisis_path, *EXIT_CASES[case]]
+    code, out, err = in_process(argv, capsys)
+    assert code == {"report": 0, "help": 0, "usage": 2}[case]
+    probe = WATCH_THE_EXIT + (
+        f"sys.argv = {['decide', *argv]!r}; "
         "runpy.run_module('lingdecide.cli', run_name='__main__', alter_sys=True)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, timeout=120, env=src_env()
+        [sys.executable, "-c", probe], capture_output=True, timeout=120, env=src_env()
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.decode().splitlines() == ["[false, false]"]
-    assert proc.stdout == GOLDEN_REPORT.read_bytes()
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.decode() == err + "[false, false]\n"
+    assert proc.stdout.decode() == out
+    if case == "report":
+        assert proc.stdout == GOLDEN_REPORT.read_bytes()
 
 
-def test_console_script_collects_nothing_once_numpy_loads_and_exits_without_teardown(crisis_path):
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_console_script_collects_nothing_once_numpy_loads_and_exits_without_teardown(
+    crisis_path, capsys, case
+):
     """The ``decide`` script as pip generates it (``from M import f; sys.exit(f())``
     for the ``[project.scripts]`` target) turns the collector off before numpy
-    loads, runs the atexit hooks and ends the process before module teardown;
-    the report is unchanged."""
+    loads, runs the atexit hooks and ends the process before module teardown,
+    also when argparse ends it; the output is unchanged."""
     tomllib = pytest.importorskip("tomllib")
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
         module, function = tomllib.load(fh)["project"]["scripts"]["decide"].split(":")
-    code = WATCH_THE_EXIT + (
-        f"sys.argv = ['decide', {crisis_path!r}, '--report', 'json']; "
+    argv = [crisis_path, *EXIT_CASES[case]]
+    code, out, err = in_process(argv, capsys)
+    probe = WATCH_THE_EXIT + (
+        f"sys.argv = {['decide', *argv]!r}; "
         f"from {module} import {function}; sys.exit({function}())"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, timeout=120, env=src_env()
+        [sys.executable, "-c", probe], capture_output=True, timeout=120, env=src_env()
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.decode().splitlines() == ["[false, false]"]
-    assert proc.stdout == GOLDEN_REPORT.read_bytes()
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.decode() == err + "[false, false]\n"
+    assert proc.stdout.decode() == out
+    if case == "report":
+        assert proc.stdout == GOLDEN_REPORT.read_bytes()
 
 
 def run_as_decide(path):
