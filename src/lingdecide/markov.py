@@ -5,9 +5,9 @@ peak intervals (``terms.TermMatrix``, as preference relations do; no
 reciprocity here, since a transition matrix is not a preference). The crisp
 row-stochastic matrix comes from a per-row certainty-weighted least
 squares fit over the simplex, a weighted projection solved exactly by
-sorting breakpoints. Entries every expert scores as the floor point (unit
-score 0 at certainty 1) are pinned to an exact zero instead of the fit's
-1e-9 positivity floor.
+sorting breakpoints, for every row in one pass. Entries every expert
+scores as the floor point (unit score 0 at certainty 1) are pinned to an
+exact zero instead of the fit's positivity floor, ``solver.STRICT_FLOOR``.
 
 Period weights follow the power scheme omega^t = e_origin M^(Z + t - 1),
 computed by repeated vector-matrix products. A variant scheme reshapes
@@ -21,12 +21,10 @@ import numpy as np
 
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, ShapeError
+from .solver import STRICT_FLOOR as _FLOOR
 from .terms import TermMatrix
 
 _STOCHASTIC_TOL = 1e-9
-
-# every estimated entry that is not pinned stays at least this large
-_FLOOR = 1e-9
 
 _FLOOR_SCORE_TOL = 1e-12
 
@@ -49,7 +47,7 @@ def check_transition_matrix(M: np.ndarray) -> list[str]:
     M = np.ascontiguousarray(M)  # so that each row sums as it would on its own
     negative = M < -tol
     sums = M.sum(axis=1)
-    off = np.abs(sums - 1.0) > tol
+    off = ~(np.abs(sums - 1.0) <= tol)  # so that a NaN sum is off too
     for i in np.flatnonzero(negative.any(axis=1) | off).tolist():
         bad = np.flatnonzero(negative[i])
         if bad.size:
@@ -79,7 +77,7 @@ def estimate_transition(
     c_j = sum_k p_ij^k E_ij^k and lam making the row sum to 1. Columns with
     d_j = 0 split what the others leave at lam = 0 equally, or sit at the
     floor when the others need the whole row; two or more sharing mass
-    record ``degenerate_row``.
+    record ``degenerate_row``. One ``_fit_rows`` call fits every row.
     """
     if not assessments:
         raise ShapeError("need at least one assessment")
@@ -95,71 +93,60 @@ def estimate_transition(
         & (np.stack([a.upper for a in assessments]) <= _FLOOR_SCORE_TOL)
         & (np.abs(P - 1.0) <= _FLOOR_SCORE_TOL)
     ).all(axis=0)
-    D, C = P.sum(axis=0), (P * E).sum(axis=0)
-
+    M, degenerate = _fit_rows(P.sum(axis=0), (P * E).sum(axis=0), pinned_cells)
     n_pinned = pinned_cells.sum(axis=1)
-    # rows that _fit_rows fits at once; the rest, with one free or a flat column, go row by row
-    batched = (n_pinned < q - 1) & (D != 0.0).all(axis=1)
-    M = np.zeros((q, q))
-    if batched.any():
-        M[batched] = _fit_rows(D[batched], C[batched], pinned_cells[batched])
     pinned = np.nonzero(pinned_cells)[1].tolist()  # every row's pinned columns, row after row
     ends = np.cumsum(n_pinned).tolist()
-    for i, (end, count, done) in enumerate(zip(ends, n_pinned.tolist(), batched.tolist())):
+    for i, (end, count, flagged) in enumerate(zip(ends, n_pinned.tolist(), degenerate.tolist())):
         if count == q:
             raise ConfigError(f"row {i} pins every column to zero; no transition mass left")
         if count:
             columns = pinned[end - count:end]
             record(diag, "zero_pinned", f"row {i}: columns {columns} fixed at exactly 0")
-        if done:
-            continue
-        free = np.flatnonzero(~pinned_cells[i])
-        M[i, free], degenerate = _fit_row(D[i, free], C[i, free])
-        if degenerate:
+        if flagged:
             record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
     return M
 
 
-def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Minimiser of sum_j D_rj x_rj^2 - 2 C_rj x_rj over sum_j x_rj = total,
-    x_rj >= floor for each row r, where no free column is flat; the columns
-    ``pinned`` marks stay 0.
+def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimiser of sum_j D_rj x_rj^2 - 2 C_rj x_rj over sum_j x_rj = 1,
+    x_rj >= floor for each row r, the columns ``pinned`` marks staying 0,
+    and each row's flag that its optimum is not unique.
+
+    A flat column (D_rj = 0) is held out of the breakpoint pass, as a
+    pinned one is; the flat columns then share what the others leave at
+    lam = 0 equally, or sit at the floor when the others need the whole
+    row. Two or more sharing mass leave the optimum not unique, and their
+    equal split is its minimum-norm point. A row with one free column
+    gets exactly 1.
     """
-    n_free = (~pinned).sum(axis=1, keepdims=True)
+    flat = D == 0.0  # a pinned column has D = the expert count
+    held = pinned | flat
+    n_flat = flat.sum(axis=1)
+    D = np.where(flat, 1.0, D)  # no flat column divides by zero
     # column j is off the floor iff lam < breaks_j; lam_k puts exactly the
     # k largest off it, and lam is the last lam_k below its breakpoint. A
-    # pinned column's breakpoint is -inf: it sorts last, below every lam_k.
-    breaks = np.where(pinned, -np.inf, C - _FLOOR * D)
+    # held column's breakpoint is -inf: it sorts last, below every lam_k.
+    breaks = np.where(held, -np.inf, C - _FLOOR * D)
     order = np.argsort(-breaks, axis=1, kind="stable")
     inv = 1.0 / np.take_along_axis(D, order, axis=1)
     k = np.arange(1, D.shape[1] + 1)
     cumsum = np.cumsum(np.take_along_axis(C, order, axis=1) * inv, axis=1)
-    lam = (cumsum + _FLOOR * (n_free - k) - total) / np.cumsum(inv, axis=1)
+    n_fit = (~held).sum(axis=1, keepdims=True)
+    total = 1.0 - _FLOOR * n_flat[:, None]  # what the flat columns leave at the floor
+    lam = (cumsum + _FLOOR * (n_fit - k) - total) / np.cumsum(inv, axis=1)
     below = np.take_along_axis(breaks, order, axis=1) > lam
     lam = lam[np.arange(len(lam)), below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1)]
-    return np.where(pinned, 0.0, np.maximum(_FLOOR, (C - lam[:, None]) / D))
-
-
-def _fit_row(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``_fit_rows`` of one row of free columns, some of which may be flat (d_j = 0).
-
-    Also says whether two or more flat columns share mass: the optimum is
-    then not unique, and their equal split is its minimum-norm point.
-    """
-    if d.size == 1:
-        return np.ones(1), False
-    flat = d == 0.0
-    n_flat = int(flat.sum())
-    x = np.full(d.size, _FLOOR)
-    if n_flat:
-        x[~flat] = np.maximum(_FLOOR, c[~flat] / d[~flat])
-        share = (1.0 - x[~flat].sum()) / n_flat
+    at_flat = np.full(len(D), _FLOOR)
+    degenerate = np.zeros(len(D), bool)
+    for r in np.flatnonzero(n_flat).tolist():
+        # the others at lam = 0, summed alone: numpy sums pairwise, so padding would move bits
+        share = (1.0 - np.maximum(_FLOOR, C[r, ~held[r]] / D[r, ~held[r]]).sum()) / n_flat[r]
         if share >= _FLOOR:
-            x[flat] = share
-            return x, n_flat > 1
-    d, c = d[None, ~flat], c[None, ~flat]
-    x[~flat] = _fit_rows(d, c, np.zeros(d.shape, bool), 1.0 - _FLOOR * n_flat)[0]
-    return x, False
+            lam[r], at_flat[r], degenerate[r] = 0.0, share, n_flat[r] > 1
+    x = np.where(flat, at_flat[:, None], np.maximum(_FLOOR, (C - lam[:, None]) / D))
+    x[(~pinned).sum(axis=1) == 1] = 1.0
+    return np.where(pinned, 0.0, x), degenerate
 
 
 def _check_steps(M: np.ndarray, T: int, Z: int, origin: int) -> np.ndarray:

@@ -181,8 +181,8 @@ class ProbabilisticTermSet:
     """Plain probabilistic linguistic evidence: (term, probability) pairs.
 
     This is the single-valued baseline representation the peak intervals
-    improve on; it is kept for the comparison harness and the paradox
-    regression tests.
+    improve on; acceptance criterion 7 (the bimodal-evidence paradox)
+    scores it against the peak form.
     """
 
     scale: LinguisticScale

@@ -356,8 +356,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         col.add("$", f"expected a JSON object, got {type(data).__name__}")
         col.raise_if_any()
-    if data.get("format") != FORMAT_VERSION:
-        col.add("format", f"required field must equal {FORMAT_VERSION}, got {data.get('format')!r}")
+    fmt = data.get("format")
+    if not _is_number(fmt) or fmt != FORMAT_VERSION:  # True == 1, yet no format
+        col.add("format", f"required field must equal {FORMAT_VERSION}, got {fmt!r}")
 
     scale = _decode_scale(data.get("scale"), col)
     attributes = _decode_names(data, "attributes", 1, col)

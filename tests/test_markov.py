@@ -61,6 +61,18 @@ class TestChecks:
         msgs = check_transition_matrix(M)
         assert any("row 0" in m and "sums to" in m for m in msgs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_invalid(self, bad):
+        M = CRISIS_M.copy()
+        M[1, 2] = bad
+        msgs = check_transition_matrix(M)
+        assert msgs[-1] == f"row 1 sums to {float(M[1].sum())}, not 1"
+        assert check_transition_matrix([[np.nan]]) == ["row 0 sums to nan, not 1"]
+        with pytest.raises(ConfigError, match="row 1 sums to"):
+            period_weights(M, T=2, Z=1, origin=0)
+        with pytest.raises(ConfigError, match="row 1 sums to"):
+            period_weights_reshaped(M, T=2, Z=1, origin=0, updates=[0.5, 0.5])
+
     def test_require_stochastic_raises(self):
         with pytest.raises(ConfigError):
             require_stochastic(np.array([[0.6, 0.3], [0.5, 0.5]]))

@@ -114,9 +114,15 @@ class TestValidation:
         assert any(v.startswith("format:") for v in violations_of(data))
 
     def test_format_wrong_value(self):
+        for value in (2, True):  # True == 1, yet no format
+            data = fresh(uniform_scenario_dict())
+            data["format"] = value
+            assert f"format: required field must equal 1, got {value!r}" in violations_of(data)
+
+    def test_format_one_as_a_float_is_accepted(self):
         data = fresh(uniform_scenario_dict())
-        data["format"] = 2
-        assert any("must equal 1" in v for v in violations_of(data))
+        data["format"] = 1.0
+        assert scenario_from_dict(data).attributes
 
     def test_reciprocity_violation_is_located(self):
         data = bundled_dict()

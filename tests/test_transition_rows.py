@@ -1,12 +1,13 @@
 """The batched transition fit and row checks against their row-by-row forms, to the bit.
 
-``estimate_transition`` fits every row with two or more free columns and
-no flat one in one pass (``markov._fit_rows``) and the others with
-``markov._fit_row``; ``check_transition_matrix`` finds bad rows with
-whole-array masks. The references below are the row-by-row forms they
-replaced, kept verbatim: the matrices must match with ``tobytes`` and the
-diagnostics and messages in kind, wording and order.
+``estimate_transition`` fits every row in one pass (``markov._fit_rows``),
+single free columns and flat ones included; ``check_transition_matrix``
+finds bad rows with whole-array masks. The references below are the
+row-by-row forms they replaced: the matrices must match with ``tobytes``
+and the diagnostics and messages in kind, wording and order.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from lingdecide.markov import (
     check_transition_matrix,
     estimate_transition,
 )
+from lingdecide.scenario import scenario_from_dict
 from helpers import SCALE
+from test_generated_scenarios import decide, generate
 from test_markov import fields_from_units
 
 FLOOR = 1e-9
@@ -121,16 +124,39 @@ def test_batched_rows_match_the_row_by_row_fit_to_the_bit(seed):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_fit_row_matches_the_row_by_row_arithmetic_to_the_bit(seed):
-    """``_fit_row`` leaves its flat-free rows to ``_fit_rows``; the floor
-    case there, where the flat columns get no share, is seeded too."""
+    """One row of free columns, some flat, as a one-row stack; the floor
+    case, where the flat columns get no share, is seeded too."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(2, 12))
     d = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.1, 3.0, size))
     c = d * rng.uniform(0.0, 1.0, size) * rng.choice([1.0, 3.0])
     c[rng.random(size) < 0.3] = c[0]
-    got, degenerate = markov._fit_row(d, c)
+    got, degenerate = markov._fit_rows(d[None], c[None], np.zeros((1, size), bool))
     want, want_degenerate = row_by_row_fit(d, c)
-    assert got.tobytes() == want.tobytes() and degenerate == want_degenerate
+    assert got[0].tobytes() == want.tobytes() and degenerate.tolist() == [want_degenerate]
+
+
+def test_decide_fits_flat_columns_as_the_row_by_row_fit_does(tmp_path):
+    """In row 0 two flat columns (every expert gives p = 0) share what the
+    low-scored others leave; in row 1 one flat column sits at the floor,
+    because the high-scored others need the whole row."""
+    data = json.loads(generate.scenario_text(5, m=4, q=4, n=3, periods=2, scheme="power"))
+    flat, low, high = generate.term(8, 8, 0.0), generate.term(1, 1, 0.5), generate.term(32, 32, 0.5)
+    for rows in data["markov"]["assessments"].values():
+        rows[0] = [flat, flat, low, low]
+        rows[1] = [flat, high, high, high]
+    path = tmp_path / "flat_columns.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = decide(path)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    ref_diag = Diagnostics()
+    want = row_by_row_transition(scenario_from_dict(data).markov.assessments, ref_diag)
+    assert np.array(report["transition"]).tobytes() == want.tobytes()
+    assert report["diagnostics"] == [e.as_dict() for e in ref_diag.events] == [
+        {"kind": "degenerate_row", "detail": "row 0: data left directions unconstrained"}
+    ]
+    assert want[0, 0] == want[0, 1] > FLOOR and want[1, 0] == FLOOR
 
 
 def row_by_row_check(M):
@@ -144,7 +170,7 @@ def row_by_row_check(M):
         if bad.size:
             out.append(f"row {i} has negative entries at columns {bad.tolist()}")
         s = float(row.sum())
-        if abs(s - 1.0) > 1e-9:
+        if not abs(s - 1.0) <= 1e-9:  # a NaN sum too
             out.append(f"row {i} sums to {s:.12g}, not 1")
     return out
 
