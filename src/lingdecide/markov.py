@@ -57,14 +57,6 @@ def check_transition_matrix(M: np.ndarray) -> list[str]:
     return out
 
 
-def require_stochastic(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    problems = check_transition_matrix(M)
-    if problems:
-        raise ConfigError("transition matrix invalid: " + "; ".join(problems))
-    return M
-
-
 def estimate_transition(
     assessments: list[LinguisticMarkovAssessment],
     diag: Diagnostics | None = None,
@@ -94,14 +86,11 @@ def estimate_transition(
         & (np.abs(P - 1.0) <= _FLOOR_SCORE_TOL)
     ).all(axis=0)
     M, degenerate = _fit_rows(P.sum(axis=0), (P * E).sum(axis=0), pinned_cells)
-    n_pinned = pinned_cells.sum(axis=1)
-    pinned = np.nonzero(pinned_cells)[1].tolist()  # every row's pinned columns, row after row
-    ends = np.cumsum(n_pinned).tolist()
-    for i, (end, count, flagged) in enumerate(zip(ends, n_pinned.tolist(), degenerate.tolist())):
-        if count == q:
+    for i, (row, flagged) in enumerate(zip(pinned_cells, degenerate.tolist())):
+        columns = np.flatnonzero(row).tolist()
+        if len(columns) == q:
             raise ConfigError(f"row {i} pins every column to zero; no transition mass left")
-        if count:
-            columns = pinned[end - count:end]
+        if columns:
             record(diag, "zero_pinned", f"row {i}: columns {columns} fixed at exactly 0")
         if flagged:
             record(diag, "degenerate_row", f"row {i}: data left directions unconstrained")
@@ -150,7 +139,10 @@ def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray) -> tuple[np.ndar
 
 
 def _check_steps(M: np.ndarray, T: int, Z: int, origin: int) -> np.ndarray:
-    M = require_stochastic(M)
+    M = np.asarray(M, dtype=float)
+    problems = check_transition_matrix(M)
+    if problems:
+        raise ConfigError("transition matrix invalid: " + "; ".join(problems))
     if T < 1:
         raise ConfigError(f"period count must be >= 1, got {T}")
     if Z < 1:

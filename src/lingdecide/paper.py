@@ -191,7 +191,7 @@ class ProbabilisticTermSet:
     def __post_init__(self):
         for coord, prob in self.entries:
             to_unit(self.scale, coord)
-            if prob < 0.0:
+            if not prob >= 0.0:
                 raise RangeError(f"probability {prob} negative")
         total = math.fsum(prob for _, prob in self.entries)
         if total > 1.0 + 1e-9:
@@ -405,7 +405,7 @@ def inner_weights(
         raise ShapeError("inner weights need at least two experts")
     if m < 2:
         raise ShapeError(f"alternative count must be >= 2, got {m}")
-    if np.any(u < 0.0):
+    if not np.all(u >= 0.0):
         raise ConfigError("deviations must be nonnegative")
     weights, floored = entropy_weights(u, m)
     _note_floor(diag, floored)

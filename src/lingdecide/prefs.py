@@ -110,9 +110,9 @@ def reciprocity_violations(
             | (np.abs(upper[:, d, d] - 0.5) > tol)
             | (np.abs(p[:, d, d] - 1.0) > tol)
         )
-        bad_endpoints = _far_from(lower[:, rows, cols], upper[:, cols, rows], 1.0, tol)
-        bad_endpoints |= _far_from(upper[:, rows, cols], lower[:, cols, rows], 1.0, tol)
-        bad_p = _far_from(p[:, rows, cols], -p[:, cols, rows], 0.0, tol)
+        bad_endpoints = np.abs(lower[:, rows, cols] + upper[:, cols, rows] - 1.0) > tol
+        bad_endpoints |= np.abs(upper[:, rows, cols] + lower[:, cols, rows] - 1.0) > tol
+        bad_p = np.abs(p[:, rows, cols] - p[:, cols, rows]) > tol
     bad_pairs = bad_endpoints | bad_p
     out: dict[int, list[Violation]] = {}
     for r in np.flatnonzero(bad_diagonal.any(axis=1) | bad_pairs.any(axis=1)).tolist():
@@ -143,13 +143,6 @@ def reciprocity_violations(
                 )
         out[r] = found
     return out
-
-
-def _far_from(a: np.ndarray, b: np.ndarray, target: float, tol: float) -> np.ndarray:
-    """|a + b - target| > tol, elementwise, reusing ``a`` for every step."""
-    a += b
-    a -= target
-    return np.abs(a, out=a) > tol
 
 
 def score_matrix(relation: PreferenceRelation) -> np.ndarray:
@@ -286,7 +279,7 @@ def _note_floor(diag: Diagnostics | None, floored: np.ndarray) -> None:
 def trust_weights(psi: np.ndarray | list[float]) -> np.ndarray:
     """Normalised trust degrees."""
     psi = np.asarray(psi, dtype=float)
-    if np.any(psi < 0.0) or np.any(psi > 1.0):
+    if not np.all((psi >= 0.0) & (psi <= 1.0)):
         raise ConfigError("trust degrees must lie in [0, 1]")
     total = psi.sum()
     if total <= 0.0:
@@ -312,12 +305,12 @@ def blend_weights(
     for v in vectors:
         if v.shape[-1] != n:
             raise ShapeError("weight vectors must share one length")
-        bad = ((np.abs(v.sum(axis=-1) - 1.0) > 1e-9) | np.any(v < -1e-12, axis=-1)).ravel()
+        bad = ~((np.abs(v.sum(axis=-1) - 1.0) <= 1e-9) & np.all(v >= -1e-12, axis=-1)).ravel()
         if bad.any():
             row = v.reshape(-1, n)[np.argmax(bad)]
             raise ConfigError(f"weight vector {row.tolist()} is not a probability vector")
     coeffs = (alpha, beta, gamma)
-    if any(c < 0.0 or c > 1.0 for c in coeffs) or abs(sum(coeffs) - 1.0) > 1e-9:
+    if not (all(0.0 <= c <= 1.0 for c in coeffs) and abs(sum(coeffs) - 1.0) <= 1e-9):
         raise ConfigError(f"blend coefficients {coeffs} must be in [0,1] and sum to 1")
     return alpha * vectors[0] + beta * vectors[1] + gamma * vectors[2]
 
@@ -448,7 +441,7 @@ def weight_vector(weights: np.ndarray | list[float], n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size != n:
         raise ShapeError(f"{n} relations but {w.size} expert weights")
-    if abs(w.sum() - 1.0) > 1e-9 or np.any(w < -1e-12):
+    if not (abs(w.sum() - 1.0) <= 1e-9 and np.all(w >= -1e-12)):
         raise ConfigError("expert weights must form a probability vector")
     return w
 

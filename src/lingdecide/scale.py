@@ -40,7 +40,7 @@ class LinguisticScale:
 
     def __post_init__(self):
         for name, half in (("tau", self.tau), ("zeta", self.zeta)):
-            if not (isinstance(half, int) and half >= 1):
+            if not (isinstance(half, int) and not isinstance(half, bool) and half >= 1):
                 raise RangeError(f"{name} must be an integer >= 1, got {half!r}")
         for name, half in (("first_labels", self.tau), ("second_labels", self.zeta)):
             labels = getattr(self, name)

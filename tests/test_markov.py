@@ -12,7 +12,6 @@ from lingdecide.markov import (
     export_dot,
     period_weights,
     period_weights_reshaped,
-    require_stochastic,
 )
 from lingdecide.paper import PeakIntervalTerm
 from lingdecide.scenario import load_bundled_scenario
@@ -75,11 +74,7 @@ class TestChecks:
 
     def test_require_stochastic_raises(self):
         with pytest.raises(ConfigError):
-            require_stochastic(np.array([[0.6, 0.3], [0.5, 0.5]]))
-
-    def test_require_stochastic_passes_through(self):
-        out = require_stochastic(CRISIS_M)
-        assert np.array_equal(out, CRISIS_M)
+            period_weights(np.array([[0.6, 0.3], [0.5, 0.5]]), T=2, Z=1, origin=0)
 
 
 class TestEstimate:

@@ -255,6 +255,8 @@ class TestWeightVectors:
             inner_weights([1.0], m=3)
         with pytest.raises(ConfigError):
             inner_weights([-0.1, 0.5], m=3)
+        with pytest.raises(ConfigError, match="deviations must be nonnegative"):
+            inner_weights([np.nan, 1.0, 2.0], m=4)
 
     def test_trust_normalisation_golden(self):
         got = trust_weights([0.80, 0.90, 0.70, 0.80])
@@ -263,6 +265,11 @@ class TestWeightVectors:
     def test_trust_empty(self):
         with pytest.raises(EmptyTrustError):
             trust_weights([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_trust_range(self, bad):
+        with pytest.raises(ConfigError, match=re.escape("trust degrees must lie in [0, 1]")):
+            trust_weights([bad, 1.0])
 
     def test_blend_golden(self):
         out = np.array([0.2253, 0.3320, 0.2439, 0.1988])
@@ -279,6 +286,11 @@ class TestWeightVectors:
             blend_weights(u, u, np.array([0.5, 0.2, 0.2]), 0.5, 0.3, 0.2)
         with pytest.raises(ShapeError):
             blend_weights(u, u, np.full(4, 0.25), 0.5, 0.3, 0.2)
+        half = np.array([0.5, 0.5])
+        with pytest.raises(ConfigError, match=r"weight vector \[nan, 0.5\] is not a probability"):
+            blend_weights([np.nan, 0.5], half, half, 0.5, 0.3, 0.2)
+        with pytest.raises(ConfigError, match="blend coefficients"):
+            blend_weights(u, u, u, np.nan, 0.3, 0.2)
 
 
 class TestModel1:
@@ -309,6 +321,8 @@ class TestModel1:
             model1_problem([rel], [0.5, 0.5])
         with pytest.raises(ConfigError):
             model1_problem([rel, rel], [0.7, 0.7])
+        with pytest.raises(ConfigError, match="expert weights must form a probability vector"):
+            model1_problem([rel, rel], [np.nan, 1.0])
 
     def test_priorities_on_simplex(self):
         rels = [sample_relation(), sample_relation(0.9), sample_relation(0.1)]

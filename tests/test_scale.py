@@ -106,6 +106,8 @@ def test_label_validation():
         LinguisticScale(0, 2)
     with pytest.raises(RangeError):
         LinguisticScale(2, -1)
+    with pytest.raises(RangeError, match="tau must be an integer >= 1, got True"):
+        LinguisticScale(True, 4)
 
 
 def test_parse_term_literals():

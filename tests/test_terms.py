@@ -116,6 +116,8 @@ class TestProbabilisticTermSet:
             ProbabilisticTermSet(scale, ((TermCoord(0, 0), 0.7), (TermCoord(1, 0), 0.4)))
         with pytest.raises(RangeError):
             ProbabilisticTermSet(scale, ((TermCoord(0, 0), -0.1),))
+        with pytest.raises(RangeError, match="probability nan"):
+            ProbabilisticTermSet(scale, ((TermCoord(1, 0), float("nan")),))
 
     def test_symmetric_bimodal_scores_center_exactly(self, scale):
         plts = ProbabilisticTermSet(
