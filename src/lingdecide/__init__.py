@@ -13,6 +13,9 @@ import importlib
 
 __version__ = "0.1.0"
 
+#: the pipeline's stages; here, so that ``decide`` parses its options before numpy loads
+STAGES = ("markov", "weights", "priorities", "aggregate", "all")
+
 #: the public names of each submodule
 _PUBLIC = {
     "diagnostics": ("Diagnostics", "Event"),

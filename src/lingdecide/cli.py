@@ -5,22 +5,23 @@ Usage: decide SCENARIO [--stage S] [--report text|json] [--export-dot P]
 1 validation failure, 2 parse failure, 3 numerical failure, 141 the
 reader of the report closed its end of the pipe (128 + SIGPIPE).
 
-BLAS runs on one thread: the engine's largest BLAS/LAPACK calls (batched
-31 x 31 solves) are too small for a thread pool to help, and OpenBLAS
-starting its pool while numpy loads cost up to about 65 ms of each start
-on a 2-vCPU host. A user-set ``OPENBLAS_NUM_THREADS`` wins.
+BLAS runs on one thread: the engine's BLAS/LAPACK calls are too small for
+a thread pool to help, and OpenBLAS starting its pool while numpy loads
+cost up to about 65 ms of each start on a 2-vCPU host. A user-set
+``OPENBLAS_NUM_THREADS`` wins.
 
-A ``decide`` process does no cyclic garbage collection. Run as
-``__main__`` the module turns the collector off before numpy's first
-import; the console script (``lingdecide.decide``) turns it off before
-it imports this module. The run makes no reference cycles worth
-collecting, yet with the collector on, importing numpy and the package
-starts 33 collector passes. After ``main``, also when argparse ends it
-(``--help``, a usage error), the process runs its ``atexit`` hooks,
-flushes stdout and stderr and ends with ``os._exit``: the skipped
-teardown only frees memory the system takes back anyway, and took about
-6.5 ms of each run on a 2-vCPU host. ``main`` itself leaves the collector
-alone and returns its code, so in-process callers keep both as they were.
+The ``decide`` process (``entry``) does no cyclic garbage collection: run
+as ``__main__`` the module turns the collector off before numpy's first
+import, the console script (``lingdecide.decide``) before it imports this
+module, which spares 33 collector passes that find nothing. Given a
+scenario file of ``OVERLAP_BYTES`` or more and two CPUs or more in its
+affinity mask, it decodes the file in a child process while it imports
+numpy (``lingdecide.overlap``); each process is pinned to CPUs of its own,
+as an unpinned pair ran slower than one process. It ends, also when
+argparse ends it (``--help``, a usage error), by running its ``atexit``
+hooks, flushing stdout and stderr and ``os._exit``: teardown only frees memory the system takes
+back anyway, and took about 6.5 ms of each run on a 2-vCPU host. ``main``
+itself forks nothing, leaves the collector alone and returns its code.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ import argparse
 import atexit
 import gc
 import os
+import stat
 import sys
 
-# both before numpy's first import, in ``.pipeline``; ``import lingdecide`` loads none
+# both before numpy's first import, in ``_run``; ``import lingdecide`` loads none
 if __name__ == "__main__":
     gc.disable()
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import STAGES  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     EngineError,
@@ -44,14 +47,16 @@ from .errors import (  # noqa: E402
     ScenarioValidationError,
     ShapeError,
 )
-from .pipeline import STAGES, run_pipeline  # noqa: E402
-from .scenario import load_scenario  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+#: the smallest scenario file a ``decide`` process decodes in a child process
+#: beside numpy's import (``lingdecide.overlap``)
+OVERLAP_BYTES = 1 << 18
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,11 +96,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def load_scenario(path: str, child=None):
+    """The scenario at ``path``: the tree ``child`` (``overlap.Decode``) sent, or decoded here."""
+    from . import scenario
+
+    tree = None if child is None else child.tree()
+    return scenario.load_scenario(path) if tree is None else scenario.scenario_from_dict(tree)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args: argparse.Namespace, child=None) -> int:
+    from .pipeline import run_pipeline  # numpy loads here, while ``child`` decodes
 
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = load_scenario(args.scenario, child)
     except ScenarioParseError as exc:
         place = ""
         if exc.line is not None:
@@ -145,11 +162,27 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def _decode_beside(path: str):
+    """``overlap.start`` on ``path`` given two CPUs or more to pin two processes
+    to and a regular file of ``OVERLAP_BYTES`` or more; else None."""
+    try:
+        cpus, found = os.sched_getaffinity(0), os.stat(path)
+    except (AttributeError, OSError):  # a platform without sched_getaffinity lacks sched_setaffinity
+        return None
+    if len(cpus) < 2 or not stat.S_ISREG(found.st_mode) or found.st_size < OVERLAP_BYTES:
+        return None
+    from . import overlap
+
+    return overlap.start(path, cpus)
+
+
 def entry() -> None:
-    """The ``decide`` process: ``main`` with the collector off, then exit without teardown."""
+    """The ``decide`` process: ``main`` with the collector off and a large
+    scenario decoded beside numpy's import, then exit without teardown."""
     gc.disable()
     try:
-        code = main()
+        args = build_parser().parse_args()
+        code = _run(args, _decode_beside(args.scenario))
     except SystemExit as exc:  # ``--help`` and usage errors leave argparse with 0 or 2
         code = exc.code
     atexit._run_exitfuncs()

@@ -191,7 +191,9 @@ class ProbabilisticTermSet:
     def __post_init__(self):
         for coord, prob in self.entries:
             to_unit(self.scale, coord)
-            if not prob >= 0.0:
+            if math.isnan(prob):
+                raise RangeError(f"probability {prob} is not a number")
+            if prob < 0.0:
                 raise RangeError(f"probability {prob} negative")
         total = math.fsum(prob for _, prob in self.entries)
         if total > 1.0 + 1e-9:

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import records
+from . import STAGES, records
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
@@ -32,8 +32,6 @@ from .prefs import (
     weight_vector,
 )
 from .solver import solve_stack
-
-STAGES = ("markov", "weights", "priorities", "aggregate", "all")
 
 _SUM_NOTE_TOL = 1e-6
 

@@ -167,21 +167,21 @@ def distances(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:
     Takes the (..., n, m, m) scores and certainties of one attribute's
     relations, or of a stack of attributes. Centred on 1/2, a pair reads
     the same up to sign from either side of the diagonal, so relabelling
-    the alternatives moves no distance. One pass per expert a gives
-    row a of every distance matrix, so no temporary holds more than one
-    expert's differences. The pair axis leads, so each reduction adds
-    pairs one by one in row-major order, and ``float_power`` squares
-    through the C library's ``pow``: the result keeps the last bit of a
-    scalar loop over pairs.
+    the alternatives moves no distance. One pass per expert a gives row a
+    from column a on, mirrored into column a, so each expert pair is taken
+    once. The pair axis leads, so each reduction over two columns or more
+    adds pairs one by one in row-major order, and ``float_power`` squares
+    through the C library's ``pow``, where pow(-x, 2) is pow(x, 2): the
+    result keeps the last bit of a scalar loop over pairs.
     """
-    m = scores.shape[-1]
+    m, n = scores.shape[-1], scores.shape[-3]
     i, j = np.triu_indices(m, 1)
     weighted = np.ascontiguousarray(np.moveaxis((certainties * (scores - 0.5))[..., i, j], -1, 0))
-    rows = [
-        np.float_power(weighted[..., a, None] - weighted, 2).sum(axis=0)
-        for a in range(scores.shape[-3])
-    ]
-    return np.sqrt(2.0 * np.stack(rows, axis=-2) / (m * (m - 1)))
+    total = np.zeros(weighted.shape[1:] + (n,))
+    for a in range(n - 1):
+        row = np.float_power(weighted[..., a, None] - weighted[..., a:], 2).sum(axis=0)
+        total[..., a, a:] = total[..., a:, a] = row
+    return np.sqrt(2.0 * total / (m * (m - 1)))
 
 
 def outer_weights(scores: np.ndarray, certainties: np.ndarray) -> np.ndarray:

@@ -10,16 +10,14 @@ Peak intervals are encoded as ``{"interval": [LO, HI], "p": x}`` or
 ``{"point": C, "p": x}`` where each coordinate is either a two-element
 ``[t, k]`` array or a term literal string such as ``"s-2(o1)"``. Term
 literals and malformed cells go to ``lingdecide.cells``, loaded on demand.
-The reader (``_read``) walks each term matrix into its fields as soon as
-json's scanner has read it, so decoding never holds the whole JSON tree.
+The reader (``reader._read``) walks each term matrix into its fields as soon
+as json's scanner has read it, so decoding never holds the whole JSON tree.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
-import struct
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from . import records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
+from .reader import _read, _Walked
 from .scale import LinguisticScale
 from .terms import TermMatrix, field_faults, unit_arrays
 
@@ -104,85 +103,19 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-#: the exact types ``json`` decodes numbers to, the only leaves the bulk
-#: pass over a term matrix takes
-_JSON_NUMBERS = frozenset((int, float))
-
-
-#: the containers the cell reader takes for an interval or a coordinate
-_PAIRS = frozenset((list, tuple))
-
-
-def _bulk_fields(raw: list, size: int) -> np.ndarray | None:
-    """The (size, size, 5) fields array of a matrix whose cells all read cleanly.
-
-    One walk over the rows with exact container types collects every
-    cell's (t_lo, k_lo, t_hi, k_hi, p) into one flat list; one type check
-    over its leaves and one conversion make the array. None when any cell
-    needs ``cells._read_cell``: a row or cell of another shape or type, a leaf
-    that is no JSON number (a bool, None, or a term literal), or a number
-    too large for a float.
-    """
-    flat = []
-    put = flat.extend
-    for row in raw:
-        if type(row) is not list or len(row) != size:
-            return None
-        for cell in row:
-            if type(cell) is not dict or "p" not in cell:
-                return None
-            if "point" in cell:
-                lo = hi = cell["point"]
-            else:
-                interval = cell.get("interval")
-                if type(interval) not in _PAIRS or len(interval) != 2:
-                    return None
-                lo, hi = interval
-            if type(lo) not in _PAIRS or len(lo) != 2 or type(hi) not in _PAIRS or len(hi) != 2:
-                return None
-            put(lo)
-            put(hi)
-            flat.append(cell["p"])
-    if not set(map(type, flat)) <= _JSON_NUMBERS:
-        return None
-    try:
-        return np.frombuffer(struct.pack(f"{len(flat)}d", *flat)).reshape(size, size, 5)
-    except (OverflowError, struct.error):
-        return None
-
-
-class _Walked:
-    """A term matrix as read: ``fields`` as ``_bulk_fields`` walks it, or None
-    where that pass declines it, and ``rows()``, the matrix's JSON.
-
-    ``rows`` gives the JSON of a matrix whose cells were dropped once walked;
-    without it, and for a declined matrix, ``raw`` itself is kept.
-    """
-
-    def __init__(self, raw, rows=None):
-        self.fields = _bulk_fields(raw, len(raw)) if isinstance(raw, list) else None
-        self.rows = rows if rows is not None and self.fields is not None else lambda: raw
-
-
 class _MatrixStack:
     """Term matrices of one kind and size, read one by one and checked together.
 
-    ``read`` takes each matrix as ``_Walked`` holds it: walked into a
-    (size, size, 5) fields array by ``_bulk_fields``, one pass over the
-    whole matrix that takes only JSON numbers in exact containers, which is
-    how generated and hand-written numeric files spell every cell. When
-    that pass declines, ``cells._read_cells``, loaded only then, reads cell
-    by cell: it reads term literals and keeps the faults only the JSON
-    types show, so it locates every such fault. Either way the array goes
-    straight into its place in one (R, size, size, 5) stack. ``build``
-    then, once over the stack, derives the unit arrays and checks the
-    numeric rules of all cells (``field_faults``) and the kind's own rules
-    (``stack_violations``).
-    Only what those passes flag is worded, by ``cells._word_faults``,
-    loaded only then: each matrix reports its faults in the place it was
-    read, and a cell reports its faults in the order a cell built on its
-    own checks them: the cell's form, its coordinates, then its endpoint
-    order or p.
+    ``read`` puts each matrix's fields straight into its place in one
+    (R, size, size, 5) stack: as ``reader._bulk_fields`` packed them, or,
+    where that pass declines, as ``cells._read_cells`` reads them cell by
+    cell, term literals too, locating every fault only the JSON types show.
+    ``build`` then derives the unit arrays of the whole stack at once and
+    checks the numeric rules of all cells (``field_faults``) and the kind's
+    own rules (``stack_violations``). Only what they flag is worded, by
+    ``cells._word_faults``: each matrix in the place it was read, each cell
+    in the order a cell built on its own checks it (form, coordinates, then
+    endpoint order or p). ``cells`` is loaded only for one of these.
     """
 
     def __init__(self, kind: type[TermMatrix], scale: LinguisticScale, size: int, capacity: int):
@@ -202,7 +135,9 @@ class _MatrixStack:
         """
         matrix = raw if type(raw) is _Walked else _Walked(raw)
         fields, faults = matrix.fields, {}
-        if fields is None or len(fields) != self.size:
+        if fields is not None and len(fields) == self._fields[0].nbytes:
+            fields = np.frombuffer(fields).reshape(self.size, self.size, 5)
+        else:
             rows = matrix.rows()
             if not isinstance(rows, list) or len(rows) != self.size:
                 col.add(where, f"expected {self.size} rows")
@@ -624,66 +559,12 @@ def bundled_scenario_text(name: str = "financial_crisis") -> str:
         raise ScenarioParseError(f"no bundled scenario named {name!r}") from exc
 
 
-#: where a scenario's term matrices sit: each object on the way by member
-#: name, None for every member, down to True at a matrix
-_MATRIX_WAYS = {"preferences": {None: {None: True}}, "markov": {"assessments": {None: True}}}
-
-
-def _read(text: str):
-    """``json.loads(text)``, but with every term matrix walked as soon as it is read.
-
-    The objects on the way to a matrix (``_MATRIX_WAYS``) are read here,
-    member by member; json's C scanner reads every other value, so each is
-    what ``json.loads`` gives, and each matrix on its own. A matrix is
-    walked into its fields at once (``_Walked``), so its cells are freed
-    while still in cache and the next matrix reuses their memory: the whole
-    tree is never held. A walked matrix's text is scanned again only to
-    word a flagged cell. Where this reading fails, ``json.loads`` reads the
-    text once more, so json alone decides what is accepted and words every
-    parse error.
-    """
-    scan, space = json.decoder.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
-
-    def read(at, way):
-        """The value at index ``at`` and the index past it."""
-        if way is True:
-            raw, end = scan(text, at)
-            return _Walked(raw, functools.cache(lambda: scan(text, at)[0])), end
-        if not way or text[at] != "{":
-            return scan(text, at)
-        obj, at = {}, space(text, at + 1).end()
-        more = text[at] != "}"
-        while more:
-            key, end = scan(text, at)
-            colon = space(text, end).end()
-            if text[at] + text[colon] != '":':
-                raise ValueError("no object member")
-            obj[key], at = read(space(text, colon + 1).end(), way.get(key, way.get(None)))
-            at = space(text, at).end()
-            more = text[at] == ","
-            at = space(text, at + 1).end() if more else at
-        if text[at] != "}":
-            raise ValueError("no object end")
-        return obj, at + 1
-
-    try:
-        data, end = read(space(text).end(), _MATRIX_WAYS)
-        if space(text, end).end() == len(text):
-            return data
-    except (ValueError, IndexError, StopIteration, RecursionError):
-        pass
-    return json.loads(text)
-
-
 def _decode(text: str) -> Scenario:
     """Parse scenario text (``_read``) and validate it, with the cyclic collector held off.
 
-    Decoding a large scenario allocates many dicts and lists, enough to
-    start collector passes over them. Decoded JSON holds no reference
-    cycles, so reference counting frees it all and those passes would
-    find nothing. The collector's prior state is restored however decoding
-    ends. Under ``decide`` the collector is already off (see
-    ``lingdecide.cli``), so the guard serves library callers.
+    Decoded JSON holds no reference cycles, so the collector passes its
+    many dicts and lists would start find nothing. The collector's state is
+    restored however decoding ends; ``decide`` has it off already.
     """
     enabled = gc.isenabled()
     gc.disable()

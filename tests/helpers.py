@@ -51,7 +51,7 @@ from lingdecide.prefs import (
     stacked,
     trust_weights,
 )
-from lingdecide.scenario import _bulk_fields
+from lingdecide.reader import _bulk_fields
 from lingdecide.scale import LinguisticScale, TermCoord, parse_term
 from lingdecide.solver import STRICT_FLOOR
 from lingdecide.terms import field_faults, unit_arrays
@@ -766,10 +766,12 @@ def per_matrix_decode_relation(scale, raw, size, where, faults):
     if not isinstance(raw, list) or len(raw) != size:
         faults.append(f"{where}: expected {size} rows")
         return None
-    fields = _bulk_fields(raw, size)
+    packed = _bulk_fields(raw, size)
     found = {}
-    if fields is None:
+    if packed is None:
         fields, found = _read_cells(raw, size)
+    else:
+        fields = np.frombuffer(packed).reshape(size, size, 5)
     try:
         matrix = PreferenceRelation.from_fields(scale, fields)
     except RangeError:

@@ -497,10 +497,15 @@ def test_closed_output_pipe_exits_quietly_with_141(crisis_path):
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+#: the modules a ``decide`` run imports: the command line loads the engine in ``main``
+DECIDE_IMPORTS = "lingdecide.cli, lingdecide.pipeline, lingdecide.scenario"
+
+
 def test_cli_import_loads_no_scipy():
-    """The package runs on numpy alone; importing the command line pulls in no scipy."""
+    """The package runs on numpy alone; importing the command line and the
+    engine it runs pulls in no scipy."""
     code = (
-        "import lingdecide.cli, sys; "
+        f"import {DECIDE_IMPORTS}, sys; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run(
@@ -556,7 +561,7 @@ def test_cli_import_pins_blas_to_one_thread_unless_set(given, want):
 
 def test_cli_import_loads_no_dataclasses():
     """The records are built without dataclasses' code generation."""
-    code = "import json, sys, lingdecide.cli; print(json.dumps('dataclasses' in sys.modules))"
+    code = f"import json, sys, {DECIDE_IMPORTS}; print(json.dumps('dataclasses' in sys.modules))"
     assert fresh_python(code) is False
 
 
@@ -567,7 +572,7 @@ def test_cli_import_defers_importlib_resources():
     first, with numpy's directory on the path.
     """
     code = (
-        "import json, sys, lingdecide.cli; loaded = 'importlib.resources' in sys.modules; "
+        f"import json, sys, {DECIDE_IMPORTS}; loaded = 'importlib.resources' in sys.modules; "
         "from lingdecide.scenario import bundled_scenario_text; "
         "print(json.dumps([loaded, json.loads(bundled_scenario_text())['format']]))"
     )
@@ -579,7 +584,7 @@ def test_cli_import_defers_importlib_resources():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_cli_import_starts_no_blas_thread():
     threads, blas = fresh_python(
-        "import json, os, lingdecide.cli; threads = len(os.listdir('/proc/self/task')); "
+        f"import json, os, {DECIDE_IMPORTS}; threads = len(os.listdir('/proc/self/task')); "
         "import numpy as np; blas = np.show_config(mode='dicts')['Build Dependencies']['blas']; "
         "print(json.dumps([threads, blas['name']]))"
     )

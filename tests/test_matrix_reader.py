@@ -1,6 +1,6 @@
 """The scenario reader walks each term matrix as it reads it, and decodes as json does.
 
-``scenario._read`` reads the objects on the way to the term matrices
+``reader._read`` reads the objects on the way to the term matrices
 itself and hands every other value to json's scanner. These tests hold it
 to ``json.loads``: every document decodes to the same report, or to the
 same violations in the same order, as ``scenario_from_dict(json.loads(text))``,
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from lingdecide.errors import EngineError, ScenarioParseError, ScenarioValidationError
 from lingdecide.pipeline import run_pipeline
-from lingdecide.scenario import _bulk_fields, _decode, _read, _Walked, scenario_from_dict
+from lingdecide.reader import _bulk_fields, _read, _Walked
+from lingdecide.scenario import _decode, scenario_from_dict
 
 from test_generated_scenarios import generate
 
@@ -173,7 +174,7 @@ def test_numeric_matrices_are_walked_and_the_rest_kept_as_json():
             # declined: kept as json decoded it, for the cell reader
             assert matrix.fields is None and matrix.rows() is matrix.rows()
         else:
-            assert matrix.fields.tobytes() == _bulk_fields(raw, len(raw)).tobytes()
+            assert matrix.fields == _bulk_fields(raw, len(raw))
         read[a][b][e] = raw
     assert read == want
 

@@ -582,6 +582,43 @@ def test_stacked_chain_matches_the_per_attribute_chain(scenario, paper_literal):
             assert same_bits(const[a], one.const)
 
 
+def scalar_distances(scores, certainties):
+    """(n, n) distances of one attribute's arrays, one expert pair and one
+    alternative pair i < j at a time, in row-major order."""
+    n, m = scores.shape[0], scores.shape[1]
+    out = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            total = 0.0
+            for i in range(m):
+                for j in range(i + 1, m):
+                    x = float(certainties[a, i, j]) * (float(scores[a, i, j]) - 0.5)
+                    y = float(certainties[b, i, j]) * (float(scores[b, i, j]) - 0.5)
+                    total += math.pow(x - y, 2)
+            out[a, b] = math.sqrt(2.0 * total / (m * (m - 1)))
+    return out
+
+
+@given(
+    m=st.integers(2, 9),
+    n=st.integers(2, 6),
+    q=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_distances_match_a_scalar_pair_loop_bit_for_bit(m, n, q, seed):
+    # each expert pair is computed once and mirrored, on one attribute and on a stack
+    rng = np.random.default_rng(seed)
+    scores, certainties = stacked([drawn_relation(rng, m) for _ in range(q * n)])
+    scores = scores.reshape(q, n, m, m)
+    certainties = certainties.reshape(q, n, m, m)
+    got = distances(scores, certainties)
+    for k in range(q):
+        want = scalar_distances(scores[k], certainties[k])
+        assert same_bits(got[k], want)
+        assert same_bits(distances(scores[k], certainties[k]), want)
+
+
 @given(
     m=st.integers(2, 12),
     n=st.integers(2, 6),

@@ -7,8 +7,9 @@ comparisons leave an alternative unlinked and one malformed file, each
 with several command-line options. A function defined
 in ``src/lingdecide`` that no run calls must be listed in ``KEPT`` with
 what keeps it: an acceptance criterion, a perfbench import, the grid
-oracle, the console script or the lazy public namespace (the package's
-``__getattr__`` and ``__dir__``); besides those, only the scalar score that
+oracle, the console script, the ``decide`` process (``cli.entry`` and
+the child decode it starts, ``lingdecide.overlap``) or the lazy public
+namespace (the package's ``__getattr__`` and ``__dir__``); besides those, only the scalar score that
 the matrix arrays are tested against, the data-model methods of term
 matrices and of records, and the record decorator, which runs when the
 package is imported, before the profiled runs. An entry for a function
@@ -37,6 +38,13 @@ KEPT = {
     "__init__.__dir__": "the lazy public namespace",
     "__init__.decide": "the `decide` console script",
     "cli.entry": "the `decide` process: the console script and `python -m lingdecide.cli`",
+    "cli._decode_beside": "the `decide` process",
+    "overlap._at_matrices": "the `decide` process",
+    "overlap._sent": "the `decide` process",
+    "overlap._child": "the `decide` process",
+    "overlap.Decode.__init__": "the `decide` process",
+    "overlap.Decode.tree": "the `decide` process",
+    "overlap.start": "the `decide` process",
     "paper.from_unit": "acceptance criterion 1",
     "paper._canonical": "acceptance criteria 1 and 5",
     "paper.to_unit": "acceptance criterion 1",

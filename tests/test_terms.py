@@ -114,9 +114,9 @@ class TestProbabilisticTermSet:
     def test_probability_validation(self, scale):
         with pytest.raises(RangeError):
             ProbabilisticTermSet(scale, ((TermCoord(0, 0), 0.7), (TermCoord(1, 0), 0.4)))
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"^probability -0\.1 negative$"):
             ProbabilisticTermSet(scale, ((TermCoord(0, 0), -0.1),))
-        with pytest.raises(RangeError, match="probability nan"):
+        with pytest.raises(RangeError, match="^probability nan is not a number$"):
             ProbabilisticTermSet(scale, ((TermCoord(1, 0), float("nan")),))
 
     def test_symmetric_bimodal_scores_center_exactly(self, scale):
