@@ -91,10 +91,11 @@ class Decode:
 
 def start(path: str, cpus: set[int]) -> Decode | None:
     """A ``Decode`` of the file at ``path`` beside this process on ``cpus``; None
-    when it cannot be read as UTF-8 text, so the serial decode words why."""
+    when it cannot be read as UTF-8 text, so the serial decode words why, or
+    when no pipe or process can be made."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        return Decode(text, cpus)
     except (OSError, UnicodeDecodeError):
         return None
-    return Decode(text, cpus)

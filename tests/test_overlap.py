@@ -34,6 +34,7 @@ needs_two_cpus = pytest.mark.skipif(
 #: what the child sent and whether a child is left unreaped
 PROBE = (
     "import atexit, json, os, sys; sent = []\n"
+    "{setup}\n"
     "if {watch}:\n"
     "    from lingdecide import overlap\n"
     "    tree = overlap.Decode.tree\n"
@@ -50,10 +51,11 @@ PROBE = (
 )
 
 
-def run_decide(argv, watch=True, **kwargs):
-    """``entry()`` on ``argv`` in a new interpreter: the process, its stderr
-    without the probe's line, and the probe's record."""
-    code = PROBE.format(watch=watch, argv=["decide", *argv])
+def run_decide(argv, watch=True, setup="", **kwargs):
+    """``entry()`` on ``argv`` in a new interpreter, after the statement
+    ``setup``: the process, its stderr without the probe's line, and the
+    probe's record."""
+    code = PROBE.format(watch=watch, setup=setup, argv=["decide", *argv])
     kwargs.setdefault("stdout", subprocess.PIPE)
     proc = subprocess.run(
         [sys.executable, "-c", code], stderr=subprocess.PIPE, text=True, timeout=120,
@@ -150,6 +152,18 @@ def test_a_child_that_reaps_itself_still_sends_its_tree(tmp_path, capsys):
     proc, got_err, probe = run_decide(argv, preexec_fn=ignore_children)
     assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
     assert probe == [True, [True], False]
+
+
+@needs_two_cpus
+def test_a_fork_that_fails_decodes_serially(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(CASES["off-scale"](), encoding="utf-8")
+    argv = [str(path), "--report", "json"]
+    code, out, err = in_process(argv, capsys)
+    no_fork = "def fork(): raise BlockingIOError(11, 'Resource temporarily unavailable')\nos.fork = fork"
+    proc, got_err, probe = run_decide(argv, setup=no_fork)
+    assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
+    assert probe == [True, [], False]
 
 
 def one_cpu():
