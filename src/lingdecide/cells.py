@@ -1,12 +1,15 @@
 """The decoder's cell-by-cell reader and fault wording, loaded only for a faulty or declined matrix.
 
-``_read_cells`` reads a matrix ``scenario._bulk_fields`` declines: it reads
+``_read_cells`` reads a matrix ``reader._bulk_fields`` declines: it reads
 term literals and locates the faults that only the JSON types show.
 ``_word_faults`` words the faults of every matrix of a stack in the place
-the matrix was read.
+the matrix was read, scanning a walked matrix's rows from the scenario
+text again only when one of its cells is flagged.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -103,20 +106,24 @@ def _read_cells(
     return np.array(values, dtype=float).reshape(size, size, 5), faults
 
 
-def _word_faults(read: list[tuple], flagged: list[tuple]) -> set[int]:
+def _word_faults(read: list[tuple], flagged: list[tuple], text: str | None) -> set[int]:
     """Collect the faults of a stack's cells; the indices of the matrices that have any.
 
     ``read`` holds each matrix's ``(rows, faults, where, collector)``:
-    ``rows()`` gives its JSON rows, ``faults`` what ``_read_cells`` found.
-    ``flagged`` holds the stack's ``terms.field_faults``. Each matrix
-    reports its faults in its own collector, and a cell reports its faults
-    in the order a cell built on its own checks them: the cell's form, its
-    coordinates, then its endpoint order or p. Only a flagged cell's JSON
-    is looked at, to tell a point from an interval.
+    ``rows`` its JSON rows or, for a matrix ``reader._read`` walked, their
+    offset in ``text``; ``faults`` what ``_read_cells`` found. ``flagged``
+    holds the stack's ``terms.field_faults``. Each matrix reports its
+    faults in its own collector, and a cell reports its faults in the order
+    a cell built on its own checks them: the cell's form, its coordinates,
+    then its endpoint order or p. Only a flagged cell's JSON is looked at,
+    to tell a point from an interval.
     """
     faults = [found for _, found, _, _ in read]
+    rows = [source for source, _, _, _ in read]
     for r, i, j, slot, message in flagged:
-        point = "point" in read[r][0]()[i][j]
+        if type(rows[r]) is int:  # walked: scanned from the text at its first flagged cell
+            rows[r] = json.decoder.JSONDecoder().scan_once(text, rows[r])[0]
+        point = "point" in rows[r][i][j]
         if slot == 1 and point:
             continue
         suffix = "" if slot == 2 else ".point" if point else f".interval[{slot}]"

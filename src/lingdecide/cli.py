@@ -19,9 +19,10 @@ affinity mask, it decodes the file in a child process while it imports
 numpy (``lingdecide.overlap``); each process is pinned to CPUs of its own,
 as an unpinned pair ran slower than one process. It ends, also when
 argparse ends it (``--help``, a usage error), by running its ``atexit``
-hooks, flushing stdout and stderr and ``os._exit``: teardown only frees memory the system takes
-back anyway, and took about 6.5 ms of each run on a 2-vCPU host. ``main``
-itself forks nothing, leaves the collector alone and returns its code.
+hooks, flushing stdout and stderr and ``os._exit``: teardown only frees
+memory the system takes back anyway, and took about 6.5 ms of each run
+on a 2-vCPU host. ``main`` itself forks nothing, leaves the collector
+alone and returns its code.
 """
 
 from __future__ import annotations
@@ -97,11 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_scenario(path: str, child=None):
-    """The scenario at ``path``: the tree ``child`` (``overlap.Decode``) sent, or decoded here."""
+    """The scenario at ``path``, or the text ``child`` (``overlap.Decode``) read, with its tree if sent."""
     from . import scenario
 
-    tree = None if child is None else child.tree()
-    return scenario.load_scenario(path) if tree is None else scenario.scenario_from_dict(tree)
+    if child is None:
+        return scenario.load_scenario(path)
+    return scenario._decode(child.text, child.tree())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,9 +1,11 @@
 """Scenario text to its JSON tree, each term matrix walked into packed fields as it is read.
 
-Free of numpy, so that ``lingdecide.overlap`` can run it while ``decide`` imports numpy.
+A walked matrix is the tuple (packed fields, offset of its JSON in the
+text), which no JSON value is and ``marshal`` sends as it is. Free of
+numpy, so that ``lingdecide.overlap`` can run it while ``decide`` imports
+numpy.
 """
 
-import functools
 import json
 import struct
 
@@ -53,23 +55,6 @@ def _bulk_fields(raw: list, size: int) -> bytes | None:
         return None
 
 
-class _Walked:
-    """A term matrix as read: ``fields`` as ``_bulk_fields`` packs it, or None
-    where that pass declines it, and ``rows()``, its JSON. ``raw`` is the
-    JSON or, from ``overlap``, packed fields. Read from ``text`` at ``at``,
-    a walked matrix keeps ``at`` and scans the text again for ``rows()``
-    (only to word a flagged cell), so its cells need not be held.
-    """
-
-    def __init__(self, raw, text: str | None = None, at: int | None = None):
-        walk = isinstance(raw, list)
-        self.fields = _bulk_fields(raw, len(raw)) if walk else raw if type(raw) is bytes else None
-        self.at = None if text is None or self.fields is None else at
-        self.rows = (lambda: raw) if self.at is None else functools.cache(
-            lambda: json.decoder.JSONDecoder().scan_once(text, at)[0]
-        )
-
-
 #: where a scenario's term matrices sit: each object on the way by member
 #: name, None for every member, down to True at a matrix
 _MATRIX_WAYS = {"preferences": {None: {None: True}}, "markov": {"assessments": {None: True}}}
@@ -80,8 +65,10 @@ def _read(text: str):
 
     The objects on the way to a matrix (``_MATRIX_WAYS``) are read here,
     member by member; json's C scanner reads every other value, each matrix
-    on its own, which is walked at once (``_Walked``): its cells are freed
-    while still in cache, and the whole tree is never held. Where this
+    on its own, which is walked at once: ``_bulk_fields`` packs its fields
+    and the matrix's place holds (fields, offset of its JSON in ``text``),
+    or its JSON where that pass declines it. Its cells are freed while
+    still in cache, and the whole tree is never held. Where this
     reading fails, ``json.loads`` reads the text once more, so json alone
     decides what is accepted and words every parse error.
     """
@@ -91,7 +78,8 @@ def _read(text: str):
         """The value at index ``at`` and the index past it."""
         if way is True:
             raw, end = scan(text, at)
-            return _Walked(raw, text, at), end
+            fields = _bulk_fields(raw, len(raw)) if type(raw) is list else None
+            return (raw if fields is None else (fields, at)), end
         if not way or text[at] != "{":
             return scan(text, at)
         obj, at = {}, space(text, at + 1).end()

@@ -10,8 +10,8 @@ Peak intervals are encoded as ``{"interval": [LO, HI], "p": x}`` or
 ``{"point": C, "p": x}`` where each coordinate is either a two-element
 ``[t, k]`` array or a term literal string such as ``"s-2(o1)"``. Term
 literals and malformed cells go to ``lingdecide.cells``, loaded on demand.
-The reader (``reader._read``) walks each term matrix into its fields as soon
-as json's scanner has read it, so decoding never holds the whole JSON tree.
+The reader (``reader._read``) walks each term matrix into a (packed fields,
+text offset) tuple once json's scanner reads it: the JSON tree is never held.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
-from .reader import _read, _Walked
+from .reader import _bulk_fields, _read
 from .scale import LinguisticScale
 from .terms import TermMatrix, field_faults, unit_arrays
 
@@ -110,6 +110,8 @@ class _MatrixStack:
     (R, size, size, 5) stack: as ``reader._bulk_fields`` packed them, or,
     where that pass declines, as ``cells._read_cells`` reads them cell by
     cell, term literals too, locating every fault only the JSON types show.
+    Only given the ``text`` that ``reader._read`` walked them from does it
+    take (fields, offset) tuples, and then a list as JSON that pass declined.
     ``build`` then derives the unit arrays of the whole stack at once and
     checks the numeric rules of all cells (``field_faults``) and the kind's
     own rules (``stack_violations``). Only what they flag is worded, by
@@ -118,11 +120,12 @@ class _MatrixStack:
     endpoint order or p). ``cells`` is loaded only for one of these.
     """
 
-    def __init__(self, kind: type[TermMatrix], scale: LinguisticScale, size: int, capacity: int):
-        """A stack for at most ``capacity`` matrices of ``size`` rows."""
+    def __init__(self, kind: type[TermMatrix], scale: LinguisticScale, size: int, capacity: int, text):
+        """A stack for at most ``capacity`` matrices of ``size`` rows, read from ``text`` unless None."""
         self.kind = kind
         self.scale = scale
         self.size = size
+        self.text = text
         # each matrix read goes straight into its place, so the stack is
         # never held twice
         self._fields = np.empty((capacity, size, size, 5))
@@ -133,20 +136,22 @@ class _MatrixStack:
 
         None, with the fault collected, when it is not ``size`` rows.
         """
-        matrix = raw if type(raw) is _Walked else _Walked(raw)
-        fields, faults = matrix.fields, {}
+        fields, rows, faults = None, raw, {}
+        if self.text is None and type(raw) is list:
+            fields = _bulk_fields(raw, len(raw))
+        elif self.text is not None and type(raw) is tuple:
+            fields, rows = raw  # walked: the rows' offset in the text stands for them
         if fields is not None and len(fields) == self._fields[0].nbytes:
             fields = np.frombuffer(fields).reshape(self.size, self.size, 5)
+        elif not isinstance(rows, list) or len(rows) != self.size:  # a walked matrix is square
+            col.add(where, f"expected {self.size} rows")
+            return None
         else:
-            rows = matrix.rows()
-            if not isinstance(rows, list) or len(rows) != self.size:
-                col.add(where, f"expected {self.size} rows")
-                return None
             from .cells import _read_cells
             fields, faults = _read_cells(rows, self.size)
         self._fields[len(self._read)] = fields
         col.append(_Collector())
-        self._read.append((matrix.rows, faults, where, col[-1]))
+        self._read.append((rows, faults, where, col[-1]))
         return len(self._read) - 1
 
     def build(self) -> dict[int, TermMatrix]:
@@ -162,7 +167,7 @@ class _MatrixStack:
         faulty = set()
         if flagged or any(faults for _, faults, _, _ in self._read):
             from .cells import _word_faults
-            faulty = _word_faults(self._read, flagged)
+            faulty = _word_faults(self._read, flagged, self.text)
         broken = self.kind.stack_violations(*arrays[1:4])
         for r, (_, _, where, col) in enumerate(self._read):
             for v in () if r in faulty else broken.get(r, ()):
@@ -285,8 +290,9 @@ def _decode_names(data, key: str, minimum: int, col: _Collector) -> tuple[str, .
     return tuple(raw)
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    """Build and fully validate a scenario from decoded JSON."""
+def scenario_from_dict(data: dict, text: str | None = None) -> Scenario:
+    """Build and fully validate a scenario from decoded JSON, or from the tree
+    ``reader._read`` walked from ``text``, whose walked matrices are taken as they are."""
     col = _Collector()
     if not isinstance(data, dict):
         col.add("$", f"expected a JSON object, got {type(data).__name__}")
@@ -341,7 +347,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     overrides = _decode_overrides(data.get("overrides"), attributes, q, m, n, col)
 
     markov = _decode_markov(
-        data.get("markov"), scale, attributes, experts, q, overrides, col
+        data.get("markov"), scale, attributes, experts, q, overrides, col, text
     )
 
     if (
@@ -355,7 +361,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
 
     preferences = _decode_preferences(
-        data.get("preferences"), scale, attributes, experts, m, overrides, col
+        data.get("preferences"), scale, attributes, experts, m, overrides, col, text
     )
     raw_preferences = data.get("preferences")
     weighed = [a for a in attributes if a in raw_preferences] if isinstance(raw_preferences, dict) else []
@@ -449,6 +455,7 @@ def _decode_markov(
     q: int,
     overrides: Overrides,
     col: _Collector,
+    text: str | None,
 ) -> MarkovSpec | None:
     obj = _expect_mapping(raw if raw is not None else {}, "markov", col)
     if obj is None:
@@ -497,7 +504,7 @@ def _decode_markov(
     assessments = None
     raw_assessments = obj.get("assessments")
     if raw_assessments is not None:
-        stack = _MatrixStack(LinguisticMarkovAssessment, scale, q, len(experts))
+        stack = _MatrixStack(LinguisticMarkovAssessment, scale, q, len(experts), text)
         places = _read_expert_matrices(stack, raw_assessments, experts, "markov.assessments", col)
         assessments = _built(places, stack.build())
     elif overrides.transition_matrix is None:
@@ -521,13 +528,14 @@ def _decode_preferences(
     m: int,
     overrides: Overrides,
     col: _Collector,
+    text: str | None,
 ) -> dict[str, tuple[PreferenceRelation, ...]]:
     """Every attribute's relations, decoded as one stack over all attributes."""
     obj = {} if raw is None else _expect_mapping(raw, "preferences", col) or {}
     unknown = [a for a in obj if a not in attributes]
     if unknown:
         col.add("preferences", f"unknown attributes {unknown}")
-    stack = _MatrixStack(PreferenceRelation, scale, m, len(attributes) * len(experts))
+    stack = _MatrixStack(PreferenceRelation, scale, m, len(attributes) * len(experts), text)
     places = {}
     for attr in attributes:
         if attr not in obj:
@@ -559,8 +567,9 @@ def bundled_scenario_text(name: str = "financial_crisis") -> str:
         raise ScenarioParseError(f"no bundled scenario named {name!r}") from exc
 
 
-def _decode(text: str) -> Scenario:
-    """Parse scenario text (``_read``) and validate it, with the cyclic collector held off.
+def _decode(text: str, tree=None) -> Scenario:
+    """Parse scenario text (``_read``), unless ``tree`` holds what ``_read`` read from it
+    already (``lingdecide.overlap``), and validate it, with the cyclic collector held off.
 
     Decoded JSON holds no reference cycles, so the collector passes its
     many dicts and lists would start find nothing. The collector's state is
@@ -569,13 +578,14 @@ def _decode(text: str) -> Scenario:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            data = _read(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-        except (ValueError, RecursionError) as exc:  # an integer beyond the digit limit, deep nesting
-            raise ScenarioParseError(str(exc)) from exc
-        return scenario_from_dict(data)
+        if tree is None:
+            try:
+                tree = _read(text)
+            except json.JSONDecodeError as exc:
+                raise ScenarioParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+            except (ValueError, RecursionError) as exc:  # an integer beyond the digit limit, deep nesting
+                raise ScenarioParseError(str(exc)) from exc
+        return scenario_from_dict(tree, text)
     finally:
         if enabled:
             gc.enable()
@@ -597,9 +607,9 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # one read of the whole file, so the offset counts from its first byte
         raise ScenarioParseError(f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the path
+        raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     return _decode(text)

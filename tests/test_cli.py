@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lingdecide import cli
 from lingdecide.cli import main
-from lingdecide.scenario import MAX_MARKOV_STEPS, MAX_SCALE_HALF_WIDTH, bundled_scenario_text
+from lingdecide.reader import _read
+from lingdecide.scenario import MAX_MARKOV_STEPS, MAX_SCALE_HALF_WIDTH, _decode, bundled_scenario_text
 from helpers import uniform_scenario_dict
 from test_generated_scenarios import generate
 
@@ -116,11 +118,33 @@ class TestHappyPath:
         assert json.loads(out)["scheme"] == "reshape"
 
 
+class SentChild:
+    """A child decode (``overlap.Decode``) that holds ``text`` and sends ``tree``."""
+
+    def __init__(self, text, tree):
+        self.text, self.sent = text, tree
+
+    def tree(self):
+        return self.sent
+
+
+@pytest.mark.parametrize("sent", [False, True], ids=["no-tree", "tree"])
+def test_a_child_s_text_is_decoded_without_reading_the_file_again(tmp_path, sent):
+    text = json.dumps(uniform_scenario_dict())
+    child = SentChild(text, _read(text) if sent else None)
+    assert cli.load_scenario(str(tmp_path / "nope.json"), child) == _decode(text)
+
+
 class TestFailureExitCodes:
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == 2
         _, err = capsys.readouterr()
         assert "parse error" in err
+
+    def test_path_with_a_nul_character_is_parse_error(self, capsys):
+        assert main(["a\0b"]) == 2
+        _, err = capsys.readouterr()
+        assert "parse error: cannot read" in err
 
     def test_broken_json_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

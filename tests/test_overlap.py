@@ -91,7 +91,7 @@ WANT = {
     "truncated": (2, False),
     "off-scale": (1, True),
     "reciprocity": (1, True),
-    "term-literal": (1, False),
+    "term-literal": (1, True),
 }
 
 

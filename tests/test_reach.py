@@ -39,8 +39,6 @@ KEPT = {
     "__init__.decide": "the `decide` console script",
     "cli.entry": "the `decide` process: the console script and `python -m lingdecide.cli`",
     "cli._decode_beside": "the `decide` process",
-    "overlap._at_matrices": "the `decide` process",
-    "overlap._sent": "the `decide` process",
     "overlap._child": "the `decide` process",
     "overlap.Decode.__init__": "the `decide` process",
     "overlap.Decode.tree": "the `decide` process",

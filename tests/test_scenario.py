@@ -7,6 +7,7 @@ import pytest
 from lingdecide.errors import ScenarioParseError, ScenarioValidationError
 from lingdecide.markov import check_transition_matrix
 from lingdecide import scenario
+from lingdecide.reader import _read
 from lingdecide.scenario import (
     Overrides,
     bundled_scenario_text,
@@ -279,6 +280,20 @@ class TestValidation:
         del data["markov"]["assessments"]["e2"]
         assert any("missing experts" in v for v in violations_of(data))
 
+    @pytest.mark.parametrize("place", [("preferences", "Q1", "e2"), ("markov", "assessments", "e1")])
+    def test_tuples_at_a_matrix_place_are_refused_without_the_text(self, place):
+        # only ``_decode``, which holds the text ``_read`` walked, hands over
+        # walked (fields, offset) tuples; a caller's tuple is no JSON matrix
+        data = fresh(uniform_scenario_dict())
+        block, key, expert = place
+        size = len(data["alternatives"] if block == "preferences" else data["attributes"])
+        rows = data[block][key][expert]
+        walked = _read(json.dumps(data))[block][key][expert]
+        assert type(walked) is tuple
+        for matrix in (tuple(rows), walked):
+            data[block][key][expert] = matrix
+            assert violations_of(data) == [f"{block}.{key}.{expert}: expected {size} rows"]
+
     def test_default_labels_filled(self):
         scn = scenario_from_dict(fresh(uniform_scenario_dict()))
         assert scn.scale.first_labels[0] == "s-4"
@@ -343,9 +358,9 @@ class TestCollectorState:
         seen = []
         validate = scenario.scenario_from_dict
 
-        def spy(data):
+        def spy(data, text):
             seen.append(gc.isenabled())
-            return validate(data)
+            return validate(data, text)
 
         monkeypatch.setattr(scenario, "scenario_from_dict", spy)
         load_scenario(write(tmp_path, json.dumps(uniform_scenario_dict())))
