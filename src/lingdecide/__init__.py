@@ -8,7 +8,6 @@ The namespace is lazy (PEP 562): ``import lingdecide`` loads no submodule,
 and so no numpy; a public name imports its module when first asked for.
 """
 
-import gc
 import importlib
 
 __version__ = "0.1.0"
@@ -62,9 +61,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
-
-
-def decide() -> None:
-    """The ``decide`` console script: ``cli.entry``, with the collector off before numpy loads."""
-    gc.disable()
-    importlib.import_module(".cli", __name__).entry()

@@ -10,19 +10,19 @@ a thread pool to help, and OpenBLAS starting its pool while numpy loads
 cost up to about 65 ms of each start on a 2-vCPU host. A user-set
 ``OPENBLAS_NUM_THREADS`` wins.
 
-The ``decide`` process (``entry``) does no cyclic garbage collection: run
-as ``__main__`` the module turns the collector off before numpy's first
-import, the console script (``lingdecide.decide``) before it imports this
-module, which spares 33 collector passes that find nothing. Given a
-scenario file of ``OVERLAP_BYTES`` or more and two CPUs or more in its
-affinity mask, it decodes the file in a child process while it imports
-numpy (``lingdecide.overlap``); each process is pinned to CPUs of its own,
-as an unpinned pair ran slower than one process. It ends, also when
-argparse ends it (``--help``, a usage error), by running its ``atexit``
-hooks, flushing stdout and stderr and ``os._exit``: teardown only frees
-memory the system takes back anyway, and took about 6.5 ms of each run
-on a 2-vCPU host. ``main`` itself forks nothing, leaves the collector
-alone and returns its code.
+The ``decide`` process (``entry``, which the console script and
+``python -m lingdecide.cli`` both run) does no cyclic garbage collection:
+it turns the collector off before numpy's first import, so that of the 33
+collector passes a run starts with it on, all finding nothing, only the 2
+before ``entry`` are left. Given a scenario file of ``OVERLAP_BYTES`` or
+more and two CPUs or more in its affinity mask, it decodes the file in a
+child process while it imports numpy (``lingdecide.overlap``); each
+process is pinned to CPUs of its own, as an unpinned pair ran slower than
+one process. It ends, also when argparse ends it (``--help``, a usage
+error), by running its ``atexit`` hooks, flushing stdout and stderr and
+``os._exit``: teardown only frees memory the system takes back anyway,
+and took about 6.5 ms of each run on a 2-vCPU host. ``main`` itself forks
+nothing, leaves the collector alone and returns its code.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ import os
 import stat
 import sys
 
-# both before numpy's first import, in ``_run``; ``import lingdecide`` loads none
-if __name__ == "__main__":
-    gc.disable()
+# before numpy's first import, in ``_run``; ``import lingdecide`` loads none
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import STAGES  # noqa: E402

@@ -45,7 +45,12 @@ class Decode:
         child_cpu = max(cpus)
         self.text, self.cpus = text, cpus
         self.pipe, write_end = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.pipe)
+            os.close(write_end)
+            raise
         if self.pid == 0:
             _child(text, child_cpu, self.pipe, write_end)
         os.close(write_end)

@@ -393,47 +393,35 @@ def in_process(argv, capsys):
     return code, out.out, out.err
 
 
-@pytest.mark.parametrize("case", EXIT_CASES)
-def test_module_run_collects_nothing_once_numpy_loads_and_exits_without_teardown(
-    crisis_path, capsys, case
-):
-    """Run as ``__main__``, the command line turns the collector off before
-    numpy loads, runs the atexit hooks and ends the process before module
-    teardown, also when argparse ends it; the output is unchanged."""
-    argv = [crisis_path, *EXIT_CASES[case]]
-    code, out, err = in_process(argv, capsys)
-    assert code == {"report": 0, "help": 0, "usage": 2}[case]
-    probe = WATCH_THE_EXIT + (
-        f"sys.argv = {['decide', *argv]!r}; "
-        "runpy.run_module('lingdecide.cli', run_name='__main__', alter_sys=True)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, timeout=120, env=src_env()
-    )
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.decode() == err + "[false, false]\n"
-    assert proc.stdout.decode() == out
-    if case == "report":
-        assert proc.stdout == GOLDEN_REPORT.read_bytes()
+#: how each route starts the command line after setting ``sys.argv``: run as
+#: ``__main__``, and the ``decide`` script as pip generates it
+#: (``from M import f; sys.exit(f())`` for the ``[project.scripts]`` target)
+ROUTES = ("module", "script")
 
 
-@pytest.mark.parametrize("case", EXIT_CASES)
-def test_console_script_collects_nothing_once_numpy_loads_and_exits_without_teardown(
-    crisis_path, capsys, case
-):
-    """The ``decide`` script as pip generates it (``from M import f; sys.exit(f())``
-    for the ``[project.scripts]`` target) turns the collector off before numpy
-    loads, runs the atexit hooks and ends the process before module teardown,
-    also when argparse ends it; the output is unchanged."""
+def route_start(route):
+    """The statement that starts the command line on ``route``."""
+    if route == "module":
+        return "runpy.run_module('lingdecide.cli', run_name='__main__', alter_sys=True)"
     tomllib = pytest.importorskip("tomllib")
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
         module, function = tomllib.load(fh)["project"]["scripts"]["decide"].split(":")
+    return f"from {module} import {function}; sys.exit({function}())"
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+@pytest.mark.parametrize("route", ROUTES)
+def test_decide_collects_nothing_once_numpy_loads_and_exits_without_teardown(
+    crisis_path, capsys, route, case
+):
+    """Either way it starts, the command line turns the collector off before
+    numpy loads, runs the atexit hooks and ends the process before module
+    teardown, also when argparse ends it; the output is unchanged."""
+    start = route_start(route)
     argv = [crisis_path, *EXIT_CASES[case]]
     code, out, err = in_process(argv, capsys)
-    probe = WATCH_THE_EXIT + (
-        f"sys.argv = {['decide', *argv]!r}; "
-        f"from {module} import {function}; sys.exit({function}())"
-    )
+    assert code == {"report": 0, "help": 0, "usage": 2}[case]
+    probe = WATCH_THE_EXIT + f"sys.argv = {['decide', *argv]!r}; " + start
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, timeout=120, env=src_env()
     )
@@ -478,7 +466,8 @@ def test_a_run_that_needs_the_cell_reader_loads_it_and_reports_as_in_process(cap
     assert run_as_decide(path) == (code, err, [False, True])
 
 
-#: ROADMAP item 3's bound on the lines of the package modules a bundled run loads
+#: a bound on the lines of the package modules a bundled run loads, so that
+#: what a start compiles grows only where a change pays for it
 LOADED_LINES_BOUND = 2717
 
 

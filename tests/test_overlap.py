@@ -9,14 +9,17 @@ whether the child sent a tree, and that the process has no child left to
 reap.
 """
 
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from lingdecide import overlap
 from lingdecide.cli import OVERLAP_BYTES
 from lingdecide.scenario import bundled_scenario_text
 
@@ -164,6 +167,87 @@ def test_a_fork_that_fails_decodes_serially(tmp_path, capsys):
     proc, got_err, probe = run_decide(argv, setup=no_fork)
     assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
     assert probe == [True, [], False]
+
+
+def test_a_fork_that_fails_closes_both_ends_of_the_pipe(tmp_path, monkeypatch):
+    path = tmp_path / "small.json"
+    path.write_text("{}", encoding="utf-8")
+    made = []
+    os_pipe = os.pipe
+
+    def pipe():
+        made.extend(os_pipe())
+        return tuple(made)
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    assert overlap.start(str(path), {0, 1}) is None
+    assert len(made) == 2
+    for fd in made:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@needs_two_cpus
+def test_no_sched_getaffinity_decodes_a_large_file_serially(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(CASES["off-scale"](), encoding="utf-8")
+    argv = [str(path), "--report", "json"]
+    code, out, err = in_process(argv, capsys)
+    proc, got_err, probe = run_decide(argv, watch=False, setup="del os.sched_getaffinity")
+    assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
+    assert probe == [False, [], False]
+
+
+@needs_two_cpus
+def test_a_large_file_that_is_not_utf8_fails_to_parse_serially(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    data = bytearray(CASES["clean"]().encode("utf-8"))
+    bad = OVERLAP_BYTES + 1000
+    data[bad] = 0xFF
+    path.write_bytes(bytes(data))
+    argv = [str(path), "--report", "json"]
+    code, out, err = in_process(argv, capsys)
+    assert code == 2 and f"is not UTF-8 text: byte {bad}" in err, err
+    proc, got_err, probe = run_decide(argv)
+    assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
+    assert probe == [True, [], False]
+
+
+def feed(fifo, text):
+    """A started daemon thread that writes ``text`` into the FIFO ``fifo`` once
+    a reader opens it; a reader that never comes leaves it blocked, not the test."""
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
+@needs_two_cpus
+def test_a_large_scenario_read_through_a_fifo_decodes_serially(tmp_path, capsys):
+    text = CASES["off-scale"]()
+    assert len(text) >= OVERLAP_BYTES
+    path = tmp_path / "large.fifo"
+    os.mkfifo(path)
+    argv = [str(path), "--report", "json"]
+    writer = feed(path, text)
+    code, out, err = in_process(argv, capsys)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    writer = feed(path, text)
+    proc, got_err, probe = run_decide(argv, watch=False)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
+    assert code == 1
+    assert probe == [False, [], False]
 
 
 def one_cpu():

@@ -7,7 +7,7 @@ comparisons leave an alternative unlinked and one malformed file, each
 with several command-line options. A function defined
 in ``src/lingdecide`` that no run calls must be listed in ``KEPT`` with
 what keeps it: an acceptance criterion, a perfbench import, the grid
-oracle, the console script, the ``decide`` process (``cli.entry`` and
+oracle, the ``decide`` process (``cli.entry`` and
 the child decode it starts, ``lingdecide.overlap``) or the lazy public
 namespace (the package's ``__getattr__`` and ``__dir__``); besides those, only the scalar score that
 the matrix arrays are tested against, the data-model methods of term
@@ -36,7 +36,6 @@ DATA = Path(__file__).parent / "data"
 KEPT = {
     "__init__.__getattr__": "the lazy public namespace",
     "__init__.__dir__": "the lazy public namespace",
-    "__init__.decide": "the `decide` console script",
     "cli.entry": "the `decide` process: the console script and `python -m lingdecide.cli`",
     "cli._decode_beside": "the `decide` process",
     "overlap._child": "the `decide` process",
