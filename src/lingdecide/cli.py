@@ -14,8 +14,9 @@ The ``decide`` process (``entry``, which the console script and
 ``python -m lingdecide.cli`` both run) does no cyclic garbage collection:
 it turns the collector off before numpy's first import, so that of the 33
 collector passes a run starts with it on, all finding nothing, only the 2
-before ``entry`` are left. Given a scenario file of ``OVERLAP_BYTES`` or
-more and two CPUs or more in its affinity mask, it decodes the file in a
+before ``entry`` are left. It reads the scenario once, before numpy loads;
+given ``OVERLAP_CHARS`` characters of text or more (from a file, FIFO or
+pipe) and two CPUs or more in its affinity mask, it decodes the text in a
 child process while it imports numpy (``lingdecide.overlap``); each
 process is pinned to CPUs of its own, as an unpinned pair ran slower than
 one process. It ends, also when argparse ends it (``--help``, a usage
@@ -31,7 +32,6 @@ import argparse
 import atexit
 import gc
 import os
-import stat
 import sys
 
 # before numpy's first import, in ``_run``; ``import lingdecide`` loads none
@@ -46,6 +46,7 @@ from .errors import (  # noqa: E402
     ScenarioValidationError,
     ShapeError,
 )
+from .reader import read_text  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,9 +54,8 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-#: the smallest scenario file a ``decide`` process decodes in a child process
-#: beside numpy's import (``lingdecide.overlap``)
-OVERLAP_BYTES = 1 << 18
+#: the fewest characters of scenario text ``decide`` decodes in a child process (``lingdecide.overlap``)
+OVERLAP_CHARS = 1 << 18
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,24 +95,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_scenario(path: str, child=None):
-    """The scenario at ``path``, or the text ``child`` (``overlap.Decode``) read, with its tree if sent."""
+def load_scenario(text: str, child=None):
+    """The scenario ``text`` holds, from the tree ``child`` (``overlap.Decode``) read of it if sent."""
     from . import scenario
 
-    if child is None:
-        return scenario.load_scenario(path)
-    return scenario._decode(child.text, child.tree())
+    return scenario._decode(text, None if child is None else child.tree())
 
 
 def main(argv: list[str] | None = None) -> int:
     return _run(build_parser().parse_args(argv))
 
 
-def _run(args: argparse.Namespace, child=None) -> int:
-    from .pipeline import run_pipeline  # numpy loads here, while ``child`` decodes
-
+def _run(args: argparse.Namespace, beside=False) -> int:
     try:
-        scenario = load_scenario(args.scenario, child)
+        text = read_text(args.scenario)
+        child = _decode_beside(text) if beside else None
+        from .pipeline import run_pipeline  # numpy loads here, while ``child`` decodes
+        scenario = load_scenario(text, child)
     except ScenarioParseError as exc:
         place = ""
         if exc.line is not None:
@@ -162,18 +161,19 @@ def _run(args: argparse.Namespace, child=None) -> int:
     return EXIT_OK
 
 
-def _decode_beside(path: str):
-    """``overlap.start`` on ``path`` given two CPUs or more to pin two processes
-    to and a regular file of ``OVERLAP_BYTES`` or more; else None."""
-    try:
-        cpus, found = os.sched_getaffinity(0), os.stat(path)
-    except (AttributeError, OSError):  # a platform without sched_getaffinity lacks sched_setaffinity
-        return None
-    if len(cpus) < 2 or not stat.S_ISREG(found.st_mode) or found.st_size < OVERLAP_BYTES:
+def _decode_beside(text: str):
+    """An ``overlap.Decode`` of ``text`` given ``OVERLAP_CHARS`` characters or more and
+    two CPUs or more to pin two processes to; else None, also when no pipe or process can be made."""
+    # a platform without sched_getaffinity lacks sched_setaffinity
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(text) < OVERLAP_CHARS or len(cpus) < 2:
         return None
     from . import overlap
 
-    return overlap.start(path, cpus)
+    try:
+        return overlap.Decode(text, cpus)
+    except OSError:
+        return None
 
 
 def entry() -> None:
@@ -182,7 +182,7 @@ def entry() -> None:
     gc.disable()
     try:
         args = build_parser().parse_args()
-        code = _run(args, _decode_beside(args.scenario))
+        code = _run(args, beside=True)
     except SystemExit as exc:  # ``--help`` and usage errors leave argparse with 0 or 2
         code = exc.code
     atexit._run_exitfuncs()

@@ -1,19 +1,18 @@
-"""A large scenario file decoded in a child process while ``decide`` imports the engine.
+"""A large scenario decoded in a child process while ``decide`` imports the engine.
 
-Only ``cli.entry`` loads this module, and only for a scenario large
-enough to pay for a process (``cli.OVERLAP_BYTES``) on a host that lets
-it pin two. ``start`` reads the file and forks before numpy loads. The
-child pins itself to the last CPU of the process's affinity mask, runs
-``reader._read`` on the text and sends the tree back through a pipe with
-``marshal`` as it is: each walked matrix is already a (packed fields,
-offset in the text) tuple, and a matrix the bulk pass declines is its
-JSON. Meanwhile the parent, pinned to the other CPUs so that the two
+Only ``cli.entry`` loads this module, and only for a scenario text large
+enough to pay for a process (``cli.OVERLAP_CHARS``) on a host that lets
+it pin two. ``Decode`` forks on the text ``cli._run`` read before numpy
+loads. The child pins itself to the last CPU of the process's affinity
+mask, runs ``reader._read`` on the text and sends the tree back through a
+pipe with ``marshal`` as it is: each walked matrix is already a (packed
+fields, offset in the text) tuple, and a matrix the bulk pass declines is
+its JSON. Meanwhile the parent, pinned to the other CPUs so that the two
 never share one, imports the engine; ``Decode.tree`` then reads the pipe
 to its end, reaps the child, gives the parent its whole mask back and
-loads the tree, which the parent validates against its own copy of the
-text (``Decode.text``). Where the child sends no tree (the text does not
-parse, the child fails), the caller decodes that text serially, as
-without this module.
+loads the tree, which the parent validates against the text it holds.
+Where the child sends no tree (the text does not parse, the child fails),
+the parent decodes the text serially, as without this module.
 """
 
 from __future__ import annotations
@@ -39,11 +38,12 @@ def _child(text: str, cpu: int, pipe: int, write_end: int):
 
 
 class Decode:
-    """A child process decoding the scenario ``text``, with the parent pinned beside it."""
+    """A child process decoding the scenario ``text``, with the parent pinned beside it;
+    raises ``OSError``, leaving no descriptor open, when no pipe or process can be made."""
 
     def __init__(self, text: str, cpus: set[int]):
         child_cpu = max(cpus)
-        self.text, self.cpus = text, cpus
+        self.cpus = cpus
         self.pipe, write_end = os.pipe()
         try:
             self.pid = os.fork()
@@ -57,7 +57,7 @@ class Decode:
         os.sched_setaffinity(0, cpus - {child_cpu})
 
     def tree(self):
-        """The tree the child read from ``text`` (``reader._read``); None when it sent none."""
+        """The tree the child read from the text (``reader._read``); None when it sent none."""
         with open(self.pipe, "rb") as pipe:
             sent = pipe.read()
         try:
@@ -69,15 +69,3 @@ class Decode:
             return None if failed else marshal.loads(sent)
         except (EOFError, ValueError, TypeError):  # a short read
             return None
-
-
-def start(path: str, cpus: set[int]) -> Decode | None:
-    """A ``Decode`` of the file at ``path`` beside this process on ``cpus``; None
-    when it cannot be read as UTF-8 text, so the serial decode words why, or
-    when no pipe or process can be made."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return Decode(text, cpus)
-    except (OSError, UnicodeDecodeError):
-        return None

@@ -1,13 +1,15 @@
-"""Scenario text to its JSON tree, each term matrix walked into packed fields as it is read.
+"""Scenario file to text (``read_text``), text to JSON tree (``_read``), term matrices walked as read.
 
 A walked matrix is the tuple (packed fields, offset of its JSON in the
 text), which no JSON value is and ``marshal`` sends as it is. Free of
-numpy, so that ``lingdecide.overlap`` can run it while ``decide`` imports
-numpy.
+numpy, so that ``decide`` reads the file before numpy loads and
+``lingdecide.overlap`` reads the tree while it does.
 """
 
 import json
 import struct
+
+from .errors import ScenarioParseError
 
 #: the exact types ``json`` decodes numbers to, the only leaves the bulk
 #: pass over a term matrix takes
@@ -15,6 +17,18 @@ _JSON_NUMBERS = frozenset((int, float))
 
 #: the containers the cell reader takes for an interval or a coordinate
 _PAIRS = frozenset((list, tuple))
+
+
+def read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text, read once; a parse error that words why it cannot be."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # one read of the whole file, so the offset counts from its first byte
+        raise ScenarioParseError(f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the path
+        raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _bulk_fields(raw: list, size: int) -> bytes | None:

@@ -25,7 +25,7 @@ from . import records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
-from .reader import _bulk_fields, _read
+from .reader import _bulk_fields, _read, read_text
 from .scale import LinguisticScale
 from .terms import TermMatrix, field_faults, unit_arrays
 
@@ -597,19 +597,11 @@ def load_bundled_scenario(name: str = "financial_crisis") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Load and validate a scenario file.
+    """Load and validate a scenario file: ``read_text``, then ``_decode``, as ``decide`` does.
 
     Unreadable files, text that is not UTF-8 (with the byte offset) and
     malformed JSON (with the line and column) raise a parse error;
     everything else raises one validation error listing all violations
     with their locations.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        # one read of the whole file, so the offset counts from its first byte
-        raise ScenarioParseError(f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the path
-        raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
-    return _decode(text)
+    return _decode(read_text(path))

@@ -119,20 +119,20 @@ class TestHappyPath:
 
 
 class SentChild:
-    """A child decode (``overlap.Decode``) that holds ``text`` and sends ``tree``."""
+    """A child decode (``overlap.Decode``) that sends ``tree``."""
 
-    def __init__(self, text, tree):
-        self.text, self.sent = text, tree
+    def __init__(self, tree):
+        self.sent = tree
 
     def tree(self):
         return self.sent
 
 
 @pytest.mark.parametrize("sent", [False, True], ids=["no-tree", "tree"])
-def test_a_child_s_text_is_decoded_without_reading_the_file_again(tmp_path, sent):
+def test_the_text_is_decoded_alike_with_or_without_a_child_s_tree(sent):
     text = json.dumps(uniform_scenario_dict())
-    child = SentChild(text, _read(text) if sent else None)
-    assert cli.load_scenario(str(tmp_path / "nope.json"), child) == _decode(text)
+    child = SentChild(_read(text) if sent else None)
+    assert cli.load_scenario(text, child) == cli.load_scenario(text) == _decode(text)
 
 
 class TestFailureExitCodes:

@@ -41,12 +41,12 @@ KEPT = {
     "overlap._child": "the `decide` process",
     "overlap.Decode.__init__": "the `decide` process",
     "overlap.Decode.tree": "the `decide` process",
-    "overlap.start": "the `decide` process",
     "paper.from_unit": "acceptance criterion 1",
     "paper._canonical": "acceptance criteria 1 and 5",
     "paper.to_unit": "acceptance criterion 1",
     "scenario.bundled_scenario_text": "acceptance criterion 4",
     "scenario.load_bundled_scenario": "acceptance criterion 4; perfbench import",
+    "scenario.load_scenario": "perfbench import",
     "paper.collective_priorities": "acceptance criterion 5",
     "paper.consistent_relation": "acceptance criterion 5",
     "prefs.model1_problem": "acceptance criterion 5; perfbench import",
