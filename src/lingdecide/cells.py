@@ -1,7 +1,9 @@
 """The decoder's cell-by-cell reader and fault wording, loaded only for a faulty or declined matrix.
 
-``_read_cells`` reads a matrix ``reader._bulk_fields`` declines: it reads
-term literals and locates the faults that only the JSON types show.
+``_read_cells`` reads a matrix ``reader._bulk_fields`` declines, and every
+matrix ``scenario_from_dict`` is given as Python containers with no text:
+it reads term literals, checks every cell's types and locates the faults
+that only those types show.
 ``_word_faults`` words the faults of every matrix of a stack in the place
 the matrix was read, scanning a walked matrix's rows from the scenario
 text again only when one of its cells is flagged.

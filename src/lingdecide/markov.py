@@ -108,7 +108,12 @@ def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray) -> tuple[np.ndar
     row. Two or more sharing mass leave the optimum not unique, and their
     equal split is its minimum-norm point. A row with one free column
     gets exactly 1.
+
+    Each row is first scaled by the power of two that puts its largest D
+    in [0.5, 1): each step below is exact under it while values stay
+    normal, and 1 / D of a row of subnormal certainties does not overflow.
     """
+    D, C = np.ldexp((D, C), -np.frexp(D.max(axis=1, keepdims=True))[1])
     flat = D == 0.0  # a pinned column has D = the expert count
     held = pinned | flat
     n_flat = flat.sum(axis=1)

@@ -1,7 +1,9 @@
 """Scenario file to text (``read_text``), text to JSON tree (``_read``), term matrices walked as read.
 
 A walked matrix is the tuple (packed fields, offset of its JSON in the
-text), which no JSON value is and ``marshal`` sends as it is. Free of
+text), which no JSON value is and ``marshal`` sends as it is. Only a
+matrix json's scanner has just read from the text is walked, so the walk
+trusts json's types and checks the text, not the leaves. Free of
 numpy, so that ``decide`` reads the file before numpy loads and
 ``lingdecide.overlap`` reads the tree while it does.
 """
@@ -10,13 +12,6 @@ import json
 import struct
 
 from .errors import ScenarioParseError
-
-#: the exact types ``json`` decodes numbers to, the only leaves the bulk
-#: pass over a term matrix takes
-_JSON_NUMBERS = frozenset((int, float))
-
-#: the containers the cell reader takes for an interval or a coordinate
-_PAIRS = frozenset((list, tuple))
 
 
 def read_text(path: str) -> str:
@@ -31,41 +26,38 @@ def read_text(path: str) -> str:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _bulk_fields(raw: list, size: int) -> bytes | None:
-    """The (size, size, 5) fields of a matrix whose cells all read cleanly, as packed doubles.
+def _bulk_fields(raw: list, text: str, start: int, end: int) -> bytes | None:
+    """The (size, size, 5) fields, as packed doubles, of a matrix json read from ``text[start:end]``.
 
-    One walk over the rows with exact container types collects every
-    cell's (t_lo, k_lo, t_hi, k_hi, p) into one flat list; one type check
-    over its leaves and one conversion make the bytes. None when any cell
-    needs ``cells._read_cell``: a row or cell of another shape or type, a leaf
-    that is no JSON number (a bool, None, or a term literal), or a number
-    too large for a float.
+    The types json gives are trusted, so no cell or leaf is type-checked.
+    A bool is the only wrong leaf ``struct.pack`` takes, and JSON spells
+    it ``true`` or ``false``; no number, and no key the pass reads, holds
+    a ``u`` or an ``s``, so a span holding either is declined. Every other
+    wrong cell raises here: a missing key or a cell that is no object, a
+    pair of another length, a leaf that is a string, None, a list or an
+    int too large for a float. None for a declined matrix, which
+    ``cells._read_cells`` reads.
     """
-    flat = []
-    put = flat.extend
-    for row in raw:
-        if type(row) is not list or len(row) != size:
-            return None
-        for cell in row:
-            if type(cell) is not dict or "p" not in cell:
-                return None
-            if "point" in cell:
-                lo = hi = cell["point"]
-            else:
-                interval = cell.get("interval")
-                if type(interval) not in _PAIRS or len(interval) != 2:
-                    return None
-                lo, hi = interval
-            if type(lo) not in _PAIRS or len(lo) != 2 or type(hi) not in _PAIRS or len(hi) != 2:
-                return None
-            put(lo)
-            put(hi)
-            flat.append(cell["p"])
-    if not set(map(type, flat)) <= _JSON_NUMBERS:
+    if text.find("u", start, end) >= 0 or text.find("s", start, end) >= 0:
         return None
+    size, flat = len(raw), []
+    put = flat.extend
     try:
+        for row in raw:
+            if len(row) != size:
+                return None
+            for cell in row:
+                if "point" in cell:
+                    lo = hi = cell["point"]
+                else:
+                    lo, hi = cell["interval"]
+                if len(lo) != 2 or len(hi) != 2:
+                    return None
+                put(lo)
+                put(hi)
+                flat.append(cell["p"])
         return struct.pack(f"{len(flat)}d", *flat)
-    except (OverflowError, struct.error):
+    except (KeyError, TypeError, ValueError, OverflowError, struct.error):
         return None
 
 
@@ -92,7 +84,7 @@ def _read(text: str):
         """The value at index ``at`` and the index past it."""
         if way is True:
             raw, end = scan(text, at)
-            fields = _bulk_fields(raw, len(raw)) if type(raw) is list else None
+            fields = _bulk_fields(raw, text, at, end) if type(raw) is list else None
             return (raw if fields is None else (fields, at)), end
         if not way or text[at] != "{":
             return scan(text, at)

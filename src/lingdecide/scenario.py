@@ -25,7 +25,7 @@ from . import records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
-from .reader import _bulk_fields, _read, read_text
+from .reader import _read, read_text
 from .scale import LinguisticScale
 from .terms import TermMatrix, field_faults, unit_arrays
 
@@ -107,11 +107,11 @@ class _MatrixStack:
     """Term matrices of one kind and size, read one by one and checked together.
 
     ``read`` puts each matrix's fields straight into its place in one
-    (R, size, size, 5) stack: as ``reader._bulk_fields`` packed them, or,
-    where that pass declines, as ``cells._read_cells`` reads them cell by
-    cell, term literals too, locating every fault only the JSON types show.
-    Only given the ``text`` that ``reader._read`` walked them from does it
-    take (fields, offset) tuples, and then a list as JSON that pass declined.
+    (R, size, size, 5) stack: as ``reader._read`` walked them from ``text``,
+    a (fields, offset) tuple, or else as ``cells._read_cells`` reads them
+    cell by cell, term literals too, locating every fault only the JSON
+    types show: a matrix that walk declined, and every matrix of Python
+    containers, given no ``text``.
     ``build`` then derives the unit arrays of the whole stack at once and
     checks the numeric rules of all cells (``field_faults``) and the kind's
     own rules (``stack_violations``). Only what they flag is worded, by
@@ -137,9 +137,7 @@ class _MatrixStack:
         None, with the fault collected, when it is not ``size`` rows.
         """
         fields, rows, faults = None, raw, {}
-        if self.text is None and type(raw) is list:
-            fields = _bulk_fields(raw, len(raw))
-        elif self.text is not None and type(raw) is tuple:
+        if self.text is not None and type(raw) is tuple:
             fields, rows = raw  # walked: the rows' offset in the text stands for them
         if fields is not None and len(fields) == self._fields[0].nbytes:
             fields = np.frombuffer(fields).reshape(self.size, self.size, 5)

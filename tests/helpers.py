@@ -51,7 +51,6 @@ from lingdecide.prefs import (
     stacked,
     trust_weights,
 )
-from lingdecide.reader import _bulk_fields
 from lingdecide.scale import LinguisticScale, TermCoord, parse_term
 from lingdecide.solver import STRICT_FLOOR
 from lingdecide.terms import field_faults, unit_arrays
@@ -766,12 +765,7 @@ def per_matrix_decode_relation(scale, raw, size, where, faults):
     if not isinstance(raw, list) or len(raw) != size:
         faults.append(f"{where}: expected {size} rows")
         return None
-    packed = _bulk_fields(raw, size)
-    found = {}
-    if packed is None:
-        fields, found = _read_cells(raw, size)
-    else:
-        fields = np.frombuffer(packed).reshape(size, size, 5)
+    fields, found = _read_cells(raw, size)
     try:
         matrix = PreferenceRelation.from_fields(scale, fields)
     except RangeError:

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lingdecide.cells import _read_cells
 from lingdecide.errors import EngineError, ScenarioParseError, ScenarioValidationError
 from lingdecide.pipeline import run_pipeline
-from lingdecide.reader import _bulk_fields, _read
+from lingdecide.reader import _read
 from lingdecide.scenario import _decode, scenario_from_dict
 
 from test_generated_scenarios import generate
@@ -30,14 +31,27 @@ SRC_DATA = Path(__file__).resolve().parents[1] / "src" / "lingdecide" / "data"
 #: values a matrix, or an object on the way to one, may hold instead
 ODD_VALUES = [None, 5, "x", True, [], {}, [[]], [5], {"e1": []}]
 
-#: cells the bulk pass declines (a term literal, bools, a missing p) and
-#: numeric cells it walks whose faults are worded from the matrix's text
+#: cells the bulk pass declines, for a ``u`` or an ``s`` in their text (a
+#: term literal, a bool, a null, another member) or because a read of
+#: theirs raises (a missing p, a string, a nested list, an object in place
+#: of a pair, an int too large for a float), and numeric cells it walks
+#: whose faults are worded from the matrix's text
 ODD_CELLS = [
     {"point": "s0(o0)", "p": 1},
     {"interval": ["s-1(o0)", "s1(o2)"], "p": 0.5},
     {"point": [True, 0], "p": 0.5},
     {"point": [0, 0], "p": False},
+    {"point": [0, 0], "p": None},
+    {"point": None, "p": 0.5},
+    {"interval": [[0, 0], None], "p": 0.5},
+    {"point": [0, 0], "p": 1, "notes": 1},
+    {"point": [0, 0], "p": 1, "by": "u1"},
     {"point": [0, 0]},
+    {"point": {"ab": 0, "cd": 1}, "p": 0.5},
+    {"interval": "ab", "p": 0.5},
+    {"interval": {"ab": [0, 0], "cd": [0, 1]}, "p": 0.5},
+    {"point": [[0, 0], 0], "p": 0.5},
+    {"point": [0, int("9" * 400)], "p": 0.5},
     {"point": [9, 0], "p": 1},
     {"interval": [[0, 0], [0, 7]], "p": 0.5},
     {"interval": [[2, 0], [-2, 0]], "p": 0.5},
@@ -176,10 +190,59 @@ def test_numeric_matrices_are_walked_and_the_rest_kept_as_json():
         else:
             # walked: its packed fields and the offset its JSON is scanned again from
             fields, at = matrix
-            assert type(matrix) is tuple and fields == _bulk_fields(raw, len(raw))
+            reference, faults = _read_cells(raw, len(raw))
+            assert type(matrix) is tuple and (fields, faults) == (reference.tobytes(), {})
             assert scan(text, at)[0] == raw
         read[a][b][e] = raw
     assert read == want
+
+
+numbers = st.one_of(st.integers(-5, 5), st.floats(-5.0, 5.0))
+pairs = st.lists(numbers, min_size=2, max_size=2)
+#: any JSON value: scalars of every type, with lists and objects of them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.just(int("9" * 400)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@st.composite
+def any_json_cells(draw):
+    """A cell whose point, interval and p slots each hold a drawn JSON value, or
+    the value of its kind, or are missing, maybe beside another member."""
+    cell = {}
+    kinds = {"point": pairs, "interval": st.lists(pairs, min_size=2, max_size=2), "p": numbers}
+    for slot, kind in kinds.items():
+        if draw(st.integers(0, 3)):
+            cell[slot] = draw(st.one_of(kind, json_values))
+    if not draw(st.integers(0, 5)):
+        cell[draw(st.text(max_size=3))] = draw(json_values)
+    return cell
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_json_in_a_cell_decodes_as_json_decodes_it(data):
+    scenario = generate.scenario(data.draw(st.integers(0, 2**31 - 1)), m=3, q=2, n=2, periods=1, scheme="power")
+    a, b, e = data.draw(st.sampled_from(matrix_places(scenario)))
+    matrix = scenario[a][b][e]
+    i, j = data.draw(st.tuples(*[st.integers(0, len(matrix) - 1)] * 2))
+    matrix[i][j] = data.draw(any_json_cells())
+    text = json.dumps(scenario)
+    assert_reads_as_json(text)
+    read, want = _read(text), json.loads(text)
+    for a, b, e in matrix_places(want):
+        raw = want[a][b][e]
+        reference, faults = _read_cells(raw, len(raw))
+        # walked exactly where the cell reader finds no fault and the
+        # matrix's text holds no ``u`` or ``s``, with the same fields
+        spelled = json.dumps(raw)
+        walked = not faults and "u" not in spelled and "s" not in spelled
+        assert (type(read[a][b][e]) is tuple) == walked
+        if walked:
+            assert read[a][b][e][0] == reference.tobytes()
 
 
 def test_a_scenario_cut_anywhere_is_json_s_parse_error():

@@ -8,9 +8,14 @@ and the diagnostics and messages in kind, wording and order.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lingdecide import markov
 from lingdecide.diagnostics import Diagnostics
@@ -22,10 +27,12 @@ from lingdecide.markov import (
 )
 from lingdecide.scenario import scenario_from_dict
 from helpers import SCALE
+from test_cli import src_env
 from test_generated_scenarios import decide, generate
 from test_markov import fields_from_units
 
 FLOOR = 1e-9
+DATA = Path(__file__).parent / "data"
 
 
 def row_by_row_fit(d, c):
@@ -157,6 +164,48 @@ def test_decide_fits_flat_columns_as_the_row_by_row_fit_does(tmp_path):
         {"kind": "degenerate_row", "detail": "row 0: data left directions unconstrained"}
     ]
     assert want[0, 0] == want[0, 1] > FLOOR and want[1, 0] == FLOOR
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
+def test_a_row_scaled_by_a_power_of_two_fits_to_the_same_bits(seed, k):
+    """The fit is exact under a power-of-two scale of a row's D and C
+    while every value stays normal, so scaling a row moves no bit."""
+    rng = np.random.default_rng(seed)
+    rows, size = int(rng.integers(1, 5)), int(rng.integers(2, 10))
+    D = np.where(rng.random((rows, size)) < 0.3, 0.0, rng.uniform(0.1, 3.0, (rows, size)))
+    C = D * rng.uniform(0.0, 1.0, (rows, size)) * rng.choice([1.0, 3.0])
+    pinned = rng.random((rows, size)) < 0.15
+    r = int(rng.integers(rows))
+    D2, C2 = D.copy(), C.copy()
+    D2[r], C2[r] = np.ldexp(D[r], k), np.ldexp(C[r], k)
+    for x in (D2[r], C2[r], FLOOR * D2[r]):
+        assume(np.all((x == 0.0) | (np.abs(x) >= np.finfo(float).tiny)))
+    want, want_degenerate = markov._fit_rows(D, C, pinned)
+    got, degenerate = markov._fit_rows(D2, C2, pinned)
+    assert got.tobytes() == want.tobytes()
+    assert degenerate.tolist() == want_degenerate.tolist()
+
+
+@pytest.mark.parametrize("stage", [["--stage", "markov"], []], ids=["markov", "all"])
+def test_subnormal_certainties_fit_a_stochastic_transition(tmp_path, stage):
+    """Every expert gives row 0 certainties of 5e-324: the row's certainty
+    sums D are subnormal, and 1 / D overflows unless the row is scaled."""
+    data = json.loads((DATA / "solver_paths.json").read_text(encoding="utf-8"))
+    for rows in data["markov"]["assessments"].values():
+        for cell in rows[0]:
+            cell["p"] = 5e-324
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lingdecide.cli", str(path), "--report", "json", *stage],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=src_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    M = np.array(json.loads(proc.stdout)["transition"])
+    assert np.isfinite(M).all() and np.abs(M.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def row_by_row_check(M):
