@@ -67,9 +67,10 @@ def estimate_transition(
     sum_j P_ij = 1 and P_ij >= 1e-9, over the columns not pinned to zero:
     P_ij = max(1e-9, (c_j - lam) / d_j) with d_j = sum_k p_ij^k,
     c_j = sum_k p_ij^k E_ij^k and lam making the row sum to 1. Columns with
-    d_j = 0 split what the others leave at lam = 0 equally, or sit at the
-    floor when the others need the whole row; two or more sharing mass
-    record ``degenerate_row``. One ``_fit_rows`` call fits every row.
+    d_j = 0, or far below the row's largest d_j, split what the others
+    leave at lam = 0 equally, or sit at the floor when the others need
+    the whole row; two or more sharing mass record ``degenerate_row``.
+    One ``_fit_rows`` call fits every row.
     """
     if not assessments:
         raise ShapeError("need at least one assessment")
@@ -102,19 +103,20 @@ def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray) -> tuple[np.ndar
     x_rj >= floor for each row r, the columns ``pinned`` marks staying 0,
     and each row's flag that its optimum is not unique.
 
-    A flat column (D_rj = 0) is held out of the breakpoint pass, as a
-    pinned one is; the flat columns then share what the others leave at
-    lam = 0 equally, or sit at the floor when the others need the whole
-    row. Two or more sharing mass leave the optimum not unique, and their
-    equal split is its minimum-norm point. A row with one free column
-    gets exactly 1.
+    A flat column (D_rj = 0, or tiny once scaled, below) is held out of
+    the breakpoint pass, as a pinned one is; the flat columns then share
+    what the others leave at lam = 0 equally, or sit at the floor when
+    the others need the whole row. Two or more sharing mass leave the
+    optimum not unique, and their equal split is its minimum-norm point.
+    A row with one free column gets exactly 1.
 
     Each row is first scaled by the power of two that puts its largest D
     in [0.5, 1): each step below is exact under it while values stay
-    normal, and 1 / D of a row of subnormal certainties does not overflow.
+    normal. A column whose scaled D is below 2^-1000 counts as flat, so
+    1 / D stays at most 2^1000 and no prefix sum overflows.
     """
     D, C = np.ldexp((D, C), -np.frexp(D.max(axis=1, keepdims=True))[1])
-    flat = D == 0.0  # a pinned column has D = the expert count
+    flat = D < 2.0**-1000  # a pinned column has D = the expert count
     held = pinned | flat
     n_flat = flat.sum(axis=1)
     D = np.where(flat, 1.0, D)  # no flat column divides by zero

@@ -425,8 +425,9 @@ def compute_expert_weights(
 ) -> ExpertWeightReport:
     """Full weighting chain for one attribute's relations."""
     scores, certainties = stacked(relations)
-    chain = weigh_experts(scores[None], certainties[None], trust, alpha, beta, gamma, paper_literal)
-    return chain.report(0, diag)
+    return weigh_experts(
+        scores[None], certainties[None], trust, alpha, beta, gamma, paper_literal, diag
+    )[0]
 
 
 def collective_priorities(

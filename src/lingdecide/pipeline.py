@@ -6,7 +6,9 @@ expert weights, then build and solve the collective-priority models of
 all attributes at once, (4) aggregate comparable values U, (5) rank.
 Any stage override in the scenario bypasses exactly its stage and is
 echoed in the diagnostics, so intermediate results can be injected and
-the remainder re-run.
+the remainder re-run. Diagnostics follow the order the work runs: step 3
+records the weighting chain's events of every attribute, then the
+override events by attribute, then degenerate priority models.
 
 Reports render to deterministic JSON or plain text.
 """
@@ -296,20 +298,12 @@ def run_pipeline(
             scores, certainties = stacked([r for group in groups for r in group])
             scores = scores.reshape(len(weighed), n, *scores.shape[1:])
             certainties = certainties.reshape(scores.shape)
-            chain = weigh_experts(
-                scores,
-                certainties,
-                list(scenario.trust),
-                scenario.alpha,
-                scenario.beta,
-                scenario.gamma,
-                paper_literal=paper_literal,
+            reports = weigh_experts(
+                scores, certainties, list(scenario.trust), scenario.alpha, scenario.beta,
+                scenario.gamma, paper_literal=paper_literal, diag=diag,
             )
-        index = {attr: a for a, attr in enumerate(weighed)}
+            report.expert_weights = dict(zip(weighed, reports))
         for attr in scenario.attributes:
-            a = index.get(attr)
-            if a is not None:
-                report.expert_weights[attr] = chain.report(a, diag)
             if attr in ov.priority_vectors:
                 record(diag, "override_applied", f"priority_vectors.{attr}")
                 _note_row_sums(
@@ -317,17 +311,17 @@ def run_pipeline(
                 )
                 report.priorities[attr] = np.array(ov.priority_vectors[attr], dtype=float)
                 continue
-            if a is None:
+            if attr not in report.expert_weights:
                 raise ConfigError(
                     f"no preference relations for attribute {attr!r} and no priority override"
                 )
             if attr in ov.expert_weight_vectors:
                 report.model_weights[attr] = _override_weights(scenario, attr, n, diag)
             else:
-                report.model_weights[attr] = chain.blended[a]
+                report.model_weights[attr] = report.expert_weights[attr].blended
         # the models of every attribute no priority override takes over, built and solved at once
         if report.model_weights:
-            rows = [index[attr] for attr in report.model_weights]
+            rows = [weighed.index(attr) for attr in report.model_weights]
             weights = np.array(list(report.model_weights.values()))
             H, c, _ = consensus_forms(scores[rows], certainties[rows], weights)
             x, _, degenerate = solve_stack(H, c)

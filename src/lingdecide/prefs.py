@@ -29,14 +29,16 @@ the weighted sum of (E^k_ij - 1/2)^2 over i < j.
 A relation is a ``terms.TermMatrix``, so it derives its unit arrays
 once, when built; the scenario decoder checks the reciprocity of every
 relation at once (``reciprocity_violations``). The weighting chain
-(``weigh_experts``) and the model builder (``consensus_forms``, which
-returns the (H, c, const) arrays of every attribute) run on every
-attribute's relations at once, stacked into (q, n, m, m) score and
-certainty arrays; the one-attribute forms (``model1_problem``, and those
-in ``lingdecide.paper``) are the same code on a stack of one. Where a step
-would pair every expert with every other, or route every pair through
-every third alternative, it loops over the experts or the alternatives,
-so no temporary grows past O(q n m^2).
+(``weigh_experts``, which returns every attribute's report and records
+the chain's diagnostics attribute by attribute) and the model builder
+(``consensus_forms``, which returns the (H, c, const) arrays of every
+attribute) run on every attribute's relations at once, stacked into
+(q, n, m, m) score and certainty arrays; the one-attribute forms
+(``model1_problem``, and those in ``lingdecide.paper``) are the same code
+on a stack of one. Where a step would pair every expert with every
+other, or route every pair through every third alternative, it loops
+over the experts or the alternatives, so no temporary grows past
+O(q n m^2).
 """
 
 from __future__ import annotations
@@ -332,40 +334,6 @@ class ExpertWeightReport:
         return views | {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
 
 
-class ExpertWeightStack:
-    """The weighting chain of q attributes at once: one row per attribute.
-
-    ``outer``, ``deviations``, ``inner``, ``floored`` and ``blended`` are
-    read-only (q, n) arrays; ``trust`` is the one (n,) trust vector and
-    ``blend`` the coefficients (alpha, beta, gamma).
-    """
-
-    def __init__(self, outer, deviations, inner, floored, trust, blended, m, paper_literal, blend):
-        self.outer, self.deviations, self.inner, self.floored = outer, deviations, inner, floored
-        self.trust, self.blended, self.m, self.paper_literal = trust, blended, m, paper_literal
-        self.blend = blend
-
-    def report(self, a: int, diag: Diagnostics | None = None) -> ExpertWeightReport:
-        """Attribute a's weights, as the chain of that attribute alone gives them.
-
-        Records the attribute's diagnostics and raises its faults in the
-        order that chain meets them.
-        """
-        for _ in range(self.deviations.shape[1]):
-            _note_deviation(diag, self.m, self.paper_literal)
-        if np.any(self.deviations[a] < 0.0):
-            # only the printed constant can make a total of absolute values negative
-            raise ConfigError(
-                f"deviations must be nonnegative: the printed constant m(m-1)*0.5 = "
-                f"{self.m * (self.m - 1) * 0.5:g} exceeds the {_triple_count(self.m) * 0.5:g} "
-                f"that the triples add"
-            )
-        _note_floor(diag, self.floored[a])
-        return ExpertWeightReport(
-            self.outer[a], self.inner[a], self.trust, self.blended[a], *self.blend
-        )
-
-
 def weigh_experts(
     scores: np.ndarray,
     certainties: np.ndarray,
@@ -374,19 +342,35 @@ def weigh_experts(
     beta: float,
     gamma: float,
     paper_literal: bool = False,
-) -> ExpertWeightStack:
-    """The full weighting chain of (q, n, m, m) stacked relations, all attributes at once."""
-    m = scores.shape[-1]
+    diag: Diagnostics | None = None,
+) -> list[ExpertWeightReport]:
+    """The full weighting chain of (q, n, m, m) stacked relations, all attributes at once.
+
+    Returns one report per attribute. Records, attribute by attribute,
+    each expert's deviation event and then the attribute's entropy floor,
+    and raises the printed-constant failure at the first attribute that
+    meets it, as that attribute's chain alone would.
+    """
+    q, n, m = scores.shape[:3]
     outer = outer_weights(scores, certainties)
     deviations = deviation_totals(scores, paper_literal)
     inner, floored = entropy_weights(deviations, m)
     tru = trust_weights(trust)
     blended = blend_weights(outer, inner, tru, alpha, beta, gamma)
-    for array in (outer, deviations, inner, floored, tru, blended):
+    for array in (outer, inner, tru, blended):
         array.setflags(write=False)
-    return ExpertWeightStack(
-        outer, deviations, inner, floored, tru, blended, m, paper_literal, (alpha, beta, gamma)
-    )
+    for a in range(q):
+        for _ in range(n):
+            _note_deviation(diag, m, paper_literal)
+        if np.any(deviations[a] < 0.0):
+            # only the printed constant can make a total of absolute values negative
+            raise ConfigError(
+                f"deviations must be nonnegative: the printed constant m(m-1)*0.5 = "
+                f"{m * (m - 1) * 0.5:g} exceeds the {_triple_count(m) * 0.5:g} "
+                f"that the triples add"
+            )
+        _note_floor(diag, floored[a])
+    return [ExpertWeightReport(outer[a], inner[a], tru, blended[a], alpha, beta, gamma) for a in range(q)]
 
 
 def consensus_forms(

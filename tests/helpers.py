@@ -642,20 +642,22 @@ def per_attribute_consensus_form(scores, certainties, weights):
 def per_attribute_step3(scenario, paper_literal=False):
     """Step 3 of the pipeline, one attribute at a time.
 
-    Returns the expert weight reports, model weights, forms and
-    priorities by attribute and the diagnostics, or raises what the loop
-    meets first.
+    Weighs the experts of every attribute with relations first, then
+    applies the overrides attribute by attribute. Returns the expert
+    weight reports, model weights, forms and priorities by attribute and
+    the diagnostics, or raises what the loops meet first.
     """
     diag = Diagnostics()
     ov = scenario.overrides
     reports, model_weights, forms, priorities, degenerate = {}, {}, {}, {}, []
     for attr in scenario.attributes:
-        relations = scenario.preferences.get(attr)
-        if relations is not None:
+        if attr in scenario.preferences:
             reports[attr] = per_attribute_expert_weights(
-                list(relations), list(scenario.trust), scenario.alpha, scenario.beta,
-                scenario.gamma, paper_literal=paper_literal, diag=diag,
+                list(scenario.preferences[attr]), list(scenario.trust), scenario.alpha,
+                scenario.beta, scenario.gamma, paper_literal=paper_literal, diag=diag,
             )
+    for attr in scenario.attributes:
+        relations = scenario.preferences.get(attr)
         if attr in ov.priority_vectors:
             record(diag, "override_applied", f"priority_vectors.{attr}")
             total = float(np.sum(ov.priority_vectors[attr]))

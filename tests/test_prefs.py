@@ -35,7 +35,7 @@ from lingdecide.prefs import (
     trust_weights,
 )
 from lingdecide.scale import LinguisticScale
-from lingdecide.scenario import MarkovSpec, Overrides, Scenario
+from lingdecide.scenario import MarkovSpec, Overrides, Scenario, scenario_from_dict
 from helpers import (
     SCALE,
     cell_at,
@@ -57,6 +57,7 @@ from helpers import (
     reference_outer_weights,
     reference_score_matrix,
     relation,
+    uniform_scenario_dict,
 )
 
 
@@ -580,6 +581,33 @@ def test_stacked_chain_matches_the_per_attribute_chain(scenario, paper_literal):
             assert same_bits(H[a], one.H)
             assert same_bits(c[a], one.c)
             assert same_bits(const[a], one.const)
+
+
+def test_step_3_records_every_attribute_s_chain_before_the_overrides():
+    # the chain's events of every attribute, then the override events, then the rest
+    data = uniform_scenario_dict(m=2, q=2, n=2, periods=1)
+    data["overrides"] = {"priority_vectors": {"Q1": [0.5, 0.5]}}
+    report = run_pipeline(scenario_from_dict(data))
+    assert [(e.kind, e.detail) for e in report.diagnostics] == [
+        ("no_indirect_path", "m=2 has no third alternative to route through")
+    ] * 4 + [
+        ("override_applied", "priority_vectors.Q1"),
+        ("tie", "alternatives [0, 1] share U=0.5; using index order"),
+    ]
+
+
+def test_a_later_attribute_s_printed_constant_fails_before_an_earlier_override():
+    # Q1's cyclic relations deviate by 4.5 > 3, so only Q2's indifferent ones fail the
+    # printed constant; Q1's zero-mass override comes after every attribute's chain
+    data = uniform_scenario_dict(m=3, q=2, n=2, periods=1)
+    one, zero, half = ({"point": [t, 0], "p": 1.0} for t in (4, -4, 0))
+    cyclic = [[half, one, zero], [zero, half, one], [one, zero, half]]
+    data["preferences"]["Q1"] = {"e1": cyclic, "e2": cyclic}
+    data["overrides"] = {"expert_weight_vectors": {"Q1": [0.0, 0.0]}}
+    with pytest.raises(ConfigError, match="the printed constant m\\(m-1\\)\\*0.5 = 3 exceeds"):
+        run_pipeline(scenario_from_dict(data), paper_literal=True)
+    with pytest.raises(ConfigError, match="expert weight override for Q1 has zero mass"):
+        run_pipeline(scenario_from_dict(data))
 
 
 def scalar_distances(scores, certainties):

@@ -10,6 +10,7 @@ and the diagnostics and messages in kind, wording and order.
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,23 +190,40 @@ def test_a_row_scaled_by_a_power_of_two_fits_to_the_same_bits(seed, k):
 @pytest.mark.parametrize("stage", [["--stage", "markov"], []], ids=["markov", "all"])
 def test_subnormal_certainties_fit_a_stochastic_transition(tmp_path, stage):
     """Every expert gives row 0 certainties of 5e-324: the row's certainty
-    sums D are subnormal, and 1 / D overflows unless the row is scaled."""
-    data = json.loads((DATA / "solver_paths.json").read_text(encoding="utf-8"))
-    for rows in data["markov"]["assessments"].values():
-        for cell in rows[0]:
-            cell["p"] = 5e-324
-    path = tmp_path / "subnormal.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "lingdecide.cli", str(path), "--report", "json", *stage],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=src_env(),
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    M = np.array(json.loads(proc.stdout)["transition"])
-    assert np.isfinite(M).all() and np.abs(M.sum(axis=1) - 1.0).max() <= 1e-9
+    sums D are subnormal, and 1 / D overflows unless the row is scaled.
+    Then every expert gives cell (0, 1) alone that certainty: its D lies
+    far below the row's largest, and 1 / D overflows unless it is flat."""
+    for cells in (slice(None), slice(1, 2)):
+        data = json.loads((DATA / "solver_paths.json").read_text(encoding="utf-8"))
+        for rows in data["markov"]["assessments"].values():
+            for cell in rows[0][cells]:
+                cell["p"] = 5e-324
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lingdecide.cli", str(path), "--report", "json", *stage],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=src_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        M = np.array(json.loads(proc.stdout)["transition"])
+        assert np.isfinite(M).all() and np.abs(M.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def test_a_certainty_sum_far_below_the_row_s_largest_fits_as_a_flat_column():
+    """Nine D of 1e-307 beside a D of 1: their 1 / D would overflow its
+    prefix sum, so they fit as flat columns, as nine D of 1e-300 nearly do."""
+    target = np.array([0.3] + [0.5] * 9)
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tiny in (1e-307, 1e-300):
+            D = np.array([[1.0] + [tiny] * 9])
+            rows.append(markov._fit_rows(D, D * target, np.zeros(D.shape, bool))[0])
+    assert np.abs(rows[0] - rows[1]).max() <= 1e-12
+    assert np.abs(rows[0] - ([0.3] + [0.7 / 9] * 9)).max() <= 1e-12
 
 
 def row_by_row_check(M):
