@@ -5,6 +5,9 @@ the entropy weights and the priority model on one assessment, expert or
 attribute; the engine (``terms``, ``prefs``, ``solver``) runs them on
 stacked arrays. This module keeps the one-object forms, which the
 acceptance criteria check the engine against. No ``decide`` run imports it.
+A lone cell or coordinate (``to_unit``) is checked as one row of the
+engine's arrays, by ``terms.field_faults``, so it is worded as a decoded
+cell is.
 
 ``brute_force_oracle`` is the independent check of ``solve``: the exact
 minimum over the discretised simplex {v / N}. It enumerates every grid
@@ -36,16 +39,14 @@ from .prefs import (
     stacked,
     weigh_experts,
 )
-from .scale import _EDGE, LinguisticScale, TermCoord, coord_fault, unit_value
+from .scale import _EDGE, LinguisticScale, TermCoord, unit_value
 from .solver import solve_stack
 from .terms import field_faults, unit_arrays
 
 
 def to_unit(scale: LinguisticScale, term: TermCoord) -> float:
-    """Map a coordinate pair to its unit value gamma in [0, 1]."""
-    fault = coord_fault(scale, term.t, term.k)
-    if fault is not None:
-        raise RangeError(fault)
+    """Map a coordinate pair, checked as a lone point cell, to its unit value gamma in [0, 1]."""
+    _check_cell(scale, term, term, 1.0)
     return unit_value(scale, term.t, term.k)
 
 

@@ -12,15 +12,14 @@ the floor branch would leave the second coordinate at its upper edge.
 
 Internally everything downstream computes on unit values; (t, k) is a
 presentation form. Subscripts are continuous (virtual terms between the
-printed labels are meaningful).
+printed labels are meaningful). This module holds the scale record, the
+transform and term literals; which coordinates lie on a scale is one of a
+cell's rules, stated with the others in ``terms.field_faults``.
 """
 
 from __future__ import annotations
 
-import math
 import re
-
-import numpy as np
 
 from . import records
 from .errors import RangeError
@@ -56,44 +55,12 @@ class TermCoord:
     k: float
 
 
-def coord_fault(scale: LinguisticScale, t: float, k: float) -> str | None:
-    """The first rule the coordinate (t, k) breaks, as a message; None if none.
-
-    Both subscripts must be finite and lie within tau and zeta, and the unit
-    value within [0, 1], each up to a 1e-12 edge. ``off_scale`` applies
-    the same rules to arrays.
-    """
-    if not math.isfinite(t) or abs(t) > scale.tau + _EDGE:
-        return f"first-hierarchy subscript t={t} outside [-{scale.tau}, {scale.tau}]"
-    if not math.isfinite(k) or abs(k) > scale.zeta + _EDGE:
-        return f"second-hierarchy subscript k={k} outside [-{scale.zeta}, {scale.zeta}]"
-    gamma = unit_value(scale, t, k)
-    if gamma < -_EDGE or gamma > 1.0 + _EDGE:
-        return f"coordinate (t={t}, k={k}) has unit value {gamma} outside [0, 1]"
-    return None
-
-
-def off_scale(
-    scale: LinguisticScale, t: np.ndarray, k: np.ndarray, gamma: np.ndarray
-) -> np.ndarray:
-    """Elementwise mask of the coordinates (t, k) that ``coord_fault`` rejects.
-
-    ``gamma`` holds their unit values (``unit_value``), which the caller
-    has at hand. Two-sided bounds in place of ``abs`` keep every
-    temporary boolean.
-    """
-    tau, zeta = scale.tau + _EDGE, scale.zeta + _EDGE
-    on = (t >= -tau) & (t <= tau)
-    on &= (k >= -zeta) & (k <= zeta)
-    on &= (gamma >= -_EDGE) & (gamma <= 1.0 + _EDGE)
-    return ~on
-
-
 def unit_value(scale: LinguisticScale, t, k):
     """The unit transform of subscripts t and k, scalars or numpy arrays.
 
-    No range check: ``paper.to_unit`` checks a single coordinate first, and the
-    array callers hold coordinates that were checked when decoded or built.
+    No range check. The bounds of a coordinate live in ``terms.field_faults``:
+    ``paper.to_unit`` checks its one coordinate with them first, and the
+    array callers check what they hold when it is decoded or built.
     """
     return (k + (scale.tau + t) * scale.zeta) / (2.0 * scale.zeta * scale.tau)
 

@@ -5,7 +5,8 @@ assessments, are square ``TermMatrix`` grids of peak intervals: per cell
 a linguistic interval [lower, upper] and its certainty p. A matrix is
 held as one array of subscripts and certainties, from which it derives
 the unit arrays the numerics run on. ``field_faults`` states a cell's
-rules once, on arrays: a lone cell checks itself with it on its own
+rules once, on arrays, the bounds of its coordinates on the scale
+included: a lone cell or coordinate checks itself with it on its own
 fields, and a matrix built from cells or fields goes through one checked
 build (``TermMatrix.from_fields``). Both work on a stack of matrices as
 on one, so a decoder checks and derives many matrices in one pass and
@@ -21,9 +22,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .scale import LinguisticScale, coord_fault, off_scale, unit_value
-
-_TOL = 1e-12
+from .scale import _EDGE, LinguisticScale, unit_value
 
 #: the arrays a term matrix holds, in the order ``unit_arrays`` gives them
 _ARRAYS = ("fields", "lower", "upper", "p", "scores")
@@ -166,34 +165,45 @@ def field_faults(
 
     ``lower`` and ``upper`` are the array's unit endpoints, as
     ``unit_arrays`` derives them; where a coordinate is off the scale they
-    mean nothing. The rules: each coordinate lies on the scale
-    (``coord_fault``); then, where both do, the endpoints are in unit
-    order and, where they are, p lies in [0, 1]. They are applied to all
-    cells of the (..., 5) array at once: one lone cell, one matrix or a
-    stack. Each fault is the cell's index followed by ``(slot, message)``:
-    ``(slot, message)`` for a lone cell, ``(i, j, slot, message)`` for one
-    matrix and ``(r, i, j, slot, message)`` for a stack, slot 0 and 1 for
-    the lower and upper coordinate and 2 for the cell's own rules, in
-    index order.
+    mean nothing. The rules: each coordinate lies on the scale, its
+    subscripts t within tau and k within zeta and its unit value within
+    [0, 1], each up to a 1e-12 edge and a NaN failing; then, where both
+    do, the endpoints are in unit order and, where they are, p lies in
+    [0, 1]. An off-scale coordinate is worded by the first bound it breaks.
+    The rules are applied to all cells of the (..., 5) array at once: one
+    lone cell, one matrix or a stack. Each fault is the cell's index
+    followed by ``(slot, message)``: ``(slot, message)`` for a lone cell,
+    ``(i, j, slot, message)`` for one matrix and ``(r, i, j, slot,
+    message)`` for a stack, slot 0 and 1 for the lower and upper coordinate
+    and 2 for the cell's own rules, in index order.
     """
-    t, k, p = fields[..., 0:4:2], fields[..., 1:4:2], fields[..., 4]
+    # side first, so that each bound runs over the cells of one endpoint
+    ends = np.moveaxis(fields[..., :4], -1, 0)
+    t, k, p = ends[0::2], ends[1::2], fields[..., 4]
+    tau, zeta = scale.tau + _EDGE, scale.zeta + _EDGE
     with np.errstate(invalid="ignore"):
-        off = np.stack(
-            [
-                off_scale(scale, t[..., 0], k[..., 0], lower),
-                off_scale(scale, t[..., 1], k[..., 1], upper),
-            ],
-            axis=-1,
-        )
-        on_scale = ~off.any(axis=-1)
-        reversed_ = on_scale & (lower > upper + _TOL)
+        # the bounds a coordinate keeps, two-sided so that a NaN breaks them
+        t_in = (t >= -tau) & (t <= tau)
+        k_in = (k >= -zeta) & (k <= zeta)
+        unit_in = np.stack([(g >= -_EDGE) & (g <= 1.0 + _EDGE) for g in (lower, upper)])
+        on = t_in & k_in & unit_in
+        on_scale = on[0] & on[1]
+        reversed_ = on_scale & (lower > upper + _EDGE)
         uncertain = on_scale & ~reversed_ & ~((p >= 0.0) & (p <= 1.0))
-    if not (off.any() or reversed_.any() or uncertain.any()):
+    if on.all() and not (reversed_.any() or uncertain.any()):
         return []
-    faults = [
-        (*at, coord_fault(scale, t[tuple(at)].item(), k[tuple(at)].item()))
-        for at in np.argwhere(off).tolist()
-    ]
+    faults = []
+    for side, *at in np.argwhere(~on).tolist():
+        end = (side, *at)
+        ti, ki = t[end].item(), k[end].item()
+        if not t_in[end]:
+            message = f"first-hierarchy subscript t={ti} outside [-{scale.tau}, {scale.tau}]"
+        elif not k_in[end]:
+            message = f"second-hierarchy subscript k={ki} outside [-{scale.zeta}, {scale.zeta}]"
+        else:
+            gamma = (lower, upper)[side][tuple(at)].item()
+            message = f"coordinate (t={ti}, k={ki}) has unit value {gamma} outside [0, 1]"
+        faults.append((*at, side, message))
     faults += [
         (*at, 2, f"interval endpoints out of order: unit {lower[tuple(at)].item()} > "
          f"{upper[tuple(at)].item()}")

@@ -4,7 +4,10 @@ The scenarios come from the benchmark's seeded generator
 (``perfbench/generate.py``, loaded from its file and left as it is), with
 an extremes layer on top: certainties of 0, 5e-324, 1e-307, 1e-300 and 1
 on preference pairs, on whole relations and on transition cells or rows;
-transition rows pinned to zero bar one cell; trust degrees near 0; blends
+transition rows pinned to zero bar one cell; preference pairs and
+assessment cells at the scale's corners (+-4, 0) and just inside its
+1e-12 edge, the pairs mirrored so that reciprocity holds; trust degrees
+near 0; blends
 at the simplex corners; periods and iterations from 1 to
 ``MAX_MARKOV_STEPS``; m = 2 to 4 alternatives and n = 2 or 3 experts.
 Each scenario runs through ``cli.main`` in process at a drawn
@@ -41,6 +44,20 @@ CERTAINTIES = [0.0, 5e-324, 1e-307, 1e-300, 1.0]
 TRUSTS = [0.0, 5e-324, 1e-300, 1e-9, 1.0]
 CORNERS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.3, 0.2)]
 STEPS = [1, 2, MAX_MARKOV_STEPS]
+#: coordinates at the corners of the tau = zeta = 4 scale and just inside its edge
+#: (unit values 1, 1 + 9e-13 and 1 + 1.125e-13), then their mirrors
+EDGES = [[4, 0], [4, 2.88e-11], [4 + 9e-13, 0]]
+EDGES += [[-t, -k] for t, k in EDGES]
+
+
+def edge_cell(draw, p):
+    """A point at an edge coordinate, or the interval from the scale's middle to it, and its mirror."""
+    edge = draw(st.sampled_from(EDGES))
+    ends = sorted([edge, draw(st.sampled_from([edge, [0, 0]]))], key=lambda c: 4 * c[0] + c[1])
+    mirrored = [[-t, -k] for t, k in reversed(ends)]
+    if ends[0] == ends[1]:
+        return {"point": ends[0], "p": p}, {"point": mirrored[0], "p": p}
+    return {"interval": ends, "p": p}, {"interval": mirrored, "p": p}
 
 
 def documented_causes():
@@ -70,7 +87,21 @@ def extreme_scenarios(draw):
 
     for _ in range(draw(st.integers(0, 3))):
         p = draw(st.sampled_from(CERTAINTIES))
-        target = draw(st.sampled_from(["pair", "relation", "cell", "row", "pinned row"]))
+        target = draw(
+            st.sampled_from(["pair", "relation", "cell", "row", "pinned row", "edge pair", "edge cell"])
+        )
+        if target == "edge pair":
+            i, j = draw(st.sampled_from([(i, j) for i in range(m) for j in range(i + 1, m)]))
+            attribute = draw(st.sampled_from(attributes))
+            for e in some_experts():
+                relation = data["preferences"][attribute][e]
+                relation[i][j], relation[j][i] = edge_cell(draw, p)
+            continue
+        if target == "edge cell":
+            i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+            for e in some_experts():
+                data["markov"]["assessments"][e][i][j] = edge_cell(draw, p)[0]
+            continue
         if target in ("pair", "relation"):
             pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
             if target == "pair":
