@@ -12,8 +12,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: the pipeline's stages; here, so that ``decide`` parses its options before numpy loads
+#: the stages and period-weight schemes; here, so that ``decide`` parses its options before numpy loads
 STAGES = ("markov", "weights", "priorities", "aggregate", "all")
+SCHEMES = ("power", "reshape")
 
 #: the public names of each submodule
 _PUBLIC = {

@@ -10,20 +10,19 @@ a thread pool to help, and OpenBLAS starting its pool while numpy loads
 cost up to about 65 ms of each start on a 2-vCPU host. A user-set
 ``OPENBLAS_NUM_THREADS`` wins.
 
-The ``decide`` process (``entry``, which the console script and
-``python -m lingdecide.cli`` both run) does no cyclic garbage collection:
-it turns the collector off before numpy's first import, so that of the 33
-collector passes a run starts with it on, all finding nothing, only the 2
-before ``entry`` are left. It reads the scenario once, before numpy loads;
-given ``OVERLAP_CHARS`` characters of text or more (from a file, FIFO or
-pipe) and two CPUs or more in its affinity mask, it decodes the text in a
-child process while it imports numpy (``lingdecide.overlap``); each
-process is pinned to CPUs of its own, as an unpinned pair ran slower than
-one process. It ends, also when argparse ends it (``--help``, a usage
-error), by running its ``atexit`` hooks, flushing stdout and stderr and
-``os._exit``: teardown only frees memory the system takes back anyway,
-and took about 6.5 ms of each run on a 2-vCPU host. ``main`` itself forks
-nothing, leaves the collector alone and returns its code.
+The ``decide`` process (``entry``, run by the console script and by
+``python -m lingdecide.cli``) does no cyclic garbage collection: it turns
+the collector off before numpy's first import, so that of the 33 collector
+passes a run starts with it on, all finding nothing, only the 2 before
+``entry`` are left. It reads the scenario once, before numpy loads, and
+decodes a text of ``OVERLAP_CHARS`` characters or more (from a file, FIFO
+or pipe) in a child process while it imports numpy, given two CPUs or
+more in its affinity mask (``lingdecide.overlap``). It ends, also when
+argparse ends it (``--help``, a usage error), by running its ``atexit``
+hooks, flushing stdout and stderr and ``os._exit``: teardown only frees
+memory the system takes back anyway, and took about 6.5 ms of each run on
+a 2-vCPU host. ``main`` itself forks nothing, leaves the collector alone
+and returns its code.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import sys
 # before numpy's first import, in ``_run``; ``import lingdecide`` loads none
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import STAGES  # noqa: E402
+from . import SCHEMES, STAGES  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     EngineError,
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scheme",
-        choices=("power", "reshape"),
+        choices=SCHEMES,
         default=None,
         help="period-weight scheme (default: the scenario's choice)",
     )
@@ -163,15 +162,14 @@ def _run(args: argparse.Namespace, beside=False) -> int:
 
 def _decode_beside(text: str):
     """An ``overlap.Decode`` of ``text`` given ``OVERLAP_CHARS`` characters or more and
-    two CPUs or more to pin two processes to; else None, also when no pipe or process can be made."""
-    # a platform without sched_getaffinity lacks sched_setaffinity
+    two CPUs or more in the affinity mask; else None, also when no pipe or process can be made."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if len(text) < OVERLAP_CHARS or len(cpus) < 2:
         return None
     from . import overlap
 
     try:
-        return overlap.Decode(text, cpus)
+        return overlap.Decode(text)
     except OSError:
         return None
 

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import STAGES, records
+from . import SCHEMES, STAGES, records
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
 from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
@@ -232,7 +232,7 @@ def run_pipeline(
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
     used_scheme = scheme if scheme is not None else scenario.markov.scheme
-    if used_scheme not in ("power", "reshape"):
+    if used_scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {used_scheme!r}")
     diag = Diagnostics()
     report = DecisionReport(

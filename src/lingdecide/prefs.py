@@ -289,13 +289,13 @@ def trust_weights(psi: np.ndarray | list[float]) -> np.ndarray:
     return psi / total
 
 
+def _is_probability(v: np.ndarray) -> np.ndarray:
+    """Whether each vector on ``v``'s last axis sums to 1 within 1e-9, no entry below -1e-12 (NaN fails)."""
+    return (np.abs(v.sum(axis=-1) - 1.0) <= 1e-9) & np.all(v >= -1e-12, axis=-1)
+
+
 def blend_weights(
-    outer: np.ndarray,
-    inner: np.ndarray,
-    trust: np.ndarray,
-    alpha: float,
-    beta: float,
-    gamma: float,
+    outer: np.ndarray, inner: np.ndarray, trust: np.ndarray, alpha: float, beta: float, gamma: float
 ) -> np.ndarray:
     """Convex combination of the three weight views.
 
@@ -307,7 +307,7 @@ def blend_weights(
     for v in vectors:
         if v.shape[-1] != n:
             raise ShapeError("weight vectors must share one length")
-        bad = ~((np.abs(v.sum(axis=-1) - 1.0) <= 1e-9) & np.all(v >= -1e-12, axis=-1)).ravel()
+        bad = ~_is_probability(v).ravel()
         if bad.any():
             row = v.reshape(-1, n)[np.argmax(bad)]
             raise ConfigError(f"weight vector {row.tolist()} is not a probability vector")
@@ -425,7 +425,7 @@ def weight_vector(weights: np.ndarray | list[float], n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.size != n:
         raise ShapeError(f"{n} relations but {w.size} expert weights")
-    if not (abs(w.sum() - 1.0) <= 1e-9 and np.all(w >= -1e-12)):
+    if not _is_probability(w.ravel()):
         raise ConfigError("expert weights must form a probability vector")
     return w
 

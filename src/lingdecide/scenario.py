@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from . import records
+from . import SCHEMES, records
 from .errors import ScenarioParseError, ScenarioValidationError
 from .markov import LinguisticMarkovAssessment, check_transition_matrix
 from .prefs import PreferenceRelation
@@ -479,8 +479,8 @@ def _decode_markov(
         col.add("markov.origin", f"expected an attribute name or index, got {origin_raw!r}")
         return None
     scheme = obj.get("scheme", "power")
-    if scheme not in ("power", "reshape"):
-        col.add("markov.scheme", f"expected 'power' or 'reshape', got {scheme!r}")
+    if scheme not in SCHEMES:
+        col.add("markov.scheme", f"expected {' or '.join(map(repr, SCHEMES))}, got {scheme!r}")
         return None
     updates = None
     if "origin_updates" in obj:

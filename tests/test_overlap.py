@@ -7,7 +7,9 @@ or more. Each case runs ``entry`` in a new interpreter and compares its
 exit code, stdout and stderr (and DOT file) with in-process ``main``, which
 never forks. An atexit hook records whether the fork module was loaded,
 whether the child sent a tree, that the process has no child left to reap,
-and how often the process opened the scenario path (an audit hook).
+and how often the process opened the scenario path (an audit hook). The
+child decode changes no scheduler state, so a user-set BLAS thread count
+holds on a large scenario as on the bundled one.
 """
 
 import contextlib
@@ -188,7 +190,7 @@ def test_a_fork_that_fails_closes_both_ends_of_the_pipe(monkeypatch):
     monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(OSError):
-        overlap.Decode("{}", {0, 1})
+        overlap.Decode("{}")
     assert len(made) == 2
     for fd in made:
         with pytest.raises(OSError):
@@ -282,6 +284,44 @@ def test_the_bundled_file_decodes_serially(tmp_path, capsys):
     proc, got_err, probe = run_decide(argv, watch=False)
     assert (proc.returncode, proc.stdout, got_err) == (code, out, err)
     assert probe == [False, [], False, 1]
+
+
+#: what a new interpreter runs: ``entry``, then an atexit hook prints the
+#: process's thread count and whether the fork module was loaded
+THREADS = (
+    "import atexit, json, os, sys\n"
+    "atexit.register(lambda: print(json.dumps([len(os.listdir('/proc/self/task')), "
+    "'lingdecide.overlap' in sys.modules]), file=sys.stderr))\n"
+    "from lingdecide.cli import entry; entry()\n"
+)
+
+
+def threads_at_exit(path):
+    """The thread count and fork-module record of ``decide path`` run with two BLAS threads."""
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS, str(path), "--report", "json"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        env={**src_env(), "OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
+def test_a_user_set_blas_thread_count_holds_when_the_child_decodes(tmp_path):
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS")
+    large = tmp_path / "large.json"
+    large.write_text(CASES["clean"](), encoding="utf-8")
+    bundled = tmp_path / "crisis.json"
+    bundled.write_text(bundled_scenario_text(), encoding="utf-8")
+    threads, forked = threads_at_exit(large)
+    assert forked
+    assert threads == threads_at_exit(bundled)[0]
 
 
 def test_cli_import_loads_no_numpy():
