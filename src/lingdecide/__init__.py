@@ -26,7 +26,7 @@ _PUBLIC = {
     ),
     "markov": (
         "LinguisticMarkovAssessment", "check_transition_matrix", "estimate_transition",
-        "export_dot", "period_weights", "period_weights_reshaped",
+        "export_dot", "period_weights",
     ),
     "paper": (
         "FuzzyIntervalSet", "FuzzyIntervalTerm", "PeakIntervalTerm", "ProbabilisticTermSet",

@@ -9,10 +9,11 @@ sorting breakpoints, for every row in one pass. Entries every expert
 scores as the floor point (unit score 0 at certainty 1) are pinned to an
 exact zero instead of the fit's positivity floor, ``solver.STRICT_FLOOR``.
 
-Period weights follow the power scheme omega^t = e_origin M^(Z + t - 1),
-computed by repeated vector-matrix products. A variant scheme reshapes
-each period's starting vector by resetting the origin attribute's mass
-to an externally supplied probability before iterating.
+Period weights come from one function, ``period_weights``, and one loop
+of vector-matrix products, under either of two schemes: the power scheme
+omega^t = e_origin M^(Z + t - 1), or the reshape scheme, which resets
+the origin attribute's mass in each period's starting vector to an
+externally supplied probability before iterating.
 """
 
 from __future__ import annotations
@@ -145,7 +146,20 @@ def _fit_rows(D: np.ndarray, C: np.ndarray, pinned: np.ndarray) -> tuple[np.ndar
     return np.where(pinned, 0.0, x), degenerate
 
 
-def _check_steps(M: np.ndarray, T: int, Z: int, origin: int) -> np.ndarray:
+def period_weights(
+    M: np.ndarray, T: int, Z: int, origin: int,
+    updates: list[float] | np.ndarray | None = None, diag: Diagnostics | None = None,
+) -> np.ndarray:
+    """T x q matrix of attribute weights, one row per period, under either scheme.
+
+    Without ``updates`` (power scheme), omega^t = e_origin M^(Z+t-1). With
+    them (reshape scheme), period t starts from the previous period's
+    weights (the origin basis vector for t = 1), forces the origin
+    component to updates[t-1], rescales the rest proportionally (uniformly
+    when the previous non-origin mass is zero), and applies Z + t - 1
+    products with M. With one attribute the update is ignored: the origin
+    keeps weight 1, as no other attribute can take the rest.
+    """
     M = np.asarray(M, dtype=float)
     problems = check_transition_matrix(M)
     if problems:
@@ -154,72 +168,40 @@ def _check_steps(M: np.ndarray, T: int, Z: int, origin: int) -> np.ndarray:
         raise ConfigError(f"period count must be >= 1, got {T}")
     if Z < 1:
         raise ConfigError(f"iteration count must be >= 1, got {Z}")
-    if not (0 <= origin < M.shape[0]):
-        raise ConfigError(f"origin index {origin} outside 0..{M.shape[0] - 1}")
-    return M
-
-
-def period_weights(
-    M: np.ndarray,
-    T: int,
-    Z: int,
-    origin: int,
-) -> np.ndarray:
-    """T x q matrix of attribute weights, omega^t = e_origin M^(Z+t-1)."""
-    M = _check_steps(M, T, Z, origin)
-    v = np.zeros(M.shape[0])
-    v[origin] = 1.0
-    for _ in range(Z - 1):
-        v = v @ M
-    out = np.empty((T, M.shape[0]))
-    for t in range(T):
-        v = v @ M
-        out[t] = v
-    return out
-
-
-def period_weights_reshaped(
-    M: np.ndarray,
-    T: int,
-    Z: int,
-    origin: int,
-    updates: list[float] | np.ndarray,
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
-    """Variant scheme: reset the origin's mass each period, then iterate.
-
-    Period t starts from the previous period's weights (the origin basis
-    vector for t = 1), forces the origin component to updates[t-1],
-    rescales the rest proportionally (uniformly when the previous
-    non-origin mass is zero), and applies Z + t - 1 products with M.
-    """
-    M = _check_steps(M, T, Z, origin)
-    updates = np.asarray(updates, dtype=float)
-    if updates.size != T:
-        raise ShapeError(f"{T} periods but {updates.size} origin updates")
     q = M.shape[0]
-    prev = np.zeros(q)
-    prev[origin] = 1.0
+    if not (0 <= origin < q):
+        raise ConfigError(f"origin index {origin} outside 0..{q - 1}")
+    if updates is not None:
+        updates = np.asarray(updates, dtype=float)
+        if updates.size != T:
+            raise ShapeError(f"{T} periods but {updates.size} origin updates")
+    v = np.zeros(q)
+    v[origin] = 1.0
     others = np.arange(q) != origin
     out = np.empty((T, q))
-    for t, update in enumerate(updates.tolist(), start=1):
-        if not (0.0 <= update <= 1.0):
-            raise ConfigError(f"origin update {update:g} outside [0, 1]")
-        v = np.full(q, update)
-        mass = float(prev[others].sum())
-        if mass <= 1e-15:
-            if update < 1.0 and q > 1:
-                record(
-                    diag, "uniform_redistribution",
-                    f"period {t}: previous non-origin mass is zero, spreading "
-                    f"{1.0 - update:.6g} uniformly",
-                )
-            v[others] = (1.0 - update) / max(q - 1, 1)
-        else:
-            v[others] = prev[others] * (1.0 - update) / mass
-        for _ in range(Z + t - 1):
+    for t in range(1, T + 1):
+        steps = Z if t == 1 else 1
+        if updates is not None:
+            update = float(updates[t - 1])
+            if not (0.0 <= update <= 1.0):
+                raise ConfigError(f"origin update {update:g} outside [0, 1]")
+            if q == 1 and update < 1.0:
+                record(diag, "origin_update_ignored", f"period {t}: update {update:.6g} "
+                       "ignored, one attribute keeps weight 1")
+                update = 1.0
+            mass = float(v[others].sum())
+            start = np.full(q, update)
+            if mass <= 1e-15:
+                if update < 1.0:
+                    record(diag, "uniform_redistribution", f"period {t}: previous non-origin "
+                           f"mass is zero, spreading {1.0 - update:.6g} uniformly")
+                start[others] = (1.0 - update) / max(q - 1, 1)
+            else:
+                start[others] = v[others] * (1.0 - update) / mass
+            v, steps = start, Z + t - 1
+        for _ in range(steps):
             v = v @ M
-        out[t - 1] = prev = v
+        out[t - 1] = v
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import SCHEMES, STAGES, records
 from .diagnostics import Diagnostics, record
 from .errors import ConfigError, EngineError, NumericalError, ShapeError
-from .markov import estimate_transition, export_dot, period_weights, period_weights_reshaped
+from .markov import estimate_transition, export_dot, period_weights
 from .prefs import (
     ExpertWeightReport,
     comparison_groups,
@@ -267,23 +267,14 @@ def run_pipeline(
                 (f"period {t + 1}" for t in range(ov.period_weights.shape[0])),
             )
             report.period_weights = np.array(ov.period_weights, dtype=float)
-        elif used_scheme == "reshape":
-            if scenario.markov.origin_updates is None:
-                raise ConfigError("scheme 'reshape' requires markov.origin_updates")
-            report.period_weights = period_weights_reshaped(
-                report.transition,
-                scenario.markov.periods,
-                scenario.markov.iterations,
-                scenario.markov.origin,
-                list(scenario.markov.origin_updates),
-                diag=diag,
-            )
         else:
+            mk = scenario.markov
+            reshape = used_scheme == "reshape"
+            if reshape and mk.origin_updates is None:
+                raise ConfigError("scheme 'reshape' requires markov.origin_updates")
             report.period_weights = period_weights(
-                report.transition,
-                scenario.markov.periods,
-                scenario.markov.iterations,
-                scenario.markov.origin,
+                report.transition, mk.periods, mk.iterations, mk.origin,
+                mk.origin_updates if reshape else None, diag=diag,
             )
     if stage == "weights":
         return report

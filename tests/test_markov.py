@@ -11,7 +11,6 @@ from lingdecide.markov import (
     estimate_transition,
     export_dot,
     period_weights,
-    period_weights_reshaped,
 )
 from lingdecide.paper import PeakIntervalTerm
 from lingdecide.scenario import load_bundled_scenario
@@ -70,7 +69,7 @@ class TestChecks:
         with pytest.raises(ConfigError, match="row 1 sums to"):
             period_weights(M, T=2, Z=1, origin=0)
         with pytest.raises(ConfigError, match="row 1 sums to"):
-            period_weights_reshaped(M, T=2, Z=1, origin=0, updates=[0.5, 0.5])
+            period_weights(M, T=2, Z=1, origin=0, updates=[0.5, 0.5])
 
     def test_require_stochastic_raises(self):
         with pytest.raises(ConfigError):
@@ -276,7 +275,7 @@ class TestReshapedScheme:
     UPDATES = [0.25, 0.80, 1.00]
 
     def test_regression_vectors(self):
-        out = period_weights_reshaped(CRISIS_M, T=3, Z=1, origin=0, updates=self.UPDATES)
+        out = period_weights(CRISIS_M, T=3, Z=1, origin=0, updates=self.UPDATES)
         assert out[0] == pytest.approx([0.178875, 0.232075, 0.2162, 0.37285], abs=1e-9)
         assert out[1] == pytest.approx(
             [0.098105786637, 0.287077541549, 0.215485008759, 0.399331663055], abs=1e-9
@@ -287,13 +286,13 @@ class TestReshapedScheme:
 
     def test_full_update_resets_to_power_scheme(self):
         # forcing all mass back onto the origin reproduces the plain scheme
-        reshaped = period_weights_reshaped(CRISIS_M, T=3, Z=2, origin=1, updates=[1.0, 1.0, 1.0])
+        reshaped = period_weights(CRISIS_M, T=3, Z=2, origin=1, updates=[1.0, 1.0, 1.0])
         plain = period_weights(CRISIS_M, T=3, Z=2, origin=1)
         assert reshaped == pytest.approx(plain, abs=1e-12)
 
     def test_first_period_spreads_uniformly(self):
         diag = Diagnostics()
-        out = period_weights_reshaped(
+        out = period_weights(
             CRISIS_M, T=1, Z=1, origin=0, updates=[0.25], diag=diag
         )
         start = np.array([0.25, 0.25, 0.25, 0.25])
@@ -301,16 +300,27 @@ class TestReshapedScheme:
         assert "uniform_redistribution" in diag.kinds()
 
     def test_rows_stay_stochastic(self):
-        out = period_weights_reshaped(CRISIS_M, T=3, Z=1, origin=0, updates=self.UPDATES)
+        out = period_weights(CRISIS_M, T=3, Z=1, origin=0, updates=self.UPDATES)
         assert out.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_update_count_must_match(self):
         with pytest.raises(ShapeError):
-            period_weights_reshaped(CRISIS_M, T=3, Z=1, origin=0, updates=[0.5, 0.5])
+            period_weights(CRISIS_M, T=3, Z=1, origin=0, updates=[0.5, 0.5])
+
+    def test_one_attribute_ignores_updates(self):
+        diag = Diagnostics()
+        out = period_weights([[1.0]], T=3, Z=2, origin=0, updates=[0.2, 1.0, 0.5], diag=diag)
+        assert out.tolist() == [[1.0], [1.0], [1.0]]
+        assert [(e.kind, e.detail) for e in diag] == [
+            ("origin_update_ignored", "period 1: update 0.2 ignored, one attribute keeps weight 1"),
+            ("origin_update_ignored", "period 3: update 0.5 ignored, one attribute keeps weight 1"),
+        ]
+        with pytest.raises(ConfigError, match="origin update 1.5 outside"):
+            period_weights([[1.0]], T=1, Z=1, origin=0, updates=[1.5])
 
     def test_update_range_checked(self):
         with pytest.raises(ConfigError):
-            period_weights_reshaped(CRISIS_M, T=1, Z=1, origin=0, updates=[1.5])
+            period_weights(CRISIS_M, T=1, Z=1, origin=0, updates=[1.5])
 
 
 class TestDotExport:

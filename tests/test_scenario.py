@@ -294,6 +294,45 @@ class TestValidation:
             data[block][key][expert] = matrix
             assert violations_of(data) == [f"{block}.{key}.{expert}: expected {size} rows"]
 
+    @pytest.mark.parametrize(
+        "path, value, want",
+        [
+            (("attributes", 1), "IRR", ["attributes: names must be unique"]),
+            (("alternatives", 1), "A1", ["alternatives: names must be unique"]),
+            (("experts", 1, "name"), "e1", ["experts: names must be unique"]),
+            (
+                ("overrides", "transition_matrix", 0, 1),
+                float("nan"),
+                ["overrides.transition_matrix: entries must be finite"],
+            ),
+            (  # an int no float holds, so the OverflowError path
+                ("overrides", "period_weights", 0, 1),
+                10**400,
+                ["overrides.period_weights: entries must be finite"],
+            ),
+            ((), [], ["$: expected a JSON object, got list"]),
+            (
+                ("overrides", "priority_vectors"),
+                [],
+                ["overrides.priority_vectors: expected an object, got list"]
+                + [
+                    f"preferences.{a}: required unless overrides.priority_vectors covers this attribute"
+                    for a in ("ALR", "FLR", "CR")
+                ],
+            ),
+        ],
+    )
+    def test_bundled_case_edits_give_exact_violations(self, path, value, want):
+        data = bundled_dict()
+        if not path:
+            data = value
+        else:
+            place = data
+            for key in path[:-1]:
+                place = place[key]
+            place[path[-1]] = value
+        assert violations_of(data) == want
+
     def test_default_labels_filled(self):
         scn = scenario_from_dict(fresh(uniform_scenario_dict()))
         assert scn.scale.first_labels[0] == "s-4"

@@ -15,8 +15,8 @@ Each scenario runs through ``cli.main`` in process at a drawn
 
 * raise nothing and exit 0, 1 or 3;
 * at exit 0, write a JSON report with no ``NaN`` or ``Infinity``, whose
-  transition rows and priority vectors are nonnegative and sum to 1
-  within 1e-9;
+  transition rows, period-weight rows and priority vectors are
+  nonnegative and sum to 1 within 1e-9;
 * at exit 1 from a pipeline step, name one of the causes README's CLI
   section lists;
 * raise no RuntimeWarning.
@@ -172,3 +172,6 @@ def test_extreme_valid_scenarios_run_to_sound_reports(tmp_path_factory, data, st
     assert rows.min() >= 0.0 and np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9
     for vector in report["priorities"].values():
         assert min(vector) >= 0.0 and abs(sum(vector) - 1.0) <= 1e-9
+    if report["period_weights"] is not None:
+        weights = np.array(report["period_weights"])
+        assert weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
